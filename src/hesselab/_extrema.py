@@ -76,6 +76,17 @@ def _vec_of(t):
     return np.array([np.cos(t), np.sin(t)])
 
 
+def _scan_refine(fun, grid_values, n_angles: int, ends=(True, False)) -> list:
+    """[(t, fun(t)) for each end (True: max)], Newton-refined from the best
+    node of grid_values(U), whose rows are (1, cos 2t, sin 2t) on [0, pi)."""
+    th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
+    U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
+    vals = grid_values(U)
+    span = np.pi / n_angles
+    return [_refine_1d(fun, th[np.argmax(vals) if mx else np.argmin(vals)], mx, span)
+            for mx in ends]
+
+
 def _pair_extrema_2d(T: np.ndarray, n_angles: int, maximize: bool) -> Extremum:
     C = _coeff_matrix(T)
     sgn = 1.0 if maximize else -1.0
@@ -84,12 +95,11 @@ def _pair_extrema_2d(T: np.ndarray, n_angles: int, maximize: bool) -> Extremum:
         a, b, g = _angle_u(t) @ C
         return a + sgn * np.hypot(b, g)
 
-    th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-    U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
-    abg = U @ C
-    vals = abg[:, 0] + sgn * np.hypot(abg[:, 1], abg[:, 2])
-    t0 = th[int(np.argmax(sgn * vals))]
-    t_star, v_star = _refine_1d(outer, t0, maximize, np.pi / n_angles)
+    def grid_values(U):
+        abg = U @ C
+        return abg[:, 0] + sgn * np.hypot(abg[:, 1], abg[:, 2])
+
+    [(t_star, v_star)] = _scan_refine(outer, grid_values, n_angles, (maximize,))
     a, b, g = _angle_u(t_star) @ C
     hyp = np.hypot(b, g)
     if hyp > 0:
@@ -230,13 +240,9 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
                 u = _angle_u(t)
                 return float(u @ C @ np.array([1.0, -u[1], -u[2]]))
 
-            th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-            U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
-            Uo = np.stack([np.ones_like(th), -U[:, 1], -U[:, 2]], axis=1)
-            vals = np.einsum("ab,na,nb->n", C, U, Uo)
-            span = np.pi / n_angles
-            tmax, vmax = _refine_1d(f, th[np.argmax(vals)], True, span)
-            tmin, vmin = _refine_1d(f, th[np.argmin(vals)], False, span)
+            (tmax, vmax), (tmin, vmin) = _scan_refine(
+                f, lambda U: np.einsum("ab,na,nb->n", C, U, U * [1.0, -1.0, -1.0]),
+                n_angles)
 
             def pair_of(t):
                 return (np.array([np.cos(t), np.sin(t)]),
@@ -276,12 +282,8 @@ def quartic_extrema(T: np.ndarray, n_angles: int = 720, restarts: int = 64,
             u = _angle_u(t)
             return float(u @ C @ u)
 
-        th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-        U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
-        vals = np.einsum("ab,na,nb->n", C, U, U)
-        span = np.pi / n_angles
-        tmax, vmax = _refine_1d(f, th[np.argmax(vals)], True, span)
-        tmin, vmin = _refine_1d(f, th[np.argmin(vals)], False, span)
+        (tmax, vmax), (tmin, vmin) = _scan_refine(
+            f, lambda U: np.einsum("ab,na,nb->n", C, U, U), n_angles)
         return (Extremum(vmax, np.array([np.cos(tmax), np.sin(tmax)])),
                 Extremum(vmin, np.array([np.cos(tmin), np.sin(tmin)])))
     rng = np.random.default_rng(seed)

@@ -126,19 +126,6 @@ class DecompositionFit:
         return self.beta / self.alpha
 
 
-def polarized_average_decomposition(sample: CurvatureSample, count: int,
-                                    seed: int,
-                                    companions: list[CurvatureSample] | None = None):
-    """(avg, alpha, beta, fit residual) for one sample within a batch.
-
-    The least-squares weights need a batch; ``companions`` supplies the rest
-    of it (the fit degenerates with fewer than two distinct samples).
-    """
-    batch = [sample] + list(companions or [])
-    fit = decomposition_fit(batch, count, seed)
-    return fit.averages[0], fit.alpha, fit.beta, fit.residual
-
-
 def decomposition_fit(samples: list[CurvatureSample], count: int,
                       seed: int) -> DecompositionFit:
     """Least-squares fit avg ~ alpha * S + beta * T across a batch.

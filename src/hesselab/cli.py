@@ -25,14 +25,9 @@ import numpy as np
 from . import berger, flow, reaction, transport
 from .curvature import (RegionSpec, SearchSpec, anti_bisectional, certify_sign,
                         core_form, mtw_tensor, scan_csv_rows)
-from .errors import ConfigError, HesselabError
+from .errors import BadParams, ConfigError, HesselabError
 from .potentials import CATALOG_NAMES, catalog, catalog_entries
 from .transport import DiscreteMeasure
-
-EXPERIMENT_KINDS = ("curvature-scan", "certify", "flow-run", "kr-probe",
-                    "ode-run", "null-vector-suite", "trace-suite",
-                    "berger-suite", "ot-experiment")
-
 
 # -- config plumbing -------------------------------------------------------------
 
@@ -87,15 +82,18 @@ def _potential_from(cfg: Config):
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown potential {name!r}")
     kwargs = {}
-    for key, raw in sec.items():
-        if key in ("n",):
-            kwargs[key] = int(raw)
-        elif key in ("wave",):
-            kwargs[key] = tuple(int(v) for v in raw.split())
-        elif key in ("path",):
-            kwargs[key] = raw
-        else:
-            kwargs[key] = float(raw)
+    try:
+        for key, raw in sec.items():
+            if key in ("n",):
+                kwargs[key] = int(raw)
+            elif key in ("wave",):
+                kwargs[key] = tuple(int(v) for v in raw.split())
+            elif key in ("path",):
+                kwargs[key] = raw
+            else:
+                kwargs[key] = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad [potential] value: {exc}") from exc
     try:
         return catalog(name, **kwargs)
     except HesselabError:
@@ -109,11 +107,7 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    # plot-ready twin: same columns, whitespace-delimited
-    with open(path.with_suffix(".dat"), "w") as fh:
-        fh.write("# " + " ".join(columns) + "\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(row[c]) for c in columns) + "\n")
+    _csv_to_dat(path)
 
 
 def _fmt(v) -> str:
@@ -123,6 +117,7 @@ def _fmt(v) -> str:
 
 
 def _csv_to_dat(path: Path) -> None:
+    """Plot-ready twin of a CSV: same columns, whitespace-delimited."""
     lines = path.read_text().splitlines()
     with open(path.with_suffix(".dat"), "w") as fh:
         fh.write("# " + lines[0].replace(",", " ") + "\n")
@@ -154,10 +149,13 @@ def _exp_certify(cfg: Config, outdir: Path):
     seed = cfg.get("certify", "seed", int, 7)
     extent = cfg.get("certify", "extent", float, -1.0)
     expect = cfg.get("certify", "expect", str, "")
-    cert = certify_sign(handle, quantity,
-                        RegionSpec(count=count, seed=seed,
-                                   extent=None if extent < 0 else extent),
-                        SearchSpec())
+    try:
+        cert = certify_sign(handle, quantity,
+                            RegionSpec(count=count, seed=seed,
+                                       extent=None if extent < 0 else extent),
+                            SearchSpec())
+    except BadParams as exc:
+        raise ConfigError(f"bad [certify] parameters: {exc}") from exc
     (outdir / f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
     msg = (f"{handle.name} {quantity}: {cert.verdict} "
            f"(extremal {cert.extremal_value!r})")
@@ -272,7 +270,7 @@ def _exp_null_vector_suite(cfg: Config, outdir: Path):
                ["trial", "n", "first_derivative_residual", "hform_min_eig",
                 "q_value", "sharper_value", "passed"])
     lines = [f"null-vector suite: {trials} boundary tensors, {failures} failures"]
-    cx = reaction.noab_3d_probe(seed=seed + 1, trials=probe_trials)
+    cx = reaction.noab_probe(3, seed=seed + 1, trials=probe_trials)
     probe_ok = cx is not None
     if probe_ok:
         (outdir / "noab_counterexample.txt").write_text(cx.tensor.to_text())
@@ -402,7 +400,7 @@ def run_config(cfg: Config, outdir: Path | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         kind = cfg.get("experiment", "kind")
-        if kind not in _EXPERIMENT_KINDS_SET:
+        if kind not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out = Path(cfg.get("output", "dir", str, "out")) if outdir is None else outdir
         out.mkdir(parents=True, exist_ok=True)
@@ -417,9 +415,6 @@ def run_config(cfg: Config, outdir: Path | None = None) -> int:
         print(line)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-_EXPERIMENT_KINDS_SET = set(EXPERIMENT_KINDS)
 
 
 # -- verify-all -------------------------------------------------------------------

@@ -16,50 +16,29 @@ All operations here are pure given immutable inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _extrema
 from .certificates import SignCertificate, verdict_from_extrema
-from .errors import (BadFrame, SingularHessian, SingularMixedHessian,
-                     ZeroVector)
-from .jets import PotentialJet
+from .errors import (BadFrame, BadParams, SingularHessian,
+                     SingularMixedHessian, ZeroVector)
+from .jets import PotentialJet, symmetrize
 from .potentials import PotentialHandle
 
 QUANTITIES = ("ABC", "ORTH_ABC", "HSC_POL", "MTW_ORTH")
 
 
+# E[ijkl] = E[kjil] = E[ilkj] = E[jilk] generate the 8 symmetries of a square
+# with corners i, j, k, l; each entry lists the index positions of one image
+CURVATURE_GROUP = ((0, 1, 2, 3), (0, 3, 2, 1), (1, 0, 3, 2), (1, 2, 3, 0),
+                   (2, 1, 0, 3), (2, 3, 0, 1), (3, 0, 1, 2), (3, 2, 1, 0))
+
+
 def mirror_symmetrize(E: np.ndarray) -> np.ndarray:
-    """Enforce the curvature symmetry class bitwise by orbit assignment."""
-    n = E.shape[0]
-    out = np.empty_like(E)
-    seen = np.zeros(E.shape, dtype=bool)
-    for idx in itertools.product(range(n), repeat=4):
-        if seen[idx]:
-            continue
-        orbit = _orbit(idx)
-        val = sum(E[p] for p in sorted(orbit)) / len(orbit)
-        for p in orbit:
-            out[p] = val
-            seen[p] = True
-    return out
-
-
-def _orbit(idx):
-    i, j, k, l = idx
-    gens = {(i, j, k, l), (k, j, i, l), (i, l, k, j), (j, i, l, k)}
-    frontier = set(gens)
-    while frontier:
-        nxt = set()
-        for (a, b, c, d) in frontier:
-            for q in ((c, b, a, d), (a, d, c, b), (b, a, d, c)):
-                if q not in gens:
-                    gens.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return gens
+    """Enforce the curvature symmetry class bitwise (orbit means)."""
+    return symmetrize(E, CURVATURE_GROUP)
 
 
 def symmetry_defect(E: np.ndarray) -> float:
@@ -282,7 +261,9 @@ def certify_sign(handle: PotentialHandle, quantity: str,
     region = region or RegionSpec()
     search = search or SearchSpec()
     if quantity not in QUANTITIES:
-        raise ValueError(f"quantity must be one of {QUANTITIES}")
+        raise BadParams(f"quantity must be one of {QUANTITIES}")
+    if region.count < 1:
+        raise BadParams("region count must be >= 1")
     pts = handle.domain.sample(region.count, region.seed, extent=region.extent)
     gmax = gmin = None
     for idx, p in enumerate(pts):

@@ -34,7 +34,8 @@ from . import _extrema
 from .curvature import core_form, oab_trace, scalar
 from .errors import (BadParams, IncompatibleMode, SingularHessian,
                      StabilityFailure)
-from .jets import PotentialJet, pd_check, symmetrize
+from .jets import (_STENCILS, PotentialJet, pd_check, symmetric_from_orders,
+                   symmetrize)
 from .potentials import (GridPotential, PotentialHandle,
                          QuadraticPlusPeriodic, write_grid_file)
 
@@ -81,20 +82,13 @@ class FlowState:
 
 # -- stencil application over whole grids --------------------------------------
 
-_D1 = {1: ((-1, 1), (-0.5, 0.5)),
-       2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-       3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-       4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0))}
-
-
 def _axis_derivative(u: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
-    offs, coefs = _D1[order]
+    offs, coefs = _STENCILS[order]
     out = np.zeros_like(u)
     for o, c in zip(offs, coefs):
-        if o == 0:
-            out += c * u
-        else:
-            out += c * np.roll(u, -o, axis=axis)
+        if c == 0.0:
+            continue
+        out += c * (u if o == 0 else np.roll(u, -o, axis=axis))
     return out / h**order
 
 
@@ -193,18 +187,22 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
     return state
 
 
-def adaptive_dt(state: FlowState) -> float:
-    """0.25 h^2 / (2 max lambda_max(Hess^-1)) over checked nodes."""
+def _lambda_min(state: FlowState) -> float:
+    """Smallest Hessian eigenvalue over the checked nodes."""
     fields = _hessian_fields(state)
     interior = _interior_mask(state)
     if state.n == 1:
-        lam_min = float(fields[0][interior].min())
-    else:
-        hxx, hyy, hxy = (f[interior] for f in fields)
-        tr = hxx + hyy
-        det = hxx * hyy - hxy * hxy
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        lam_min = float(((tr - disc) / 2.0).min())
+        return float(fields[0][interior].min())
+    hxx, hyy, hxy = (f[interior] for f in fields)
+    tr = hxx + hyy
+    det = hxx * hyy - hxy * hxy
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return float(((tr - disc) / 2.0).min())
+
+
+def adaptive_dt(state: FlowState) -> float:
+    """0.25 h^2 / (2 max lambda_max(Hess^-1)) over checked nodes."""
+    lam_min = _lambda_min(state)
     if lam_min <= 0.0 or not np.isfinite(lam_min):
         raise SingularHessian("degenerate Hessian: no stable step size")
     return 0.25 * state.spacing**2 / (2.0 / lam_min)
@@ -213,13 +211,12 @@ def adaptive_dt(state: FlowState) -> float:
 def _extend_ring(du: np.ndarray, ring: int = RING) -> np.ndarray:
     """Fill the boundary ring by linear extrapolation of the interior update."""
     out = du.copy()
-    m0, m1 = out.shape
-    for r in range(ring - 1, -1, -1):
-        out[r, :] = 2.0 * out[r + 1, :] - out[r + 2, :]
-        out[m0 - 1 - r, :] = 2.0 * out[m0 - 2 - r, :] - out[m0 - 3 - r, :]
-    for r in range(ring - 1, -1, -1):
-        out[:, r] = 2.0 * out[:, r + 1] - out[:, r + 2]
-        out[:, m1 - 1 - r] = 2.0 * out[:, m1 - 2 - r] - out[:, m1 - 3 - r]
+    for axis in range(out.ndim):
+        v = np.moveaxis(out, axis, 0)  # a view: writes land in out
+        m = v.shape[0]
+        for r in range(ring - 1, -1, -1):
+            v[r] = 2.0 * v[r + 1] - v[r + 2]
+            v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
     return out
 
 
@@ -295,23 +292,8 @@ def jet_at_node(state: FlowState, fields: dict, idx: tuple[int, int]) -> Potenti
         [a[0, 0] + fields[(2, 0)][idx], a[0, 1] + fields[(1, 1)][idx]],
         [a[0, 1] + fields[(1, 1)][idx], a[1, 1] + fields[(0, 2)][idx]],
     ])
-    third = np.empty((2, 2, 2))
-    third[0, 0, 0] = fields[(3, 0)][idx]
-    third[1, 1, 1] = fields[(0, 3)][idx]
-    v = fields[(2, 1)][idx]
-    third[0, 0, 1] = third[0, 1, 0] = third[1, 0, 0] = v
-    v = fields[(1, 2)][idx]
-    third[0, 1, 1] = third[1, 0, 1] = third[1, 1, 0] = v
-    fourth = np.empty((2, 2, 2, 2))
-    table = {4: fields[(4, 0)][idx], 3: fields[(3, 1)][idx],
-             2: fields[(2, 2)][idx], 1: fields[(1, 3)][idx],
-             0: fields[(0, 4)][idx]}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    zeros = 4 - (i + j + k + l)
-                    fourth[i, j, k, l] = table[zeros]
+    third, fourth = (symmetric_from_orders(2, k, lambda o: fields[o][idx])
+                     for k in (3, 4))
     value = float(state.u[idx])
     if state.quad is not None and state.mode == "periodic":
         value += 0.5 * float(x @ a @ x)
@@ -334,16 +316,7 @@ def monitor_offset(state0: FlowState, epoch: int, elapsed: float,
     """
     if state0.mode == "periodic":
         return 0
-    fields = _hessian_fields(state0)
-    interior = _interior_mask(state0)
-    if state0.n == 1:
-        lam_min = float(fields[0][interior].min())
-    else:
-        hxx, hyy, hxy = (f[interior] for f in fields)
-        tr = hxx + hyy
-        det = hxx * hyy - hxy * hxy
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        lam_min = float(((tr - disc) / 2.0).min())
+    lam_min = _lambda_min(state0)
     diffusion = 2.0 / lam_min
     spread = kappa * np.sqrt(2.0 * diffusion * max(elapsed, 0.0)) / state0.spacing
     return RING * (1 + epoch) + int(np.ceil(spread))

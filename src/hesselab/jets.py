@@ -12,6 +12,7 @@ truncation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -24,18 +25,56 @@ from .errors import NotConvexHere, ZeroVector
 PD_RTOL = 1e-10
 
 
-def symmetrize(T: np.ndarray) -> np.ndarray:
-    """Return T with each permutation orbit set to the orbit mean (bitwise equal)."""
+@functools.cache
+def orbit_table(n: int, k: int, group: tuple | None = None):
+    """Read-only (orbits, owner, sizes) for the index orbits of an order-k
+    tensor of side n under axis permutations g: (i_0, i_1, ..) -> (i_g[0],
+    i_g[1], ..), default all.  Row r of ``orbits`` holds orbit r's flat
+    indices in increasing order, padded with n**k (a zero slot), and rows
+    are ordered by least index; ``owner`` maps a flat index to its row."""
+    if group is None:
+        group = tuple(itertools.permutations(range(k)))
+    size = n**k
+    idx = np.indices((n,) * k).reshape(k, size)
+    strides = n ** np.arange(k - 1, -1, -1)
+    images = np.stack([strides @ idx[list(g)] for g in group])
+    owner = np.full(size, -1, dtype=np.intp)
+    rows = []
+    for flat in range(size):
+        if owner[flat] < 0:
+            members = np.unique(images[:, flat])
+            owner[members] = len(rows)
+            rows.append(members)
+    sizes = np.array([len(m) for m in rows])
+    orbits = np.full((len(rows), sizes.max()), size, dtype=np.intp)
+    for r, members in enumerate(rows):
+        orbits[r, :len(members)] = members
+    for arr in (orbits, owner, sizes):
+        arr.flags.writeable = False
+    return orbits, owner, sizes
+
+
+def symmetrize(T: np.ndarray, group: tuple | None = None) -> np.ndarray:
+    """Return T with each index orbit under ``group`` (default: all axis
+    permutations) set to its mean, bitwise equal across the orbit.  Members
+    are added one at a time from +0.0 in increasing flat-index order, which
+    defines the mean's rounding; np.sum rounds differently."""
     T = np.asarray(T, dtype=float)
-    k = T.ndim
-    n = T.shape[0]
-    out = np.empty_like(T)
-    for idx in itertools.combinations_with_replacement(range(n), k):
-        perms = set(itertools.permutations(idx))
-        val = sum(T[p] for p in sorted(perms)) / len(perms)
-        for p in perms:
-            out[p] = val
-    return out
+    orbits, owner, sizes = orbit_table(T.shape[0], T.ndim, group)
+    acc = np.zeros(len(sizes))
+    for col in np.append(T.ravel(), 0.0)[orbits.T]:
+        acc = acc + col
+    return (acc / sizes)[owner].reshape(T.shape)
+
+
+def symmetric_from_orders(n: int, order: int, value_of: Callable) -> np.ndarray:
+    """Fully symmetric tensor taking value_of(orders) on each index orbit,
+    where orders[i] counts the occurrences of axis i in the index; called
+    once per orbit, in increasing order of the orbit's least index."""
+    orbits, owner, _ = orbit_table(n, order)
+    digits = (orbits[:, :1] // n ** np.arange(order) % n).tolist()  # of least indices
+    vals = [value_of(tuple(map(d.count, range(n)))) for d in digits]
+    return np.array(vals, dtype=float)[owner].reshape((n,) * order)
 
 
 def is_fully_symmetric(T: np.ndarray) -> bool:
@@ -137,34 +176,12 @@ def fd_jet(values: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> Po
     evaluations are cached across partials so each grid point is used once.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
     cache: dict = {}
     value = values(x.copy())
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    third = np.empty((n,) * 3)
-    fourth = np.empty((n,) * 4)
-
-    def orders_of(idx: tuple[int, ...]) -> tuple[int, ...]:
-        o = [0] * n
-        for i in idx:
-            o[i] += 1
-        return tuple(o)
-
-    for i in range(n):
-        grad[i] = fd_partial(values, x, orders_of((i,)), h, cache)
-    for idx in itertools.combinations_with_replacement(range(n), 2):
-        v = fd_partial(values, x, orders_of(idx), h, cache)
-        for p in set(itertools.permutations(idx)):
-            hess[p] = v
-    for idx in itertools.combinations_with_replacement(range(n), 3):
-        v = fd_partial(values, x, orders_of(idx), h, cache)
-        for p in set(itertools.permutations(idx)):
-            third[p] = v
-    for idx in itertools.combinations_with_replacement(range(n), 4):
-        v = fd_partial(values, x, orders_of(idx), h, cache)
-        for p in set(itertools.permutations(idx)):
-            fourth[p] = v
+    grad, hess, third, fourth = [
+        symmetric_from_orders(x.shape[0], k,
+                              lambda o: fd_partial(values, x, o, h, cache))
+        for k in (1, 2, 3, 4)]
     return PotentialJet(x=x, value=value, gradient=grad, hessian=hess,
                         third=third, fourth=fourth)
 

@@ -21,17 +21,6 @@ from .errors import BadParams, NotConvexHere, UnknownName
 from .jets import (PotentialJet, fd_jet, jet_from_inner, neg_log_jet,
                    pd_check, radial_r_jets, symmetrize)
 
-CATALOG_NAMES = (
-    "log_barrier",
-    "bidisk_product",
-    "bidisk_trig",
-    "calabi_ball",
-    "cone2d",
-    "radial_sym",
-    "quadratic_plus_periodic",
-    "grid",
-)
-
 
 class PotentialHandle:
     """Base class: a named convex potential on a domain."""
@@ -377,27 +366,30 @@ def write_grid_file(path: str | Path, origin, spacing, values, t: float | None =
 
 # -- catalog ------------------------------------------------------------------
 
+def _grid(**params) -> GridPotential:
+    if "path" in params:
+        return GridPotential.from_file(params["path"])
+    return GridPotential(**params)
+
+
+_CATALOG = {
+    "log_barrier": LogBarrier,
+    "bidisk_product": BidiskProduct,
+    "bidisk_trig": BidiskTrig,
+    "calabi_ball": CalabiBall,
+    "cone2d": Cone2D,
+    "radial_sym": RadialSym,
+    "quadratic_plus_periodic": QuadraticPlusPeriodic,
+    "grid": _grid,
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog(name: str, **params) -> PotentialHandle:
     """Build a catalog potential by name; raises UnknownName / BadParams."""
-    if name == "log_barrier":
-        return LogBarrier(**params)
-    if name == "bidisk_product":
-        return BidiskProduct(**params)
-    if name == "bidisk_trig":
-        return BidiskTrig(**params)
-    if name == "calabi_ball":
-        return CalabiBall(**params)
-    if name == "cone2d":
-        return Cone2D(**params)
-    if name == "radial_sym":
-        return RadialSym(**params)
-    if name == "quadratic_plus_periodic":
-        return QuadraticPlusPeriodic(**params)
-    if name == "grid":
-        if "path" in params:
-            return GridPotential.from_file(params["path"])
-        return GridPotential(**params)
-    raise UnknownName(f"no catalog potential named {name!r}")
+    if name not in _CATALOG:
+        raise UnknownName(f"no catalog potential named {name!r}")
+    return _CATALOG[name](**params)
 
 
 def catalog_entries() -> list[tuple[str, str]]:

@@ -13,15 +13,16 @@ maximum of A(v,w,v,w) to zero while keeping the maximizing pair fixed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _extrema
-from .curvature import CurvatureSample, mirror_symmetrize, symmetry_defect
+from .curvature import (CURVATURE_GROUP, CurvatureSample, mirror_symmetrize,
+                        symmetry_defect)
 from .errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC, NotPSD,
                      StabilityFailure)
+from .jets import orbit_table
 
 BLOWUP_CAP = 1e12
 
@@ -74,42 +75,19 @@ class AlgCurvTensor:
     def from_text(cls, text: str) -> "AlgCurvTensor":
         rows = [ln for ln in text.splitlines() if ln.strip()]
         n = int(rows[0])
-        A = np.zeros((n,) * 4)
+        _, owner, sizes = orbit_table(n, 4, CURVATURE_GROUP)
+        vals = np.zeros(len(sizes))
         for ln in rows[1:]:
             toks = ln.split()
-            idx = tuple(int(t) for t in toks[:4])
-            val = float(toks[4])
-            for p in _class_orbit(idx):
-                A[p] = val
-        return cls(A)
-
-
-def _class_orbit(idx):
-    i, j, k, l = idx
-    orbit = {(i, j, k, l)}
-    frontier = set(orbit)
-    while frontier:
-        nxt = set()
-        for (a, b, c, d) in frontier:
-            for q in ((c, b, a, d), (a, d, c, b), (b, a, d, c)):
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return orbit
+            flat = np.ravel_multi_index(tuple(int(t) for t in toks[:4]), (n,) * 4)
+            vals[owner[flat]] = float(toks[4])
+        return cls(vals[owner].reshape((n,) * 4))
 
 
 def canonical_indices(n: int) -> list[tuple[int, int, int, int]]:
     """Lexicographically-least representative of each symmetry orbit."""
-    reps = []
-    seen = set()
-    for idx in itertools.product(range(n), repeat=4):
-        if idx in seen:
-            continue
-        orbit = _class_orbit(idx)
-        seen |= orbit
-        reps.append(min(orbit))
-    return sorted(reps)
+    orbits, _, _ = orbit_table(n, 4, CURVATURE_GROUP)
+    return list(zip(*(a.tolist() for a in np.unravel_index(orbits[:, 0], (n,) * 4))))
 
 
 def identity_shift_tensor(n: int) -> np.ndarray:
@@ -120,13 +98,16 @@ def identity_shift_tensor(n: int) -> np.ndarray:
 
 # -- reaction quadratic and ODE -------------------------------------------------
 
-def q_quadratic(A: AlgCurvTensor) -> AlgCurvTensor:
-    """Reaction quadratic Q(A); output re-symmetrized onto the class."""
-    T = A.A
+def _q_contraction(T: np.ndarray) -> np.ndarray:
     t1 = np.einsum("ijpq,qpkl->ijkl", T, T)
     t2 = np.einsum("ilpq,qpkj->ijkl", T, T)
     t3 = np.einsum("ipkq,pjql->ijkl", T, T)
-    Q = 2.0 * (t1 + t2 - t3)
+    return 2.0 * (t1 + t2 - t3)
+
+
+def q_quadratic(A: AlgCurvTensor) -> AlgCurvTensor:
+    """Reaction quadratic Q(A); output re-symmetrized onto the class."""
+    Q = _q_contraction(A.A)
     drift = symmetry_defect(Q)
     out = AlgCurvTensor(mirror_symmetrize(Q))
     out_drift = drift / max(A.norm**2, 1e-300)
@@ -160,19 +141,13 @@ def integrate_ode(A0: AlgCurvTensor, T: float, dt: float,
     t = 0.0
     traj = OdeTrajectory([0.0], [AlgCurvTensor(A.copy())])
 
-    def rhs(M):
-        t1 = np.einsum("ijpq,qpkl->ijkl", M, M)
-        t2 = np.einsum("ilpq,qpkj->ijkl", M, M)
-        t3 = np.einsum("ipkq,pjql->ijkl", M, M)
-        return 2.0 * (t1 + t2 - t3)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             h = min(dt, T - t)
-            k1 = rhs(A)
-            k2 = rhs(A + 0.5 * h * k1)
-            k3 = rhs(A + 0.5 * h * k2)
-            k4 = rhs(A + h * k3)
+            k1 = _q_contraction(A)
+            k2 = _q_contraction(A + 0.5 * h * k1)
+            k3 = _q_contraction(A + 0.5 * h * k2)
+            k4 = _q_contraction(A + h * k3)
             A = A + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             if (not np.all(np.isfinite(A))) or np.abs(A).max() > BLOWUP_CAP:
@@ -390,11 +365,6 @@ def noab_probe(n: int, seed: int, trials: int, q_threshold: float = -1e-6,
                                           orth_min_after_shift=float(vmin),
                                           trial=trial)
     return None
-
-
-def noab_3d_probe(seed: int, trials: int,
-                  q_threshold: float = -1e-6) -> NoabCounterexample | None:
-    return noab_probe(3, seed, trials, q_threshold)
 
 
 # -- componentwise control from sectional and orthogonal bounds ------------------

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hesselab.domains import DomainSpec
 from hesselab.jets import PotentialJet
 from hesselab.potentials import PotentialHandle, catalog, quadratic
+
+# property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 class ScaledHandle(PotentialHandle):

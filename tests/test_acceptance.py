@@ -212,7 +212,7 @@ def test_criterion_06_noab_algebra():
         Q = reaction.q_quadratic(reaction.AlgCurvTensor(A)).A
         worst = max(worst, abs(Q[0, 1, 0, 1] - 4.0 * A[0, 0, 0, 1] ** 2))
     identity_ok = worst <= 1e-12
-    cx = reaction.noab_3d_probe(seed=11, trials=100000)
+    cx = reaction.noab_probe(3, seed=11, trials=100000)
     probe_ok = cx is not None and cx.q_value < -1e-6
     report(6, identity_ok and probe_ok,
            f"perfect-square identity worst dev {worst:.2e} over 10^3 tensors "

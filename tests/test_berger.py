@@ -216,11 +216,10 @@ def test_ricci_average_ratio_matches_dimension_in_3d():
     assert ra.ratio == pytest.approx(3.0, abs=0.15)
 
 
-def test_polarized_average_decomposition_wrapper(ball2):
+def test_decomposition_fit_average_of_first_sample(ball2):
     samples = samples_on(ball2, 4, 51, extent=0.8)
-    avg, alpha, beta, resid = berger.polarized_average_decomposition(
-        samples[0], 20000, seed=3, companions=samples[1:])
-    assert avg == pytest.approx(berger.exact_polarized_average(samples[0]),
-                                abs=0.05)
-    assert beta / alpha == pytest.approx(0.5, abs=0.06)
-    assert resid < 0.05
+    fit = berger.decomposition_fit(samples, 20000, seed=3)
+    assert fit.averages[0] == pytest.approx(
+        berger.exact_polarized_average(samples[0]), abs=0.05)
+    assert fit.beta / fit.alpha == pytest.approx(0.5, abs=0.06)
+    assert fit.residual < 0.05

@@ -131,3 +131,27 @@ def test_ode_config_dict():
         "output": {"dir": "/tmp/hesselab_cli_test_ode"},
     })
     assert run_config(cfg) == 0
+
+
+def certify_dict(potential=None, **certify):
+    return Config.from_dict({
+        "experiment": {"kind": "certify"},
+        "potential": {"name": "cone2d", **(potential or {})},
+        "certify": {"quantity": "ABC", "count": 2, **certify},
+    })
+
+
+def test_non_integer_potential_dimension_exits_2(tmp_path, capsys):
+    cfg = certify_dict(potential={"name": "calabi_ball", "n": "abc"})
+    assert run_config(cfg, tmp_path) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_certify_quantity_exits_2(tmp_path, capsys):
+    assert run_config(certify_dict(quantity="FOO"), tmp_path) == 2
+    assert "quantity" in capsys.readouterr().err
+
+
+def test_zero_certify_count_exits_2(tmp_path, capsys):
+    assert run_config(certify_dict(count=0), tmp_path) == 2
+    assert "count" in capsys.readouterr().err

@@ -112,6 +112,19 @@ def test_linearized_decay_rates(wave, k2):
     assert rate == pytest.approx(8 * np.pi**2 * k2, rel=0.05)
 
 
+def test_one_dimensional_window_step():
+    handle = catalog("log_barrier")
+    grid = flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5])
+    state = flow.init(handle, grid, "frozen-window")
+    dt = flow.adaptive_dt(state)
+    new = flow.step(state, dt)
+    x = 0.5 + 0.01 * np.arange(32)
+    inner = slice(flow.RING, 32 - flow.RING)
+    rate = (new.u - state.u)[inner] / dt
+    # d(psi)/dt = 2 log det Hess(-log x) = -4 log x
+    assert np.abs(rate + 4.0 * np.log(x[inner])).max() <= 1e-3
+
+
 def test_step_counts_time():
     state = flow.init(quadratic(2), torus(16), "periodic")
     out = flow.step(state, 1e-3)

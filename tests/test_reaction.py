@@ -240,12 +240,17 @@ def test_tensor_serialization_roundtrip():
 
 def test_canonical_indices_partition_the_index_set():
     import itertools
-    from hesselab.reaction import _class_orbit
+    from hesselab.curvature import CURVATURE_GROUP
+    from hesselab.jets import orbit_table
     for n in (2, 3):
         reps = canonical_indices(n)
+        orbits, _, sizes = orbit_table(n, 4, CURVATURE_GROUP)
+        assert len(reps) == len(orbits)
         covered = set()
-        for rep in reps:
-            orbit = _class_orbit(rep)
+        for rep, row, size in zip(reps, orbits, sizes):
+            orbit = set(zip(*(a.tolist() for a in
+                              np.unravel_index(row[:size], (n,) * 4))))
+            assert orbit == {tuple(rep[p] for p in g) for g in CURVATURE_GROUP}
             assert min(orbit) == rep
             assert not (orbit & covered)
             covered |= orbit
