@@ -122,7 +122,7 @@ def _refine_1d(fun, t0, maximize, span, iters=60):
             step = -d1 / d2
         else:
             step = sgn * d1
-        step = np.clip(step, -span, span)
+        step = min(max(step, -span), span)
         cand_t = t + step
         cand = fun(cand_t)
         if sgn * (cand - best) >= 0 and abs(step) > 0:

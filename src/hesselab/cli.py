@@ -25,7 +25,7 @@ import numpy as np
 from . import berger, flow, reaction, transport
 from .curvature import (RegionSpec, SearchSpec, anti_bisectional, certify_sign,
                         core_form, mtw_tensor, scan_csv_rows)
-from .errors import BadParams, ConfigError, HesselabError
+from .errors import BadGridFile, BadParams, ConfigError, HesselabError
 from .potentials import CATALOG_NAMES, catalog, catalog_entries
 from .transport import DiscreteMeasure
 
@@ -96,10 +96,18 @@ def _potential_from(cfg: Config):
         raise ConfigError(f"bad [potential] value: {exc}") from exc
     try:
         return catalog(name, **kwargs)
+    except BadGridFile as exc:
+        raise ConfigError(str(exc)) from exc
     except HesselabError:
         raise
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {name}: {exc}") from exc
+
+
+def _out(outdir: Path, name: str) -> Path:
+    """outdir / name; outdir is made when an experiment first writes to it."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
 
 
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
@@ -138,7 +146,7 @@ def _exp_curvature_scan(cfg: Config, outdir: Path):
             + ["S", "O", "Hmin_pol", "ABC_min", "ABC_max"]
             + [f"wit_v{i+1}" for i in range(handle.n)]
             + [f"wit_w{i+1}" for i in range(handle.n)])
-    _write_csv(outdir / "curvature_scan.csv", rows, cols)
+    _write_csv(_out(outdir, "curvature_scan.csv"), rows, cols)
     return True, [f"scanned {count} points of {handle.name}"]
 
 
@@ -156,7 +164,7 @@ def _exp_certify(cfg: Config, outdir: Path):
                             SearchSpec())
     except BadParams as exc:
         raise ConfigError(f"bad [certify] parameters: {exc}") from exc
-    (outdir / f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
+    _out(outdir, f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
     msg = (f"{handle.name} {quantity}: {cert.verdict} "
            f"(extremal {cert.extremal_value!r})")
     ok = (not expect) or cert.verdict == expect
@@ -183,7 +191,7 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     state = flow.init(handle, grid, mode, lam=lam)
     final, series = flow.run(state, T, sample_per_axis=per_axis,
                              monitor_epochs=epochs)
-    series.to_csv(outdir / f"flow_{handle.name}.csv")
+    series.to_csv(_out(outdir, f"flow_{handle.name}.csv"))
     _csv_to_dat(outdir / f"flow_{handle.name}.csv")
     lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times)} epochs"]
     ok = True
@@ -225,7 +233,7 @@ def _exp_kr_probe(cfg: Config, outdir: Path):
     grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
     verdict = flow.kr_probe(handle, eps, grid,
                             monitor_epochs=cfg.get("probe", "epochs", int, 5))
-    verdict.series.to_csv(outdir / f"kr_probe_{handle.name}.csv")
+    verdict.series.to_csv(_out(outdir, f"kr_probe_{handle.name}.csv"))
     _csv_to_dat(outdir / f"kr_probe_{handle.name}.csv")
     ok = verdict.regular == expect_regular
     return ok, [f"kr-probe {handle.name}: {verdict.label}"]
@@ -240,7 +248,7 @@ def _exp_ode_run(cfg: Config, outdir: Path):
     rows = [{"t": t, "value": float(tensor.A.ravel()[0]),
              "closed_form": a0 / (1.0 - 2.0 * a0 * t)}
             for t, tensor in zip(traj.times, traj.tensors)]
-    _write_csv(outdir / "ode_run.csv", rows, ["t", "value", "closed_form"])
+    _write_csv(_out(outdir, "ode_run.csv"), rows, ["t", "value", "closed_form"])
     err = max(abs(r["value"] - r["closed_form"]) for r in rows)
     tol = cfg.get("ode", "tolerance", float, 1e-8)
     return err <= tol, [f"ode n=1 a0={a0:g}: max closed-form error {err!r}"]
@@ -266,14 +274,14 @@ def _exp_null_vector_suite(cfg: Config, outdir: Path):
                      "sharper_value": rep.sharper_value,
                      "passed": int(rep.passed)})
         failures += 0 if rep.passed else 1
-    _write_csv(outdir / "null_vector_suite.csv", rows,
+    _write_csv(_out(outdir, "null_vector_suite.csv"), rows,
                ["trial", "n", "first_derivative_residual", "hform_min_eig",
                 "q_value", "sharper_value", "passed"])
     lines = [f"null-vector suite: {trials} boundary tensors, {failures} failures"]
     cx = reaction.noab_probe(3, seed=seed + 1, trials=probe_trials)
     probe_ok = cx is not None
     if probe_ok:
-        (outdir / "noab_counterexample.txt").write_text(cx.tensor.to_text())
+        _out(outdir, "noab_counterexample.txt").write_text(cx.tensor.to_text())
         lines.append(f"n=3 orthogonal-boundary probe: Q = {cx.q_value!r} at "
                      f"trial {cx.trial} (counterexample serialized)")
     else:
@@ -294,7 +302,7 @@ def _exp_trace_suite(cfg: Config, outdir: Path):
                                                    rank=rank)
         worst = min(worst, reaction.trace_lemma(inst))
     ok = worst >= -1e-9
-    (outdir / "trace_suite.txt").write_text(
+    _out(outdir, "trace_suite.txt").write_text(
         f"trials = {trials}\nmin_value = {worst!r}\npassed = {ok}\n")
     return ok, [f"trace suite: min value {worst!r} over {trials} instances"]
 
@@ -331,7 +339,7 @@ def _exp_berger_suite(cfg: Config, outdir: Path):
     X, Xp = F @ np.array([1.0, 0.0]), F @ np.array([0.0, 1.0])
     fitp = berger.plane_fit(samples[0], X, Xp)
     thetas = np.linspace(0.0, 2 * np.pi, 120, endpoint=False)
-    _write_csv(outdir / "plane_restriction.csv",
+    _write_csv(_out(outdir, "plane_restriction.csv"),
                [{"theta": float(t), "f": float(fitp(t))} for t in thetas],
                ["theta", "f"])
     ratios = []
@@ -342,7 +350,7 @@ def _exp_berger_suite(cfg: Config, outdir: Path):
     good = spread <= 0.2
     ok &= good
     lines.append(f"ricci-average ratios spread {spread!r} around n=2: {good}")
-    (outdir / "berger_suite.txt").write_text("\n".join(lines) + "\n")
+    _out(outdir, "berger_suite.txt").write_text("\n".join(lines) + "\n")
     return ok, lines
 
 
@@ -373,7 +381,7 @@ def _exp_ot_experiment(cfg: Config, outdir: Path):
         chk = flow.to_grid_potential(state)
         costs[t] = transport.cost_matrix(chk, X, Y)
     rows = transport.weak_continuity_rows(costs, mu, nu, alpha)
-    _write_csv(outdir / f"ot_weak_continuity_{handle.name}.csv", rows,
+    _write_csv(_out(outdir, f"ot_weak_continuity_{handle.name}.csv"), rows,
                ["t", "cost", "holder_modulus", "plan_tv_to_t0", "slack_residual"])
     tv = [r["plan_tv_to_t0"] for r in rows]
     certified = all(r["slack_residual"] < 1e-9 for r in rows)
@@ -403,7 +411,6 @@ def run_config(cfg: Config, outdir: Path | None = None) -> int:
         if kind not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out = Path(cfg.get("output", "dir", str, "out")) if outdir is None else outdir
-        out.mkdir(parents=True, exist_ok=True)
         ok, lines = _EXPERIMENTS[kind](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,6 +21,11 @@ class BadParams(HesselabError):
     """Catalog parameters outside the valid range."""
 
 
+class BadGridFile(HesselabError):
+    """Grid potential file is unreadable, malformed, or holds fewer or more
+    values than its header announces."""
+
+
 class SingularHessian(HesselabError):
     """Hessian (or its grid analogue) could not be inverted."""
 

@@ -21,11 +21,22 @@ is the classical four-stage explicit scheme with the adaptive step
 
 the linearization being a heat equation with diffusion tensor 2 Hess^-1.
 
+Every stage evaluates the Hessian with one kernel (_hessian) for n = 1 and
+n = 2: u is copied once into a buffer padded by one wrapped node per side,
+and each Hessian field is a sum of slices of that buffer.  The sums keep the
+operation order of the jets._STENCILS rows, so the fields equal the
+roll-based grid_derivative ones bit for bit; window mode discards the
+wrapped values on its ring.  The checked nodes are fixed once per step (all
+of them on the torus, the window minus its ring), and on the torus log det
+is taken without a mask, since every node has just passed the check.
+
 A single writer owns the state during a run; monitors act on snapshots.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,50 +115,100 @@ def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndar
     return out
 
 
-def _hessian_fields(state: FlowState):
-    """Total Hessian entry fields on the grid (n = 1 or 2)."""
-    h = state.spacing
-    u = state.u
-    if state.n == 1:
-        base = 0.0 if state.quad is None else state.quad[0, 0]
-        return (base + grid_derivative(u, (2,), h),)
-    a = state.quad if state.quad is not None else np.zeros((2, 2))
-    if state.mode == "frozen-window":
-        a = np.zeros((2, 2))
-    hxx = a[0, 0] + grid_derivative(u, (2, 0), h)
-    hyy = a[1, 1] + grid_derivative(u, (0, 2), h)
-    hxy = a[0, 1] + grid_derivative(u, (1, 1), h)
-    return hxx, hyy, hxy
+@functools.cache
+def _pad_plan(n: int):
+    """Index tuples _hessian uses on an n-D grid padded by one node per side:
+    the unpadded nodes, the wrap copies per axis, the -1/+1 shifts per axis,
+    and the shifts of each mixed pair i < j (along i, then along j)."""
+    def at(axis, off, full=()):  # nodes shifted by off along axis
+        return tuple(slice(1 + off, -1 + off or None) if a == axis else
+                     slice(None) if a in full else slice(1, -1) for a in range(n))
+
+    lead = [(slice(None),) * a for a in range(n)]
+    wrap = [(s + (0,), s + (-2,), s + (-1,), s + (1,)) for s in lead]
+    second = [(at(i, -1), at(i, 1)) for i in range(n)]
+    every = tuple(range(n))
+    mixed = [(i, j, at(i, -1, (j,)), at(i, 1, (j,)), at(j, -1, every), at(j, 1, every))
+             for i, j in itertools.combinations(range(n), 2)]
+    return at(0, 0), wrap, second, mixed
 
 
-def _logdet_and_check(state: FlowState, fields) -> np.ndarray:
-    interior = _interior_mask(state)
-    if state.n == 1:
-        (hxx,) = fields
-        bad = (hxx <= 0.0) & interior
-        if bad.any():
-            node = tuple(int(v) for v in np.argwhere(bad)[0])
-            raise StabilityFailure("Hessian lost positivity", node=node, time=state.t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(interior, np.log(np.where(hxx > 0, hxx, 1.0)), 0.0)
-    hxx, hyy, hxy = fields
-    det = hxx * hyy - hxy * hxy
-    bad = ((det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det)) & interior
-    if bad.any():
-        node = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise StabilityFailure("Hessian lost positive-definiteness",
-                               node=node, time=state.t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(interior, np.log(np.where(det > 0, det, 1.0)), 0.0)
+def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
+    """Total Hessian fields of (1/2) x.quad.x + u with periodic wrap.
+
+    u is copied once into a buffer padded by one wrapped node per side, and
+    each field is a sum of slices of that buffer.  The sums keep the order of
+    the _STENCILS rows, so the fields equal grid_derivative's bit for bit.
+    Returns the diagonal fields in axis order, then hij for i < j.
+    """
+    n = u.ndim
+    inner, wrap, second, mixed = _pad_plan(n)
+    p = np.empty(tuple(m + 2 for m in u.shape))
+    p[inner] = u
+    for lo, lo_src, hi, hi_src in wrap:  # later axes copy whole planes: corners wrap
+        p[lo] = p[lo_src]
+        p[hi] = p[hi_src]
+    a = np.zeros((n, n)) if quad is None else quad
+    m2 = -2.0 * u
+    h2 = h**2
+    fields = []
+    for i, (minus, plus) in enumerate(second):  # ((u[i-1] + -2 u[i]) + u[i+1]) / h^2
+        d = p[minus] + m2
+        d += p[plus]
+        d /= h2
+        d += a[i, i]
+        fields.append(d)
+    for i, j, minus_i, plus_i, minus_j, plus_j in mixed:
+        di = -0.5 * p[minus_i]  # (-u[i-1]/2 + u[i+1]/2) / h along i, then along j
+        di += 0.5 * p[plus_i]
+        di /= h
+        d = -0.5 * di[minus_j]
+        d += 0.5 * di[plus_j]
+        d /= h
+        d += a[i, j]
+        fields.append(d)
+    return fields
 
 
-def _interior_mask(state: FlowState) -> np.ndarray:
+def _hessian_fields(state: FlowState) -> list:
+    """Total Hessian entry fields on the grid: (hxx,) or (hxx, hyy, hxy)."""
+    quad = state.quad if state.mode == "periodic" else None
+    return _hessian(state.u, state.spacing, quad)
+
+
+def _interior(state: FlowState) -> tuple:
+    """Index of the checked nodes: all of them, or the window minus its ring."""
     if state.mode == "periodic":
-        return np.ones(state.shape, dtype=bool)
-    mask = np.zeros(state.shape, dtype=bool)
-    sl = tuple(slice(RING, m - RING) for m in state.shape)
-    mask[sl] = True
-    return mask
+        return (slice(None),) * state.n
+    return tuple(slice(RING, m - RING) for m in state.shape)
+
+
+def _checked_det(fields, inner: tuple, t: float) -> np.ndarray:
+    """det Hess on the nodes inner, for taking its log.
+
+    Raises StabilityFailure at the first of those nodes where the Hessian is
+    not positive definite or, for n = 2, det is not finite.  For n = 1 a NaN
+    entry passes the test and counts as det 1.
+    """
+    hxx = fields[0][inner]
+    if len(fields) == 1:
+        det = hxx
+    else:
+        hyy, hxy = (f[inner] for f in fields[1:])
+        det = hxx * hyy - hxy * hxy
+    if not det.size or (det.min() > 0.0 and hxx.min() > 0.0 and det.max() < np.inf):
+        return det
+    if len(fields) == 1:
+        bad = hxx <= 0.0
+        message = "Hessian lost positivity"
+    else:
+        bad = (det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det)
+        message = "Hessian lost positive-definiteness"
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        node = tuple(int(v) + (s.start or 0) for v, s in zip(first, inner))
+        raise StabilityFailure(message, node=node, time=t)
+    return np.where(hxx > 0.0, hxx, 1.0)  # reached for n = 1 only
 
 
 # -- operations -----------------------------------------------------------------
@@ -183,17 +244,17 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
         vals = np.array([handle.value(p) for p in pts]).reshape(grid.shape)
         state = FlowState(mode=mode, u=vals, spacing=float(grid.spacing),
                           origin=origin, quad=None, lam=lam)
-    _logdet_and_check(state, _hessian_fields(state))  # NotConvex -> StabilityFailure
+    _checked_det(_hessian_fields(state), _interior(state), state.t)
     return state
 
 
 def _lambda_min(state: FlowState) -> float:
     """Smallest Hessian eigenvalue over the checked nodes."""
-    fields = _hessian_fields(state)
-    interior = _interior_mask(state)
+    inner = _interior(state)
+    fields = [f[inner] for f in _hessian_fields(state)]
     if state.n == 1:
-        return float(fields[0][interior].min())
-    hxx, hyy, hxy = (f[interior] for f in fields)
+        return float(fields[0].min())
+    hxx, hyy, hxy = fields
     tr = hxx + hyy
     det = hxx * hyy - hxy * hxy
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
@@ -208,53 +269,52 @@ def adaptive_dt(state: FlowState) -> float:
     return 0.25 * state.spacing**2 / (2.0 / lam_min)
 
 
-def _extend_ring(du: np.ndarray, ring: int = RING) -> np.ndarray:
-    """Fill the boundary ring by linear extrapolation of the interior update."""
-    out = du.copy()
-    for axis in range(out.ndim):
-        v = np.moveaxis(out, axis, 0)  # a view: writes land in out
+def _extend_ring(du: np.ndarray, ring: int = RING) -> None:
+    """Fill the boundary ring of du in place by linear extrapolation of the
+    interior update."""
+    for axis in range(du.ndim):
+        v = np.moveaxis(du, axis, 0)  # a view: writes land in du
         m = v.shape[0]
         for r in range(ring - 1, -1, -1):
             v[r] = 2.0 * v[r + 1] - v[r + 2]
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
-    return out
-
-
-def _rhs(state: FlowState, u: np.ndarray, quad: np.ndarray | None):
-    probe = FlowState(mode=state.mode, u=u, spacing=state.spacing,
-                      origin=state.origin, quad=quad, t=state.t, lam=state.lam)
-    logdet = _logdet_and_check(probe, _hessian_fields(probe))
-    du = 2.0 * logdet - state.lam * np.where(_interior_mask(state), u, 0.0)
-    if state.mode == "frozen-window":
-        du = _extend_ring(du)
-    dq = None if quad is None else -state.lam * quad
-    return du, dq
 
 
 def step(state: FlowState, dt: float | None = None) -> FlowState:
-    """One four-stage explicit step; frozen ring (window mode) is untouched."""
+    """One four-stage explicit step; the window ring follows the interior."""
     if dt is None:
         dt = adaptive_dt(state)
-    u, q = state.u, state.quad
-    k1u, k1q = _rhs(state, u, q)
+    h, lam, t = state.spacing, state.lam, state.t
+    periodic = state.mode == "periodic"
+    inner = _interior(state)
+
+    def rhs(u, quad):
+        fields = _hessian(u, h, quad if periodic else None)
+        logdet = np.log(_checked_det(fields, inner, t))
+        if periodic:
+            du = 2.0 * logdet - lam * u
+        else:
+            du = np.zeros_like(u)
+            du[inner] = 2.0 * logdet - lam * u[inner]
+            _extend_ring(du)
+        return du, None if quad is None else -lam * quad
 
     def adv(field, k, frac):
-        return field + frac * dt * k
-
-    def advq(field, k, frac):
         return None if field is None else field + frac * dt * k
 
-    k2u, k2q = _rhs(state, adv(u, k1u, 0.5), advq(q, k1q, 0.5))
-    k3u, k3q = _rhs(state, adv(u, k2u, 0.5), advq(q, k2q, 0.5))
-    k4u, k4q = _rhs(state, adv(u, k3u, 1.0), advq(q, k3q, 1.0))
+    u, q = state.u, state.quad
+    k1u, k1q = rhs(u, q)
+    k2u, k2q = rhs(adv(u, k1u, 0.5), adv(q, k1q, 0.5))
+    k3u, k3q = rhs(adv(u, k2u, 0.5), adv(q, k2q, 0.5))
+    k4u, k4q = rhs(adv(u, k3u, 1.0), adv(q, k3q, 1.0))
     new_u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
     new_q = None if q is None else q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
     if not np.all(np.isfinite(new_u)):
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
-        raise StabilityFailure("non-finite values", node=node, time=state.t)
-    out = FlowState(mode=state.mode, u=new_u, spacing=state.spacing,
-                    origin=state.origin, quad=new_q, t=state.t + dt, lam=state.lam)
-    _logdet_and_check(out, _hessian_fields(out))
+        raise StabilityFailure("non-finite values", node=node, time=t)
+    out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
+                    quad=new_q, t=t + dt, lam=lam)
+    _checked_det(_hessian_fields(out), inner, out.t)
     return out
 
 

@@ -10,6 +10,7 @@ they are safe for unlimited concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .certificates import NONNEGATIVE, NONPOSITIVE, SignCertificate
 from .domains import DomainSpec
-from .errors import BadParams, NotConvexHere, UnknownName
+from .errors import BadGridFile, BadParams, NotConvexHere, UnknownName
 from .jets import (PotentialJet, fd_jet, jet_from_inner, neg_log_jet,
                    pd_check, radial_r_jets, symmetrize)
 
@@ -329,23 +330,32 @@ class GridPotential(PotentialHandle):
 def read_grid_file(path: str | Path):
     toks: list[str] = []
     t = None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].replace(",", " ").split()
-    n = int(header[0])
-    spacing = float(header[1])
-    origin = np.array([float(v) for v in header[2:2 + n]])
-    shape = tuple(int(v) for v in header[2 + n:2 + 2 * n])
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("t"):
-            t = float(line.split("=")[1])
-            continue
-        toks.extend(line.replace(",", " ").split())
-    values = np.array([float(v) for v in toks]).reshape(shape)
-    return origin, spacing, values, t
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise BadGridFile(f"cannot read grid file {path}: {exc}") from exc
+    try:
+        header = lines[0].replace(",", " ").split()
+        n = int(header[0])
+        spacing = float(header[1])
+        origin = np.array([float(v) for v in header[2:2 + n]])
+        shape = tuple(int(v) for v in header[2 + n:2 + 2 * n])
+        for line in lines[1:]:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("t"):
+                t = float(line.split("=")[1])
+                continue
+            toks.extend(line.replace(",", " ").split())
+        values = np.array([float(v) for v in toks])
+    except (IndexError, ValueError) as exc:
+        raise BadGridFile(f"malformed grid file {path}: {exc}") from exc
+    if len(origin) != n or len(shape) != n or values.size != math.prod(shape):
+        raise BadGridFile(f"grid file {path} holds {values.size} values, "
+                          f"its header announces shape {shape}")
+    return origin, spacing, values.reshape(shape), t
 
 
 def write_grid_file(path: str | Path, origin, spacing, values, t: float | None = None):

@@ -42,6 +42,17 @@ class AlgCurvTensor:
         if symmetry_defect(self.A) > 0:
             self.A = mirror_symmetrize(self.A)
 
+    @classmethod
+    def _projected(cls, A: np.ndarray) -> "AlgCurvTensor":
+        """Wrap a finite float tensor that mirror_symmetrize has returned.
+
+        Its symmetry defect is exactly 0 (every orbit member holds the same
+        mean), so the checks of __post_init__ are skipped.
+        """
+        tensor = cls.__new__(cls)
+        tensor.A = A
+        return tensor
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -160,7 +171,7 @@ def integrate_ode(A0: AlgCurvTensor, T: float, dt: float,
             A = mirror_symmetrize(A)
             if step % record_every == 0 or t >= T:
                 traj.times.append(t)
-                traj.tensors.append(AlgCurvTensor(A.copy()))
+                traj.tensors.append(AlgCurvTensor._projected(A.copy()))
     return traj
 
 

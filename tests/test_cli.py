@@ -53,7 +53,8 @@ def test_run_config_property_failure_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_unknown_potential_exits_2(tmp_path, capsys):
+def test_unknown_potential_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default [output] dir is ./out
     cfg = tmp_path / "bad.ini"
     cfg.write_text("""
 [experiment]
@@ -66,6 +67,7 @@ name = not_a_potential
 quantity = ABC
 """)
     assert main(["run", str(cfg)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
 
 
 def test_unknown_kind_exits_2(tmp_path):
@@ -150,6 +152,15 @@ def test_non_integer_potential_dimension_exits_2(tmp_path, capsys):
 def test_unknown_certify_quantity_exits_2(tmp_path, capsys):
     assert run_config(certify_dict(quantity="FOO"), tmp_path) == 2
     assert "quantity" in capsys.readouterr().err
+
+
+def test_truncated_grid_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.grid"
+    path.write_text("2 0.1 0.0 0.0 2 2\n1.0 2.0 3.0\n")
+    cfg = certify_dict(potential={"name": "grid", "path": str(path)})
+    assert run_config(cfg, tmp_path / "out") == 2
+    assert "3 values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_certify_count_exits_2(tmp_path, capsys):

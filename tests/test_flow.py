@@ -56,6 +56,62 @@ def test_adaptive_dt_formula():
     assert flow.adaptive_dt(doubled) == pytest.approx(0.25 / 64**2, rel=1e-12)
 
 
+def _hessian_states():
+    ball = catalog("calabi_ball", n=2)
+    quad = np.array([[1.5, 0.25], [0.25, 0.75]])
+    bumpy = catalog("quadratic_plus_periodic", quad=quad, amplitude=0.05, wave=(1, 2))
+    torus_state = flow.init(bumpy, torus(24), "periodic")
+    window = flow.init(ball, ball_window(), "frozen-window")
+    line = flow.init(catalog("log_barrier"),
+                     flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5]),
+                     "frozen-window")
+    return {"periodic-2d": torus_state, "window-2d": window, "window-1d": line}
+
+
+@pytest.mark.parametrize("which", ["periodic-2d", "window-2d", "window-1d"])
+def test_hessian_fields_match_grid_derivative(which):
+    """The padded-buffer kernel equals the per-axis roll stencils bit for bit."""
+    state = _hessian_states()[which]
+    a = state.quad if state.mode == "periodic" else np.zeros((state.n, state.n))
+    if state.n == 1:
+        orders = [((2,), a[0, 0])]
+    else:
+        orders = [((2, 0), a[0, 0]), ((0, 2), a[1, 1]), ((1, 1), a[0, 1])]
+    fields = flow._hessian_fields(state)
+    assert len(fields) == len(orders)
+    for got, (o, base) in zip(fields, orders):
+        want = base + flow.grid_derivative(state.u, o, state.spacing)
+        assert got.shape == state.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which,node,message", [
+    ("periodic-2d", (7, 7), "positive-definiteness"),
+    ("window-2d", (13, 13), "positive-definiteness"),
+    ("window-1d", (10,), "positivity"),
+])
+def test_nonconvex_bump_fails_at_its_node(which, node, message):
+    """A spike that breaks convexity fails the first stage at a fixed node,
+    with the state's time."""
+    state = _hessian_states()[which]
+    state.t = 0.25
+    idx = tuple(m // 3 for m in state.shape)
+    state.u[idx] += 0.5 * state.spacing**2 * (8.0 if state.n == 2 else 40.0)
+    with pytest.raises(StabilityFailure, match=message) as err:
+        flow.step(state, 1e-6)
+    assert err.value.node == node
+    assert err.value.time == 0.25
+
+
+def test_oversized_window_step_fails_after_the_step(ball2):
+    state = flow.init(ball2, ball_window(), "frozen-window")
+    dt = 50 * flow.adaptive_dt(state)
+    with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
+        flow.step(state, dt)
+    assert err.value.node == (2, 3)
+    assert err.value.time == dt
+
+
 def test_adaptive_dt_singular():
     degenerate = flow.FlowState(mode="frozen-window", u=np.zeros((12, 12)),
                                 spacing=0.1, origin=np.zeros(2))

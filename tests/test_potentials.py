@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import ConcaveQuadratic
-from hesselab.errors import BadParams, NotConvexHere, OutOfDomain, UnknownName
+from hesselab.errors import (BadGridFile, BadParams, NotConvexHere, OutOfDomain,
+                             UnknownName)
 from hesselab.jets import fd_jet, is_fully_symmetric
 from hesselab.potentials import (CATALOG_NAMES, GridPotential, catalog,
                                  convexity_certify, quadratic,
@@ -178,6 +179,19 @@ def test_convexity_certify():
         convexity_certify(ConcaveQuadratic(), 10, seed=3)
     with pytest.raises(BadParams):
         convexity_certify(quadratic(2), 0, seed=1)
+
+
+def test_truncated_grid_file_raises(tmp_path):
+    path = tmp_path / "short.grid"
+    write_grid_file(path, np.array([0.0, 0.0]), 0.1, np.arange(12.0).reshape(3, 4))
+    text = path.read_text()
+    path.write_text(text[:text.rindex(" ")] + "\n")  # drop the last value
+    with pytest.raises(BadGridFile, match="11 values"):
+        read_grid_file(path)
+    with pytest.raises(BadGridFile):
+        catalog("grid", path=str(path))
+    with pytest.raises(BadGridFile, match="cannot read"):
+        read_grid_file(tmp_path / "missing.grid")
 
 
 def test_grid_file_roundtrip(tmp_path):
