@@ -5,16 +5,23 @@ metric is the identity, with the index symmetries T[ijkl] = T[kjil] =
 T[ilkj] = T[jilk].  The pair objective is T(v,w,v,w) over unit vectors;
 the quartic objective is T(v,v,v,v).
 
-n = 2 reduces exactly: the objectives are low-degree trigonometric
-polynomials, the inner angle is eliminated in closed form, and the
-remaining angle is scanned on a dense grid with Newton refinement, so no
-basin can be missed.  n >= 3 uses seeded multi-restart alternating
-eigensolves for the pair objective (each half-step is exact, the value is
-monotone) and great-circle line searches for the quartic.
+n = 2 reduces exactly to one angle theta = 2t of v = (cos t, sin t): the
+objectives are low-degree trigonometric polynomials in theta, or such a
+polynomial plus the norm of a pair of them once the inner angle is
+eliminated in closed form.  The angle is scanned on a grid, and the best
+node is refined by Newton's method on f'(theta) = 0 with exact derivatives,
+kept inside the bracket of the node's two neighbours (bisection otherwise).
+The scan picks the basin; nothing yet bounds what lies between its nodes.
+Returned values are recomputed from the returned unit vectors.  n >= 3 uses
+seeded multi-restart alternating eigensolves for the pair objective (each
+half-step is exact, the value is monotone) and great-circle line searches
+for the quartic.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +53,15 @@ def quartic_value(T: np.ndarray, v: np.ndarray) -> float:
 
 # -- n = 2: exact reduction to one angle ----------------------------------------
 #
-# With v = (cos t, sin t), the dyad v v^T is affine in (1, cos 2t, sin 2t), so
-# T(v, w, v, w) = u(t)^T C u(p) for a fixed 3x3 matrix C.  For each t the
-# extremum over p is alpha +- sqrt(beta^2 + gamma^2) with (alpha, beta, gamma)
-# = u(t)^T C, leaving a one-angle trigonometric problem solved on a dense grid
-# with Newton refinement.
+# For v = (cos t, sin t) the dyad v v^T is affine in u(theta) = (1, cos theta,
+# sin theta), theta = 2t, so T(v, w, v, w) = u(theta)^T C u(phi) for
+# w = (cos p, sin p), phi = 2p.  Each objective is alpha + s |(beta, gamma)|
+# in theta: the pair has (alpha, beta, gamma) = u(theta)^T C once p is
+# eliminated and s = +-1; the quartic has alpha = u^T C u and ORTH
+# (phi = theta + pi) alpha = u^T C diag(1, -1, -1) u, both with s = 0.
 
-def _dyad_basis() -> np.ndarray:
-    B = np.zeros((3, 2, 2))
-    B[0] = 0.5 * np.eye(2)
-    B[1] = 0.5 * np.diag([1.0, -1.0])
-    B[2] = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    return B
-
-
-_DYADS = _dyad_basis()
+_DYADS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
+_FLIP = np.array([1.0, -1.0, -1.0])  # u(theta + pi) = _FLIP * u(theta)
 
 
 def _coeff_matrix(T: np.ndarray) -> np.ndarray:
@@ -68,46 +69,109 @@ def _coeff_matrix(T: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,aik,bjl->ab", T, _DYADS, _DYADS)
 
 
-def _angle_u(t):
-    return np.array([1.0, np.cos(2.0 * t), np.sin(2.0 * t)])
-
-
-def _vec_of(t):
-    return np.array([np.cos(t), np.sin(t)])
-
-
-def _scan_refine(fun, grid_values, n_angles: int, ends=(True, False)) -> list:
-    """[(t, fun(t)) for each end (True: max)], Newton-refined from the best
-    node of grid_values(U), whose rows are (1, cos 2t, sin 2t) on [0, pi)."""
+@functools.cache
+def _grid(n_angles: int):
+    """Nodes t on [0, pi) and their rows (1, cos 2t, sin 2t), read-only."""
     th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
     U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
-    vals = grid_values(U)
-    span = np.pi / n_angles
-    return [_refine_1d(fun, th[np.argmax(vals) if mx else np.argmin(vals)], mx, span)
-            for mx in ends]
+    th.flags.writeable = U.flags.writeable = False
+    return th, U
 
 
-def _pair_extrema_2d(T: np.ndarray, n_angles: int, maximize: bool) -> Extremum:
-    C = _coeff_matrix(T)
+def _quadratic_trig(M: np.ndarray) -> tuple:
+    """u(theta)^T M u(theta) as the coefficients (p0, .., p4) of
+    p0 + p1 cos theta + p2 sin theta + p3 cos 2 theta + p4 sin 2 theta."""
+    S = 0.5 * (M + M.T)
+    return (float(S[0, 0] + 0.5 * (S[1, 1] + S[2, 2])), float(2.0 * S[0, 1]),
+            float(2.0 * S[0, 2]), float(0.5 * (S[1, 1] - S[2, 2])), float(S[1, 2]))
+
+
+def _trig_jet(p: tuple, c1: float, s1: float, c2: float, s2: float) -> tuple:
+    """Value and first two theta-derivatives of the trigonometric polynomial p."""
+    return (p[0] + p[1] * c1 + p[2] * s1 + p[3] * c2 + p[4] * s2,
+            p[2] * c1 - p[1] * s1 + 2.0 * (p[4] * c2 - p[3] * s2),
+            -(p[1] * c1 + p[2] * s1) - 4.0 * (p[3] * c2 + p[4] * s2))
+
+
+def _objective_jet(x: float, alpha: tuple, beta: tuple, gamma: tuple, s: float):
+    """(f, f', f'') of alpha + s * hypot(beta, gamma) at theta = x."""
+    c1, s1 = math.cos(x), math.sin(x)
+    at = (c1, s1, c1 * c1 - s1 * s1, 2.0 * s1 * c1)
+    f, f1, f2 = _trig_jet(alpha, *at)
+    if s:
+        b, b1, b2 = _trig_jet(beta, *at)
+        g, g1, g2 = _trig_jet(gamma, *at)
+        r = math.hypot(b, g)
+        if r > 0.0:  # a kink of |(b, g)| is never an extremum of the wanted end
+            r1 = (b * b1 + g * g1) / r
+            f, f1 = f + s * r, f1 + s * r1
+            f2 += s * (b1 * b1 + b * b2 + g1 * g1 + g * g2 - r1 * r1) / r
+    return f, f1, f2
+
+
+def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
+               beta: tuple, gamma: tuple, s: float) -> float:
+    """Angle theta = 2t where f'(theta) = 0, refined from the best node of vals.
+
+    The bracket starts at the node's two neighbours and shrinks to the side
+    where the wanted end rises; a Newton step that leaves it, or is taken
+    where f curves the wrong way, is replaced by bisection.  Iteration stops
+    when f' is exactly 0 or the step no longer moves theta.
+    """
     sgn = 1.0 if maximize else -1.0
+    x = 2.0 * float(th[np.argmax(vals) if maximize else np.argmin(vals)])
+    d = 2.0 * np.pi / len(th)
+    lo, hi = x - d, x + d
+    for _ in range(64):
+        _, g, g2 = _objective_jet(x, alpha, beta, gamma, s)
+        g, g2 = sgn * g, sgn * g2
+        if g > 0.0:
+            lo = x
+        elif g < 0.0:
+            hi = x
+        else:
+            break
+        nx = x - g / g2 if g2 < 0.0 else None
+        if nx is None or not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+        if nx == x:
+            break
+        x = nx
+    return x
 
-    def outer(t):
-        a, b, g = _angle_u(t) @ C
-        return a + sgn * np.hypot(b, g)
 
-    def grid_values(U):
+def _unit_at(t: float) -> np.ndarray:
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extremum]:
+    """(max, min) for kind "pair", "orth" or "quartic" at n = 2."""
+    C = _coeff_matrix(T)
+    th, U = _grid(n_angles)
+    if kind == "pair":
         abg = U @ C
-        return abg[:, 0] + sgn * np.hypot(abg[:, 1], abg[:, 2])
-
-    [(t_star, v_star)] = _scan_refine(outer, grid_values, n_angles, (maximize,))
-    a, b, g = _angle_u(t_star) @ C
-    hyp = np.hypot(b, g)
-    if hyp > 0:
-        c2p, s2p = sgn * b / hyp, sgn * g / hyp
-        p_star = 0.5 * np.arctan2(s2p, c2p)
+        hyp = np.hypot(abg[:, 1], abg[:, 2])
+        coeffs = [tuple(float(c) for c in C[:, j]) + (0.0, 0.0) for j in range(3)]
+        scans = ((abg[:, 0] + hyp, 1.0), (abg[:, 0] - hyp, -1.0))
     else:
-        p_star = 0.0
-    return Extremum(float(v_star), _vec_of(t_star), _vec_of(p_star))
+        flip = _FLIP if kind == "orth" else 1.0
+        vals = np.einsum("ab,na,nb->n", C, U, U * flip)
+        coeffs = [_quadratic_trig(C * flip), (), ()]
+        scans = ((vals, 0.0), (vals, 0.0))
+    out = []
+    for maximize, (vals, s) in zip((True, False), scans):
+        x = _newton_2t(th, vals, maximize, *coeffs, s)
+        v = _unit_at(0.5 * x)
+        if kind == "quartic":
+            out.append(Extremum(quartic_value(T, v), v))
+            continue
+        if kind == "orth":
+            w = np.array([-v[1], v[0]])
+        else:  # the inner angle's closed form: 2p = arg(s * (beta, gamma))
+            _, b, g = np.array([1.0, math.cos(x), math.sin(x)]) @ C
+            w = _unit_at(0.5 * math.atan2(s * g, s * b) if b or g else 0.0)
+        out.append(Extremum(pair_value(T, v, w), v, w))
+    return tuple(out)
 
 
 def _refine_1d(fun, t0, maximize, span, iters=60):
@@ -233,26 +297,7 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
         val = pair_value(T, v, v)
         return Extremum(val, v, v.copy()), Extremum(val, v, v.copy())
     if n == 2:
-        if orth:
-            C = _coeff_matrix(T)
-
-            def f(t):
-                u = _angle_u(t)
-                return float(u @ C @ np.array([1.0, -u[1], -u[2]]))
-
-            (tmax, vmax), (tmin, vmin) = _scan_refine(
-                f, lambda U: np.einsum("ab,na,nb->n", C, U, U * [1.0, -1.0, -1.0]),
-                n_angles)
-
-            def pair_of(t):
-                return (np.array([np.cos(t), np.sin(t)]),
-                        np.array([-np.sin(t), np.cos(t)]))
-
-            vM, wM = pair_of(tmax)
-            vm, wm = pair_of(tmin)
-            return Extremum(vmax, vM, wM), Extremum(vmin, vm, wm)
-        return (_pair_extrema_2d(T, n_angles, True),
-                _pair_extrema_2d(T, n_angles, False))
+        return _extrema_2d(T, n_angles, "orth" if orth else "pair")
     rng = np.random.default_rng(seed)
     best_max = best_min = None
     for _ in range(restarts):
@@ -276,16 +321,7 @@ def quartic_extrema(T: np.ndarray, n_angles: int = 720, restarts: int = 64,
         val = quartic_value(T, v)
         return Extremum(val, v), Extremum(val, v)
     if n == 2:
-        C = _coeff_matrix(T)
-
-        def f(t):
-            u = _angle_u(t)
-            return float(u @ C @ u)
-
-        (tmax, vmax), (tmin, vmin) = _scan_refine(
-            f, lambda U: np.einsum("ab,na,nb->n", C, U, U), n_angles)
-        return (Extremum(vmax, np.array([np.cos(tmax), np.sin(tmax)])),
-                Extremum(vmin, np.array([np.cos(tmin), np.sin(tmin)])))
+        return _extrema_2d(T, n_angles, "quartic")
     rng = np.random.default_rng(seed)
     best_max = best_min = None
     for _ in range(restarts):

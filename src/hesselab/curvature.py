@@ -234,11 +234,9 @@ def _sample_extrema(sample: CurvatureSample, quantity: str, search: SearchSpec):
     elif quantity in ("ORTH_ABC", "MTW_ORTH"):
         mx, mn = _extrema.pair_extrema(Ef, orth=True, n_angles=search.n_angles,
                                        restarts=search.restarts, seed=search.seed)
-    elif quantity == "ABC":
+    else:  # "ABC"; certify_sign has checked the name
         mx, mn = _extrema.pair_extrema(Ef, orth=False, n_angles=search.n_angles,
                                        restarts=search.restarts, seed=search.seed)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
     return mx, mn
 
 

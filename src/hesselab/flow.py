@@ -29,6 +29,9 @@ roll-based grid_derivative ones bit for bit; window mode discards the
 wrapped values on its ring.  The checked nodes are fixed once per step (all
 of them on the torus, the window minus its ring), and on the torus log det
 is taken without a mask, since every node has just passed the check.
+step checks the new state after its four stages (five Hessian evaluations);
+run carries that det to the next step's first stage (four per step) in its
+loop, not on the state, so a caller's edit of state.u cannot make it stale.
 
 A single writer owns the state during a run; monitors act on snapshots.
 """
@@ -280,17 +283,25 @@ def _extend_ring(du: np.ndarray, ring: int = RING) -> None:
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
 
 
-def step(state: FlowState, dt: float | None = None) -> FlowState:
-    """One four-stage explicit step; the window ring follows the interior."""
+def step(state: FlowState, dt: float | None = None,
+         carry: list | None = None) -> FlowState:
+    """One four-stage explicit step; the window ring follows the interior.
+
+    carry is run's one-item list: det Hess of state on its checked nodes, or
+    None.  It stands in for the first stage's and is replaced by the new
+    state's, which the step checks anyway.
+    """
     if dt is None:
         dt = adaptive_dt(state)
+    carry = [None] if carry is None else carry
     h, lam, t = state.spacing, state.lam, state.t
     periodic = state.mode == "periodic"
     inner = _interior(state)
 
-    def rhs(u, quad):
-        fields = _hessian(u, h, quad if periodic else None)
-        logdet = np.log(_checked_det(fields, inner, t))
+    def rhs(u, quad, det=None):
+        if det is None:
+            det = _checked_det(_hessian(u, h, quad if periodic else None), inner, t)
+        logdet = np.log(det)
         if periodic:
             du = 2.0 * logdet - lam * u
         else:
@@ -303,7 +314,7 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
         return None if field is None else field + frac * dt * k
 
     u, q = state.u, state.quad
-    k1u, k1q = rhs(u, q)
+    k1u, k1q = rhs(u, q, carry[0])
     k2u, k2q = rhs(adv(u, k1u, 0.5), adv(q, k1q, 0.5))
     k3u, k3q = rhs(adv(u, k2u, 0.5), adv(q, k2q, 0.5))
     k4u, k4q = rhs(adv(u, k3u, 1.0), adv(q, k3q, 1.0))
@@ -314,7 +325,7 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
         raise StabilityFailure("non-finite values", node=node, time=t)
     out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
                     quad=new_q, t=t + dt, lam=lam)
-    _checked_det(_hessian_fields(out), inner, out.t)
+    carry[0] = _checked_det(_hessian_fields(out), inner, out.t)
     return out
 
 
@@ -488,9 +499,10 @@ def run(state: FlowState, T: float, monitors: tuple = CHANNELS,
 
     epoch = 0
     observe(state, epoch)
+    carry = [None]
     try:
         for k in range(1, steps + 1):
-            state = step(state, dt)
+            state = step(state, dt, carry)
             if k % every == 0 or k == steps:
                 epoch += 1
                 observe(state, epoch)

@@ -108,21 +108,15 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-10:
         raise Infeasible("marginal masses differ")
     from scipy.sparse import coo_matrix
-    row_idx, col_idx, data = [], [], []
-    for a in range(m):
-        for b in range(k):
-            row_idx.append(a)
-            col_idx.append(a * k + b)
-            data.append(1.0)
-    for b in range(k):
-        for a in range(m):
-            row_idx.append(m + b)
-            col_idx.append(a * k + b)
-            data.append(1.0)
-    A_eq = coo_matrix((data, (row_idx, col_idx)), shape=(m + k, m * k))
+    # rows a < m sum P[a, :], rows m + b sum P[:, b]; entries in the order of
+    # a loop over (a, b) for the first block and over (b, a) for the second
+    b_major, a_minor = np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
+    rows = np.concatenate([np.repeat(np.arange(m), k), m + b_major])
+    cols = np.concatenate([np.arange(m * k), a_minor * k + b_major])
+    A_eq = coo_matrix((np.ones(2 * m * k), (rows, cols)), shape=(m + k, m * k))
     b_eq = np.concatenate([mu.weights, nu.weights])
     res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs",
+                  method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:

@@ -126,13 +126,14 @@ dir = {out}
     assert header.startswith("x1,x2,S,O,Hmin_pol,ABC_min")
 
 
-def test_ode_config_dict():
+def test_ode_config_dict(tmp_path):
     cfg = Config.from_dict({
         "experiment": {"kind": "ode-run"},
         "ode": {"a0": -1.0, "time": 0.25, "dt": 1e-3},
-        "output": {"dir": "/tmp/hesselab_cli_test_ode"},
+        "output": {"dir": str(tmp_path / "ode")},
     })
     assert run_config(cfg) == 0
+    assert any((tmp_path / "ode").iterdir())
 
 
 def certify_dict(potential=None, **certify):

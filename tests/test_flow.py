@@ -188,6 +188,26 @@ def test_step_counts_time():
     assert state.t == 0.0  # input state untouched
 
 
+@pytest.mark.parametrize("which", ["periodic-2d", "window-2d"])
+def test_run_matches_a_loop_of_steps(which):
+    """run carries each step's closing det to the next step's first stage; its
+    final state equals a loop of public step calls bit for bit."""
+    state = _hessian_states()[which]
+    T = 8.5 * flow.adaptive_dt(state)
+    out, _ = flow.run(state, T, monitor_epochs=2, sample_per_axis=2,
+                      dt=0.5 * flow.adaptive_dt(state))
+    steps = 17  # ceil(T / dt), and run then takes dt = T / steps
+    ref = state
+    for _ in range(steps):
+        ref = flow.step(ref, T / steps)
+    assert out.t == ref.t
+    assert out.u.tobytes() == ref.u.tobytes()
+    if which == "periodic-2d":
+        assert out.quad.tobytes() == ref.quad.tobytes()
+    else:
+        assert out.quad is None and ref.quad is None
+
+
 # -- runs and monitors ------------------------------------------------------------------
 
 def test_run_quadratic_channels_zero_and_chen_guard():

@@ -111,6 +111,42 @@ def test_solver_matches_brute_force(m):
         assert marginal_residual(plan, mu, nu) < 1e-10
 
 
+def test_solver_pins_dual_simplex_and_keeps_the_looped_plan(monkeypatch):
+    """solve_exact calls the HiGHS dual simplex; its plan is byte-identical to
+    the LP whose marginal rows are built by Python loops and solved with the
+    default HiGHS choice."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+    m = 32
+    X, Y = random_instance(m, 3)
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    methods = []
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    plan = solve_exact(mu, nu, C)
+    assert methods == ["highs-ds"]
+    rows, cols = [], []
+    for a in range(m):
+        for b in range(m):
+            rows.append(a)
+            cols.append(a * m + b)
+    for b in range(m):
+        for a in range(m):
+            rows.append(m + b)
+            cols.append(a * m + b)
+    A_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * m, m * m))
+    ref = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert plan.coupling.tobytes() == ref.x.reshape(m, m).tobytes()
+
+
 def test_solver_with_radial_cost(radial):
     X, Y = random_instance(6, 5)
     X = X * 0.1 + np.array([1.2, 0.0])
