@@ -359,11 +359,17 @@ def _exp_ot_experiment(cfg: Config, outdir: Path):
     seed = cfg.get("ot", "seed", int, 13)
     npts = cfg.get("ot", "points", int, 9)
     alpha = cfg.get("ot", "alpha", float, 0.5)
-    t_list = [float(v) for v in cfg.get("ot", "times", str, "0 0.005 0.01").split()]
+    t_list = cfg.get("ot", "times", lambda raw: [float(v) for v in raw.split()],
+                     [0.0, 0.005, 0.01])
     m = cfg.get("ot", "nodes", int, 36)
     origin = np.array([cfg.get("ot", "origin_x", float, 0.55),
                        cfg.get("ot", "origin_y", float, -0.65)])
     spacing = cfg.get("ot", "spacing", float, 0.036)
+    if not (t_list and min(t_list) == 0.0 and np.isfinite(t_list).all()):
+        raise ConfigError(f"[ot] times must be finite, >= 0 and include 0: {t_list}")
+    if npts < 1 or m < 6 or seed < 0 or not spacing > 0:  # quintic spline: 6 nodes
+        raise ConfigError(f"[ot] needs points >= 1, nodes >= 6, seed >= 0 and spacing > 0, "
+                          f"got points = {npts}, nodes = {m}, seed = {seed}, spacing = {spacing}")
     rng = np.random.default_rng(seed)
     X = np.stack([rng.uniform(1.0, 1.35, npts), rng.uniform(-0.18, 0.18, npts)], axis=1)
     Y = np.stack([rng.uniform(-0.12, 0.12, npts), rng.uniform(-0.15, 0.15, npts)], axis=1)

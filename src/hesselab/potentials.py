@@ -41,6 +41,10 @@ class PotentialHandle:
         x = self.domain.require(x)
         return self._value(x)
 
+    def values_at(self, pts: np.ndarray) -> np.ndarray:
+        """``value`` at each row of ``pts``, with its checks and errors."""
+        return np.array([self.value(x) for x in pts])
+
     def jet(self, x: np.ndarray) -> PotentialJet:
         """Exact (or stencil) jet at an interior point; verifies convexity."""
         x = self.domain.require(x)
@@ -284,6 +288,9 @@ class GridPotential(PotentialHandle):
             raise BadParams(f"value array rank {values.ndim} != dimension {n}")
         if n not in (1, 2):
             raise BadParams("grid potentials support n in {1, 2}")
+        if min(values.shape) < 6 or not spacing > 0:  # quintic spline: 6 nodes
+            raise BadParams(f"grid needs >= 6 nodes per axis and spacing > 0, "
+                            f"got shape {values.shape}, spacing {spacing}")
         self.origin = origin
         self.spacing = float(spacing)
         self.values = values
@@ -294,20 +301,35 @@ class GridPotential(PotentialHandle):
         margin = 2.0 * self.fd_h + 1e-12
         dom = DomainSpec(n, "box", {"bounds": bounds}, margin)
         super().__init__(name, dom, {"spacing": spacing})
-        self._spline = self._build_spline()
+        self._spline, self._spline_rows = self._build_spline()
 
     def _build_spline(self):
+        """(scalar evaluator at one point, batched evaluator over rows)."""
         from scipy.interpolate import InterpolatedUnivariateSpline, RectBivariateSpline
         axes = [self.origin[i] + self.spacing * np.arange(self.values.shape[i])
                 for i in range(self.n)]
         if self.n == 1:
             sp = InterpolatedUnivariateSpline(axes[0], self.values, k=5)
-            return lambda x: float(sp(x[0]))
+            return lambda x: float(sp(x[0])), lambda P: sp(P[:, 0])
         sp = RectBivariateSpline(axes[0], axes[1], self.values, kx=5, ky=5)
-        return lambda x: float(sp(x[0], x[1])[0, 0])
+        return (lambda x: float(sp(x[0], x[1])[0, 0]),
+                lambda P: sp(P[:, 0], P[:, 1], grid=False))
 
     def _value(self, x):
         return self._spline(x)
+
+    def values_at(self, pts):
+        """One box check and one spline call over all rows of ``pts``; the
+        first row outside the box (or NaN) raises as ``value`` raises there."""
+        P = np.asarray(pts, dtype=float)
+        if P.shape[1:] != (self.n,):
+            return super().values_at(P)
+        bounds = self.domain.params["bounds"]
+        dist = np.minimum((P - bounds[:, 0]).min(axis=1), (bounds[:, 1] - P).min(axis=1))
+        inside = dist >= self.domain.margin
+        if not inside.all():
+            self.domain.require(P[np.argmin(inside)])
+        return self._spline_rows(P)
 
     def _jet(self, x):
         return fd_jet(self._spline, x, self.fd_h)

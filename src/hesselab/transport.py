@@ -4,7 +4,8 @@ The solver is the exact LP over couplings (marginal-constrained, solved by
 the HiGHS dual simplex, which terminates at an optimal vertex); every plan
 returned carries dual potentials and is certified by complementary
 slackness at 1e-9.  Instances solve independently; each solve is
-single-threaded.
+single-threaded.  A cost matrix is one batched evaluation of psi over all
+m * k differences, with the errors the pointwise evaluation raises.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ class DiscreteMeasure:
             raise BadParams("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise BadParams("weights must sum to 1 within 1e-12")
-        m = self.points.shape[0]
-        for a in range(m):
-            for b in range(a + 1, m):
-                if np.array_equal(self.points[a], self.points[b]):
-                    raise BadParams("support points must be distinct")
+        # sorted lexicographically, equal rows are neighbours; == keeps
+        # -0.0 equal to 0.0 and a row holding a NaN equal to no other row
+        P = self.points
+        S = P[np.lexsort(P.T[::-1])] if P.shape[1] else P
+        if np.any(np.all(S[1:] == S[:-1], axis=1)):
+            raise BadParams("support points must be distinct")
 
     @property
     def size(self) -> int:
@@ -47,6 +49,8 @@ class DiscreteMeasure:
     def uniform(cls, points) -> "DiscreteMeasure":
         points = np.atleast_2d(np.asarray(points, dtype=float))
         m = points.shape[0]
+        if points.size == 0:
+            raise BadParams("a uniform measure needs at least one support point")
         w = np.full(m, 1.0 / m)
         w[-1] = 1.0 - w[:-1].sum()
         return cls(points, w)
@@ -66,17 +70,15 @@ class DiscreteMeasure:
 def cost_matrix(source, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """C[a, b] = psi(x_a - y_b) for a potential handle or checkpoint handle.
 
-    ``source`` is anything with a ``value`` method and a domain (a catalog
-    handle, or a grid potential extracted from a flow checkpoint, which
-    evaluates by smooth piecewise-polynomial interpolation).
+    ``source`` is a potential handle (a catalog handle, or a grid potential
+    extracted from a flow checkpoint).  All m * k differences go to one
+    ``source.values_at`` call, which raises OutOfDomain for the first pair
+    (a, b) in row-major order whose difference leaves the domain.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    C = np.empty((X.shape[0], Y.shape[0]))
-    for a, x in enumerate(X):
-        for b, y in enumerate(Y):
-            C[a, b] = source.value(x - y)  # raises OutOfDomain when x-y leaves
-    return C
+    D = X[:, None, :] - Y[None, :, :]
+    return source.values_at(D.reshape(-1, D.shape[2])).reshape(D.shape[:2])
 
 
 @dataclass

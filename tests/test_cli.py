@@ -1,3 +1,5 @@
+import pytest
+
 from hesselab.cli import Config, main, run_config
 from hesselab.potentials import CATALOG_NAMES, catalog_entries
 
@@ -167,3 +169,27 @@ def test_truncated_grid_file_exits_2(tmp_path, capsys):
 def test_zero_certify_count_exits_2(tmp_path, capsys):
     assert run_config(certify_dict(count=0), tmp_path) == 2
     assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points", "0"), ("times", "x"), ("nodes", "2"), ("times", "0.005 0.01"),
+    ("seed", "-1"), ("spacing", "-0.036")])
+def test_bad_ot_experiment_config_exits_2(tmp_path, capsys, monkeypatch, key, value):
+    """Each bad [ot] key is a config error, reported without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "ot.ini"
+    cfg.write_text(f"""
+[experiment]
+kind = ot-experiment
+
+[potential]
+name = radial_sym
+
+[ot]
+{key} = {value}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -222,3 +222,34 @@ def test_grid_catalog_entry(tmp_path):
     # second-order truncation at fd spacing 2h dominates the error budget
     assert jet.hessian[0, 0] == pytest.approx(1.0, rel=2e-2)
     assert jet.third[0, 0, 0] == pytest.approx(-2.0, rel=5e-2)
+
+
+def test_grid_potential_needs_six_nodes_per_axis():
+    """The quintic spline needs 6 nodes on each axis and increasing node
+    coordinates; fewer nodes or a spacing <= 0 is BadParams."""
+    with pytest.raises(BadParams, match="6 nodes"):
+        GridPotential(np.array([0.0]), 0.1, np.arange(5.0))
+    with pytest.raises(BadParams, match="6 nodes"):
+        GridPotential(np.array([0.0, 0.0]), 0.1, np.ones((8, 5)))
+    with pytest.raises(BadParams, match="6 nodes"):
+        GridPotential(np.array([0.0, 0.0]), 0.1, np.ones((2, 2)))
+    for spacing in (0.0, -0.1, np.nan):
+        with pytest.raises(BadParams, match="spacing > 0"):
+            GridPotential(np.array([0.0, 0.0]), spacing, np.ones((8, 8)))
+    GridPotential(np.array([0.0, 0.0]), 0.1, np.ones((6, 6)))
+
+
+def test_values_at_is_value_per_row():
+    """Batched evaluation equals ``value`` row by row, closed form and grid;
+    a row of the wrong length raises the same OutOfDomain."""
+    ball = catalog("calabi_ball", n=2)
+    axes = np.linspace(-0.4, 0.4, 21)
+    grid = GridPotential(np.array([-0.4, -0.4]), axes[1] - axes[0],
+                         np.array([[ball.value(np.array([a, b])) for b in axes]
+                                   for a in axes]))
+    pts = np.array([[0.05, -0.1], [0.0, 0.0], [-0.2, 0.15]])
+    for handle in (ball, grid):
+        looped = np.array([handle.value(p) for p in pts])
+        assert handle.values_at(pts).tobytes() == looped.tobytes()
+        with pytest.raises(OutOfDomain, match="expected"):
+            handle.values_at(np.zeros((2, 3)))

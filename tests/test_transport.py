@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hesselab import flow, transport
 from hesselab.errors import (BadParams, Infeasible, NotDeterministic,
                              OutOfDomain)
-from hesselab.potentials import quadratic
+from hesselab.potentials import GridPotential, quadratic
 from hesselab.transport import (DiscreteMeasure, TransportPlan, barycentric_map,
                                 cost_matrix, holder_modulus, marginal_residual,
                                 plan_tv, solve_exact, weak_continuity_rows)
@@ -28,6 +30,30 @@ def random_instance(m, seed, dim=2):
     return X, Y
 
 
+def looped_cost_matrix(source, X, Y):
+    """Reference: one ``value`` call per pair, in row-major order."""
+    C = np.empty((X.shape[0], Y.shape[0]))
+    for a, x in enumerate(X):
+        for b, y in enumerate(Y):
+            C[a, b] = source.value(x - y)
+    return C
+
+
+def looped_distinct(points):
+    """Reference: no two rows equal by ``np.array_equal``."""
+    m = points.shape[0]
+    return not any(np.array_equal(points[a], points[b])
+                   for a in range(m) for b in range(a + 1, m))
+
+
+def window_instance(m, seed):
+    """Supports of the flowed-window OT instances (sources at x1 ~ 1.2)."""
+    rng = np.random.default_rng(seed)
+    X = np.stack([rng.uniform(1.0, 1.35, m), rng.uniform(-0.18, 0.18, m)], axis=1)
+    Y = np.stack([rng.uniform(-0.12, 0.12, m), rng.uniform(-0.15, 0.15, m)], axis=1)
+    return X, Y
+
+
 # -- measures ------------------------------------------------------------------------
 
 def test_measure_validation():
@@ -40,6 +66,57 @@ def test_measure_validation():
         DiscreteMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
     mu = DiscreteMeasure.uniform(pts)
     assert mu.weights.sum() == 1.0
+
+
+def test_uniform_measure_on_no_points_raises():
+    with pytest.raises(BadParams, match="at least one"):
+        DiscreteMeasure.uniform(np.zeros((0, 2)))
+    with pytest.raises(BadParams, match="at least one"):
+        DiscreteMeasure.uniform([])
+
+
+_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.25, np.nan])
+
+
+@st.composite
+def support_rows(draw):
+    """Rows from a few coordinates, so repeats are common, plus planted
+    copies (with the signs of zeros flipped) of earlier rows."""
+    m = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    P = np.array(draw(st.lists(st.lists(_COORD, min_size=d, max_size=d),
+                               min_size=m, max_size=m)), dtype=float)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                        st.integers(0, m - 1)), max_size=3)):
+        P[b] = P[a] if draw(st.booleans()) else np.where(P[a] == 0.0, -P[a], P[a])
+    return P
+
+
+@given(support_rows())
+def test_distinct_support_check_matches_pairwise_loop(P):
+    """The sort-based check rejects exactly the supports the pairwise
+    ``np.array_equal`` loop rejects: -0.0 equals 0.0, NaN rows equal none."""
+    try:
+        DiscreteMeasure.uniform(P)
+        accepted = True
+    except BadParams as exc:
+        assert "distinct" in str(exc)
+        accepted = False
+    assert accepted == looped_distinct(P)
+
+
+def test_distinct_support_check_edge_rows():
+    for P, distinct in (([[0.0, 1.0], [-0.0, 1.0]], False),
+                        ([[np.nan, 1.0], [np.nan, 1.0]], True),
+                        ([[0.5], [0.25], [0.5]], False),
+                        ([[1.0, 2.0], [2.0, 1.0]], True)):
+        P = np.array(P)
+        assert looped_distinct(P) == distinct
+        if distinct:
+            DiscreteMeasure.uniform(P)
+        else:
+            with pytest.raises(BadParams):
+                DiscreteMeasure.uniform(P)
 
 
 def test_measure_csv_roundtrip(tmp_path):
@@ -65,6 +142,54 @@ def test_cost_matrix_out_of_domain(ball2):
     Y = np.array([[-0.9, 0.0]])
     with pytest.raises(OutOfDomain):
         cost_matrix(ball2, X, Y)
+
+
+def window_checkpoints(handle, steps):
+    grid = flow.GridSpec(shape=(36, 36), spacing=0.036,
+                         origin=np.array([0.55, -0.65]))
+    state = flow.init(handle, grid, "frozen-window")
+    pots = [flow.to_grid_potential(state)]
+    for _ in range(steps):
+        state = flow.step(state, flow.adaptive_dt(state))
+    return pots + [flow.to_grid_potential(state)]
+
+
+def test_batched_cost_matrix_is_the_looped_one(radial, ball2):
+    """One batched evaluation gives the bytes of the pairwise loop on window
+    checkpoints (t = 0 and flowed), a 1-D grid potential and closed forms."""
+    X, Y = window_instance(24, 5)
+    for pot in window_checkpoints(radial, 3):
+        C = cost_matrix(pot, X, Y)
+        assert C.tobytes() == looped_cost_matrix(pot, X, Y).tobytes()
+    axis = np.linspace(0.5, 2.5, 41)
+    line = GridPotential(np.array([0.5]), axis[1] - axis[0], -np.log(axis))
+    x1, y1 = np.linspace(1.0, 1.9, 9)[:, None], np.linspace(-0.3, 0.2, 7)[:, None]
+    assert cost_matrix(line, x1, y1).tobytes() == \
+        looped_cost_matrix(line, x1, y1).tobytes()
+    assert cost_matrix(radial, X, Y).tobytes() == \
+        looped_cost_matrix(radial, X, Y).tobytes()
+    Xb, Yb = 0.3 * X - np.array([0.3, 0.0]), 0.5 * Y
+    assert cost_matrix(ball2, Xb, Yb).tobytes() == \
+        looped_cost_matrix(ball2, Xb, Yb).tobytes()
+
+
+def test_batched_cost_matrix_raises_the_looped_error(radial):
+    """A difference outside the grid box raises the loop's OutOfDomain, for
+    the first offending pair in row-major order; a NaN difference too."""
+    pot = window_checkpoints(radial, 0)[0]
+    X, Y = window_instance(4, 9)
+    X[2] = [0.4, 0.0]          # (2, b) leaves the box through x1 ...
+    Y[1] = [0.0, 0.8]          # ... and (a, 1) through x2; (0, 1) comes first
+    X_nan = X.copy()
+    X_nan[0, 1] = np.nan       # now (0, 0) comes first
+    for X_bad, (a, b) in ((X, (0, 1)), (X_nan, (0, 0))):
+        errors = []
+        for evaluate in (cost_matrix, looped_cost_matrix):
+            with pytest.raises(OutOfDomain) as info:
+                evaluate(pot, X_bad, Y)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"point {X_bad[a] - Y[b]} outside box")
 
 
 def test_even_potential_checkpoint_cost_is_symmetric(ball2):
