@@ -243,6 +243,9 @@ def _exp_ode_run(cfg: Config, outdir: Path):
     a0 = cfg.get("ode", "a0", float, -1.0)
     T = cfg.get("ode", "time", float, 0.5)
     dt = cfg.get("ode", "dt", float, 1e-3)
+    if not (np.isfinite(a0) and 0.0 < T < np.inf and 0.0 < dt < np.inf):
+        raise ConfigError(f"[ode] needs finite a0, time > 0 and dt > 0, "
+                          f"got a0 = {a0}, time = {T}, dt = {dt}")
     A = reaction.AlgCurvTensor(np.full((1, 1, 1, 1), a0))
     traj = reaction.integrate_ode(A, T, dt, record_every=max(1, int(T / dt / 50)))
     rows = [{"t": t, "value": float(tensor.A.ravel()[0]),

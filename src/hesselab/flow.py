@@ -239,6 +239,8 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
     else:
         if grid.spacing is None or grid.origin is None:
             raise BadParams("frozen-window mode needs spacing and origin")
+        if not 0.0 < grid.spacing < np.inf:
+            raise BadParams(f"window spacing must be finite and > 0, got {grid.spacing}")
         origin = np.asarray(grid.origin, dtype=float)
         axes = [origin[i] + np.arange(grid.shape[i]) * grid.spacing
                 for i in range(len(grid.shape))]

@@ -6,9 +6,11 @@ reaction quadratic
 
     Q(A)[ijkl] = 2 (A[ijpq] A[qpkl] + A[ilpq] A[qpkj] - A[ipkq] A[pjql])
 
-drives the tensor ODE dA/dt = Q(A).  Boundary tensors for the null-vector
-suites are produced by the shift A - m * (I x I) that moves the pair
-maximum of A(v,w,v,w) to zero while keeping the maximizing pair fixed.
+drives the tensor ODE dA/dt = Q(A).  Q is two n^2 x n^2 matrix products:
+one for the first term, one for the third, and the second term is the
+first with j and l swapped.  Boundary tensors for the null-vector suites
+are produced by the shift A - m * (I x I) that moves the pair maximum of
+A(v,w,v,w) to zero while keeping the maximizing pair fixed.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ def identity_shift_tensor(n: int) -> np.ndarray:
 # -- reaction quadratic and ODE -------------------------------------------------
 
 def _q_contraction(T: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("ijpq,qpkl->ijkl", T, T)
-    t2 = np.einsum("ilpq,qpkj->ijkl", T, T)
-    t3 = np.einsum("ipkq,pjql->ijkl", T, T)
-    return 2.0 * (t1 + t2 - t3)
+    # two n^2 x n^2 products: t1 pairs (ij | pq) with (pq | kl), and the
+    # second term A[ilpq] A[qpkj] is t1 with j and l swapped
+    m = T.shape[0] ** 2
+    t1 = (T.reshape(m, m) @ T.transpose(1, 0, 2, 3).reshape(m, m)).reshape(T.shape)
+    B = T.transpose(0, 2, 1, 3).reshape(m, m)  # B[(ik), (pq)] = T[ipkq]
+    t3 = (B @ B).reshape(T.shape).transpose(0, 2, 1, 3)
+    return 2.0 * (t1 + t1.transpose(0, 3, 2, 1) - t3)
 
 
 def q_quadratic(A: AlgCurvTensor) -> AlgCurvTensor:
@@ -145,8 +150,9 @@ def integrate_ode(A0: AlgCurvTensor, T: float, dt: float,
     trajectory.  Raises BlowUp (with the partial trajectory attached) when
     any entry exceeds 1e12 or turns non-finite.
     """
-    if dt <= 0:
-        raise BadParams("dt must be positive")
+    if not (0.0 <= T < np.inf and 0.0 < dt < np.inf and record_every >= 1):
+        raise BadParams(f"need finite T >= 0, finite dt > 0 and record_every >= 1, "
+                        f"got T={T!r}, dt={dt!r}, record_every={record_every!r}")
     steps = int(np.ceil(T / dt))
     A = A0.A.copy()
     t = 0.0
@@ -161,11 +167,12 @@ def integrate_ode(A0: AlgCurvTensor, T: float, dt: float,
             k4 = _q_contraction(A + h * k3)
             A = A + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-            if (not np.all(np.isfinite(A))) or np.abs(A).max() > BLOWUP_CAP:
+            m = float(np.abs(A).max())
+            if not m <= BLOWUP_CAP:  # a NaN entry makes m NaN
                 raise BlowUp(t, traj)
             drift = symmetry_defect(A)
             traj.max_symmetry_drift = max(traj.max_symmetry_drift, drift)
-            if drift > 1e-13 * max(1.0, float(np.abs(A).max())):
+            if drift > 1e-13 * max(1.0, m):
                 raise StabilityFailure(
                     f"symmetry drift {drift:.3e} beyond tolerance", time=t)
             A = mirror_symmetrize(A)

@@ -138,6 +138,27 @@ def test_ode_config_dict(tmp_path):
     assert any((tmp_path / "ode").iterdir())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time", "nan"), ("time", "inf"), ("time", "-1"), ("time", "0"),
+    ("dt", "nan"), ("dt", "0"), ("dt", "-0.001"), ("dt", "inf"), ("a0", "nan")])
+def test_bad_ode_run_config_exits_2(tmp_path, capsys, monkeypatch, key, value):
+    """Each bad [ode] key is a config error, reported without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "ode.ini"
+    cfg.write_text(f"""
+[experiment]
+kind = ode-run
+
+[ode]
+{key} = {value}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def certify_dict(potential=None, **certify):
     return Config.from_dict({
         "experiment": {"kind": "certify"},

@@ -42,6 +42,13 @@ def test_init_window_valid(ball2):
     assert state.mode == "frozen-window"
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.025, np.nan, np.inf])
+def test_init_window_rejects_bad_spacing(ball2, spacing):
+    grid = flow.GridSpec(shape=(40, 40), spacing=spacing, origin=np.array([-0.5, -0.5]))
+    with pytest.raises(BadParams, match="spacing"):
+        flow.init(ball2, grid, "frozen-window")
+
+
 def test_incompatible_mode(ball2):
     with pytest.raises(IncompatibleMode):
         flow.init(ball2, torus(16), "periodic")

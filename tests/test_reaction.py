@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hesselab.curvature import core_form
+from hesselab import reaction
+from hesselab.curvature import core_form, mirror_symmetrize
 from hesselab.errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC,
-                             NotPSD)
+                             NotPSD, StabilityFailure)
 from hesselab.reaction import (MAX_ABC, MIN_ORTH_ABC, AlgCurvTensor,
                                BlockMatrixInstance, canonical_indices,
                                extremal_pair, identity_shift_tensor,
@@ -11,6 +15,35 @@ from hesselab.reaction import (MAX_ABC, MIN_ORTH_ABC, AlgCurvTensor,
                                null_vector_check_negative,
                                polarization_bounds, q_quadratic,
                                shift_to_boundary, trace_lemma)
+
+
+def q_einsum(T):
+    """The three-einsum contraction that _q_contraction replaced."""
+    t1 = np.einsum("ijpq,qpkl->ijkl", T, T)
+    t2 = np.einsum("ilpq,qpkj->ijkl", T, T)
+    t3 = np.einsum("ipkq,pjql->ijkl", T, T)
+    return 2.0 * (t1 + t2 - t3)
+
+
+# zeros and entries of size 0.01..4, so no product falls below the normal range
+ENTRIES = st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(-4.0, -0.01))
+
+
+@st.composite
+def curvature_tensors(draw):
+    n = draw(st.integers(1, 4))
+    return mirror_symmetrize(draw(arrays(np.float64, (n,) * 4, elements=ENTRIES)))
+
+
+@given(curvature_tensors())
+def test_q_contraction_matches_the_einsum_reference(A):
+    Q, ref = reaction._q_contraction(A), q_einsum(A)
+    n = A.shape[0]
+    if n == 1:
+        assert Q.tobytes() == ref.tobytes()
+    else:
+        tol = 8 * n**2 * np.finfo(float).eps * np.abs(A).max() ** 2
+        assert np.abs(Q - ref).max() <= tol
 
 
 def test_q_scalar_case():
@@ -74,6 +107,47 @@ def test_ode_zero_constant_and_sign_persistence():
     assert abs(vals[-1]) < 0.2
     with pytest.raises(BadParams):
         integrate_ode(A0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("T, dt, every", [
+    (np.nan, 1e-3, 1), (np.inf, 1e-3, 1), (-1.0, 1e-3, 1), (1.0, np.nan, 1),
+    (1.0, np.inf, 1), (1.0, -1e-3, 1), (1.0, 1e-3, 0)])
+def test_ode_rejects_bad_time_step_and_recording(T, dt, every):
+    A0 = AlgCurvTensor(np.full((1, 1, 1, 1), -1.0))
+    with pytest.raises(BadParams):
+        integrate_ode(A0, T, dt, record_every=every)
+
+
+def spoil_q(monkeypatch, at_call, value, idx=(0, 1, 0, 1)):
+    """Make the at_call-th Q evaluation (from 1) return value at idx."""
+    clean, calls = reaction._q_contraction, [0]
+
+    def q(T):
+        calls[0] += 1
+        out = clean(T)
+        if calls[0] == at_call:
+            out[idx] = value
+        return out
+    monkeypatch.setattr(reaction, "_q_contraction", q)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e16])
+def test_ode_blowup_on_a_bad_entry(monkeypatch, value):
+    """A NaN, an inf or an above-cap entry ends the step that made it."""
+    A0 = AlgCurvTensor.random(2, 5, scale=0.1)
+    clean = integrate_ode(A0, 0.01, 1e-3)
+    spoil_q(monkeypatch, 4 * 5 + 2, value)  # k2 of step 6
+    with pytest.raises(BlowUp) as err:
+        integrate_ode(A0, 0.01, 1e-3)
+    assert err.value.time == clean.times[6]
+    assert err.value.trajectory.times == clean.times[:6]
+
+
+def test_ode_asymmetric_q_is_a_stability_failure(monkeypatch):
+    spoil_q(monkeypatch, 1, 1.0, idx=(0, 0, 0, 1))  # its orbit mates keep theirs
+    with pytest.raises(StabilityFailure) as err:
+        integrate_ode(AlgCurvTensor.random(2, 5, scale=0.1), 0.01, 1e-3)
+    assert err.value.time == 1e-3
 
 
 def test_extremal_pair_modes(bidisk, ball2):
