@@ -16,9 +16,10 @@ DEGENERATE = "DEGENERATE"
 class SignCertificate:
     """Verdict of a sign scan with an extremal witness.
 
-    The witness always reproduces ``extremal_value`` on re-evaluation: it is
-    stored exactly as the configuration (point, vector pair) at which the
-    extremum was located.
+    The witness is stored exactly as the configuration (point, vector pair)
+    at which the extremum was located.  It reproduces ``extremal_value`` at
+    n = 2 but need not at n >= 3, where the extremizer can report a value
+    off the unit sphere (ROADMAP item 1).
     """
 
     verdict: str

@@ -111,26 +111,24 @@ def _out(outdir: Path, name: str) -> Path:
 
 
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    _csv_to_dat(path)
+    """Write rows as a CSV and as its plot-ready .dat twin: the same
+    formatted fields, whitespace-delimited, with a '# ' header."""
+    body = [[_fmt(row[c]) for c in columns] for row in rows]
+    for suffix, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
+        lines = [lead + sep.join(columns)] + [sep.join(fields) for fields in body]
+        path.with_suffix(suffix).write_text("\n".join(lines) + "\n")
+
+
+def _write_series(path: Path, series: flow.MonitorSeries) -> None:
+    rows = [{"t": t, **{c: series.channels[c][i] for c in flow.CHANNELS}}
+            for i, t in enumerate(series.times)]
+    _write_csv(path, rows, ["t", *flow.CHANNELS])
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
-
-
-def _csv_to_dat(path: Path) -> None:
-    """Plot-ready twin of a CSV: same columns, whitespace-delimited."""
-    lines = path.read_text().splitlines()
-    with open(path.with_suffix(".dat"), "w") as fh:
-        fh.write("# " + lines[0].replace(",", " ") + "\n")
-        for line in lines[1:]:
-            fh.write(line.replace(",", " ") + "\n")
 
 
 # -- experiment implementations ---------------------------------------------------
@@ -191,33 +189,23 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     state = flow.init(handle, grid, mode, lam=lam)
     final, series = flow.run(state, T, sample_per_axis=per_axis,
                              monitor_epochs=epochs)
-    series.to_csv(_out(outdir, f"flow_{handle.name}.csv"))
-    _csv_to_dat(outdir / f"flow_{handle.name}.csv")
+    _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)
     lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times)} epochs"]
     ok = True
-    for key, cast in (("assert_abc_max_below", float),
-                      ("assert_orth_min_above", float),
-                      ("assert_chen_above", float),
-                      ("assert_stationary_below", float)):
+    # config key, printed name, upper ("<=") or lower (">=") bound, statistic
+    for key, name, op, statistic in (
+            ("assert_abc_max_below", "ABC_max worst", "<=", series.channel("ABC_max").max),
+            ("assert_orth_min_above", "ORTH_ABC_min worst", ">=",
+             series.channel("ORTH_ABC_min").min),
+            ("assert_chen_above", "chen_residual worst", ">=",
+             series.channel("chen_residual")[1:].min),
+            ("assert_stationary_below", "potential drift", "<=", np.abs(final.u - state.u).max)):
         bound = cfg.get("flow", key, float, np.nan)
         if np.isnan(bound):
             continue
-        if key == "assert_abc_max_below":
-            worst = float(series.channel("ABC_max").max())
-            good = worst <= bound
-            lines.append(f"  ABC_max worst {worst!r} <= {bound!r}: {good}")
-        elif key == "assert_orth_min_above":
-            worst = float(series.channel("ORTH_ABC_min").min())
-            good = worst >= bound
-            lines.append(f"  ORTH_ABC_min worst {worst!r} >= {bound!r}: {good}")
-        elif key == "assert_chen_above":
-            worst = float(series.channel("chen_residual")[1:].min())
-            good = worst >= bound
-            lines.append(f"  chen_residual worst {worst!r} >= {bound!r}: {good}")
-        else:
-            drift = float(np.abs(final.u - state.u).max())
-            good = drift <= bound
-            lines.append(f"  potential drift {drift!r} <= {bound!r}: {good}")
+        worst = float(statistic())
+        good = worst <= bound if op == "<=" else worst >= bound
+        lines.append(f"  {name} {worst!r} {op} {bound!r}: {good}")
         ok = ok and good
     return ok, lines
 
@@ -233,8 +221,7 @@ def _exp_kr_probe(cfg: Config, outdir: Path):
     grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
     verdict = flow.kr_probe(handle, eps, grid,
                             monitor_epochs=cfg.get("probe", "epochs", int, 5))
-    verdict.series.to_csv(_out(outdir, f"kr_probe_{handle.name}.csv"))
-    _csv_to_dat(outdir / f"kr_probe_{handle.name}.csv")
+    _write_series(_out(outdir, f"kr_probe_{handle.name}.csv"), verdict.series)
     ok = verdict.regular == expect_regular
     return ok, [f"kr-probe {handle.name}: {verdict.label}"]
 

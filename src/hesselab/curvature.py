@@ -229,15 +229,11 @@ class RegionSpec:
 def _sample_extrema(sample: CurvatureSample, quantity: str, search: SearchSpec):
     Ef = sample.E_frame
     if quantity == "HSC_POL":
-        mx, mn = _extrema.quartic_extrema(Ef, search.n_angles, search.restarts,
-                                          search.seed)
-    elif quantity in ("ORTH_ABC", "MTW_ORTH"):
-        mx, mn = _extrema.pair_extrema(Ef, orth=True, n_angles=search.n_angles,
-                                       restarts=search.restarts, seed=search.seed)
-    else:  # "ABC"; certify_sign has checked the name
-        mx, mn = _extrema.pair_extrema(Ef, orth=False, n_angles=search.n_angles,
-                                       restarts=search.restarts, seed=search.seed)
-    return mx, mn
+        return _extrema.quartic_extrema(Ef, search.n_angles, search.restarts,
+                                        search.seed)
+    # "ABC", "ORTH_ABC" or "MTW_ORTH"; certify_sign has checked the name
+    return _extrema.pair_extrema(Ef, orth=quantity != "ABC", n_angles=search.n_angles,
+                                 restarts=search.restarts, seed=search.seed)
 
 
 def _to_coords(sample: CurvatureSample, ext: _extrema.Extremum):
@@ -295,9 +291,7 @@ def reevaluate_witness(handle: PotentialHandle, cert: SignCertificate) -> float:
     """Recompute the certified quantity at the stored witness."""
     sample = core_form(handle.jet(cert.witness_point))
     if cert.quantity == "HSC_POL":
-        v = cert.witness_v
-        nv2 = float(v @ sample.h @ v)
-        return float(np.einsum("ijkl,i,j,k,l->", sample.E, v, v, v, v)) / nv2**2
+        return hsc(sample, cert.witness_v)
     return anti_bisectional(sample, cert.witness_v, cert.witness_w)
 
 

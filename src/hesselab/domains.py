@@ -67,9 +67,7 @@ class DomainSpec:
             if r0 > 0:
                 return float(np.linalg.norm(x) - r0)
             return np.inf
-        if self.kind == "torus":
-            return np.inf
-        raise BadParams(self.kind)
+        return np.inf  # torus
 
     def contains(self, x: np.ndarray) -> bool:
         return self.boundary_distance(x) >= self.margin
@@ -140,6 +138,4 @@ class DomainSpec:
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             radii = rng.uniform(r0 + self.margin + 0.05, cap, size=(count, 1))
             return z * radii
-        if self.kind == "torus":
-            return rng.uniform(0.0, 1.0, size=(count, self.n))
-        raise BadParams(self.kind)
+        return rng.uniform(0.0, 1.0, size=(count, self.n))  # torus

@@ -54,6 +54,9 @@ from .potentials import (GridPotential, PotentialHandle,
                          QuadraticPlusPeriodic, write_grid_file)
 
 RING = 2  # boundary ring width == widest monitor stencil radius
+MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
+MONITOR_ANGLES = 240  # scan angles of each monitor extremization
+KR_TOL = 1e-6  # kr_probe's allowance below zero for ORTH_ABC_min
 
 CHANNELS = ("S_min", "S_max", "ABC_max", "ORTH_ABC_min", "H_pol_min",
             "O_max", "chen_residual", "hpol_bound_residual")
@@ -86,12 +89,6 @@ class FlowState:
 
     def node_coords(self, idx: tuple[int, ...]) -> np.ndarray:
         return self.origin + self.spacing * np.asarray(idx, dtype=float)
-
-    def copy(self) -> "FlowState":
-        return FlowState(mode=self.mode, u=self.u.copy(), spacing=self.spacing,
-                         origin=self.origin.copy(),
-                         quad=None if self.quad is None else self.quad.copy(),
-                         t=self.t, lam=self.lam)
 
 
 # -- stencil application over whole grids --------------------------------------
@@ -190,28 +187,21 @@ def _checked_det(fields, inner: tuple, t: float) -> np.ndarray:
     """det Hess on the nodes inner, for taking its log.
 
     Raises StabilityFailure at the first of those nodes where the Hessian is
-    not positive definite or, for n = 2, det is not finite.  For n = 1 a NaN
-    entry passes the test and counts as det 1.
+    not positive definite or det is not finite (a NaN entry included).
     """
     hxx = fields[0][inner]
     if len(fields) == 1:
         det = hxx
+        message = "Hessian lost positivity"
     else:
         hyy, hxy = (f[inner] for f in fields[1:])
         det = hxx * hyy - hxy * hxy
+        message = "Hessian lost positive-definiteness"
     if not det.size or (det.min() > 0.0 and hxx.min() > 0.0 and det.max() < np.inf):
         return det
-    if len(fields) == 1:
-        bad = hxx <= 0.0
-        message = "Hessian lost positivity"
-    else:
-        bad = (det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det)
-        message = "Hessian lost positive-definiteness"
-    if bad.any():
-        first = np.argwhere(bad)[0]
-        node = tuple(int(v) + (s.start or 0) for v, s in zip(first, inner))
-        raise StabilityFailure(message, node=node, time=t)
-    return np.where(hxx > 0.0, hxx, 1.0)  # reached for n = 1 only
+    first = np.argwhere((det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det))[0]
+    node = tuple(int(v) + (s.start or 0) for v, s in zip(first, inner))
+    raise StabilityFailure(message, node=node, time=t)
 
 
 # -- operations -----------------------------------------------------------------
@@ -228,27 +218,21 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
         m = grid.shape[0]
         if any(s != m for s in grid.shape):
             raise BadParams("torus grids must be square")
-        spacing = 1.0 / m
-        origin = np.zeros(handle.n)
-        axes = [np.arange(s) * spacing for s in grid.shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        u = np.array([handle.periodic_value(p) for p in pts]).reshape(grid.shape)
-        state = FlowState(mode=mode, u=u, spacing=spacing, origin=origin,
-                          quad=handle.quad.copy(), lam=lam)
+        spacing, origin, quad = 1.0 / m, np.zeros(handle.n), handle.quad.copy()
     else:
         if grid.spacing is None or grid.origin is None:
             raise BadParams("frozen-window mode needs spacing and origin")
         if not 0.0 < grid.spacing < np.inf:
             raise BadParams(f"window spacing must be finite and > 0, got {grid.spacing}")
+        spacing, quad = float(grid.spacing), None
         origin = np.asarray(grid.origin, dtype=float)
-        axes = [origin[i] + np.arange(grid.shape[i]) * grid.spacing
-                for i in range(len(grid.shape))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        vals = np.array([handle.value(p) for p in pts]).reshape(grid.shape)
-        state = FlowState(mode=mode, u=vals, spacing=float(grid.spacing),
-                          origin=origin, quad=None, lam=lam)
+    axes = [origin[i] + np.arange(s) * spacing for i, s in enumerate(grid.shape)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    u = (handle.values_at(pts) if quad is None
+         else np.array([handle.periodic_value(p) for p in pts]))
+    state = FlowState(mode=mode, u=u.reshape(grid.shape), spacing=spacing,
+                      origin=origin, quad=quad, lam=lam)
     _checked_det(_hessian_fields(state), _interior(state), state.t)
     return state
 
@@ -274,13 +258,13 @@ def adaptive_dt(state: FlowState) -> float:
     return 0.25 * state.spacing**2 / (2.0 / lam_min)
 
 
-def _extend_ring(du: np.ndarray, ring: int = RING) -> None:
+def _extend_ring(du: np.ndarray) -> None:
     """Fill the boundary ring of du in place by linear extrapolation of the
     interior update."""
     for axis in range(du.ndim):
         v = np.moveaxis(du, axis, 0)  # a view: writes land in du
         m = v.shape[0]
-        for r in range(ring - 1, -1, -1):
+        for r in range(RING - 1, -1, -1):
             v[r] = 2.0 * v[r + 1] - v[r + 2]
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
 
@@ -379,19 +363,18 @@ def jet_at_node(state: FlowState, fields: dict, idx: tuple[int, int]) -> Potenti
                         third=third, fourth=fourth)
 
 
-def monitor_offset(state0: FlowState, epoch: int, elapsed: float,
-                   kappa: float = 1.25) -> int:
+def monitor_offset(state0: FlowState, epoch: int, elapsed: float) -> int:
     """Depth (in nodes) excluded from monitoring in window mode.
 
     The ring error spreads diffusively with coefficient bounded by
-    2 max lambda_max(Hess^-1), so the monitored set retreats by the stencil
-    radius per epoch plus kappa standard deviations of the heat kernel.
+    2 max lambda_max(Hess^-1), so the monitored set retreats by RING nodes
+    per epoch plus MONITOR_KAPPA standard deviations of the heat kernel.
     """
     if state0.mode == "periodic":
         return 0
     lam_min = _lambda_min(state0)
     diffusion = 2.0 / lam_min
-    spread = kappa * np.sqrt(2.0 * diffusion * max(elapsed, 0.0)) / state0.spacing
+    spread = MONITOR_KAPPA * np.sqrt(2.0 * diffusion * max(elapsed, 0.0)) / state0.spacing
     return RING * (1 + epoch) + int(np.ceil(spread))
 
 
@@ -422,29 +405,19 @@ class MonitorSeries:
     def channel(self, name: str) -> np.ndarray:
         return np.asarray(self.channels[name])
 
-    def to_csv(self, path, order: tuple = CHANNELS):
-        cols = [c for c in order if c in self.channels]
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(self.channels[c][i])) for c in cols]
-                fh.write(",".join(row) + "\n")
 
-
-def _channel_values(state: FlowState, nodes, n_angles: int = 240,
-                    seed: int = 0) -> dict:
+def _channel_values(state: FlowState, nodes) -> dict:
     fields = grid_jets(state)
     S_vals, abc_max, orth_min, hpol_min, o_vals = [], [], [], [], []
     for idx in nodes:
         sample = core_form(jet_at_node(state, fields, idx))
         Ef = sample.E_frame
         S_vals.append(scalar(sample))
-        mx, _ = _extrema.pair_extrema(Ef, orth=False, n_angles=n_angles, seed=seed)
+        mx, _ = _extrema.pair_extrema(Ef, orth=False, n_angles=MONITOR_ANGLES)
         abc_max.append(mx.value)
-        _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=n_angles, seed=seed)
+        _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=MONITOR_ANGLES)
         orth_min.append(omn.value)
-        _, hmn = _extrema.quartic_extrema(Ef, n_angles=n_angles, seed=seed)
+        _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES)
         hpol_min.append(hmn.value)
         o_vals.append(oab_trace(sample))
     return {
@@ -456,10 +429,9 @@ def _channel_values(state: FlowState, nodes, n_angles: int = 240,
     }
 
 
-def run(state: FlowState, T: float, monitors: tuple = CHANNELS,
-        sample_per_axis: int = 5, monitor_epochs: int = 10,
-        n_angles: int = 240, dt: float | None = None) -> tuple[FlowState, MonitorSeries]:
-    """Advance to time T, recording monitor channels every few steps.
+def run(state: FlowState, T: float, sample_per_axis: int = 5, monitor_epochs: int = 10,
+        dt: float | None = None) -> tuple[FlowState, MonitorSeries]:
+    """Advance to time T, recording the CHANNELS every few steps.
 
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
     is positive, else the K -> infinity limit S_min + n/t.  On a stability
@@ -479,7 +451,7 @@ def run(state: FlowState, T: float, monitors: tuple = CHANNELS,
     def observe(st: FlowState, epoch: int):
         offset = monitor_offset(state0, epoch, st.t - state0.t)
         nodes = monitor_nodes(st, sample_per_axis, offset)
-        vals = _channel_values(st, nodes, n_angles=n_angles)
+        vals = _channel_values(st, nodes)
         if series.times:
             K = series.labels["K"]
         else:
@@ -496,8 +468,7 @@ def run(state: FlowState, T: float, monitors: tuple = CHANNELS,
         bound = (n / denom if denom > 0 else np.inf) + 2.0 * max(vals["O_max"], 0.0)
         vals["hpol_bound_residual"] = (vals["H_pol_min"] / bound
                                        if np.isfinite(bound) and bound > 0 else 0.0)
-        series.record(st.t, {k: v for k, v in vals.items() if k in monitors or k in
-                             ("S_min",)})
+        series.record(st.t, vals)
 
     epoch = 0
     observe(state, epoch)
@@ -531,10 +502,10 @@ class KrVerdict:
 
 def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
              mode: str = "frozen-window", sample_per_axis: int = 5,
-             tol: float = 1e-6, monitor_epochs: int = 8) -> KrVerdict:
+             monitor_epochs: int = 8) -> KrVerdict:
     """Run the flow to time eps and test the orthogonal-pair minimum.
 
-    Verdict is weakly regular when ORTH_ABC_min >= -tol at every recorded
+    Verdict is weakly regular when ORTH_ABC_min >= -KR_TOL at every recorded
     positive time; otherwise the first violating time is reported.
     """
     state = init(handle, grid, mode)
@@ -543,7 +514,7 @@ def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
     times = np.asarray(series.times)
     vals = series.channel("ORTH_ABC_min")
     for t, v in zip(times[1:], vals[1:]):  # positive times only
-        if v < -tol:
+        if v < -KR_TOL:
             return KrVerdict(False, eps, (float(t), float(v)), series)
     return KrVerdict(True, eps, None, series)
 

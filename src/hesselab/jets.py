@@ -138,12 +138,9 @@ _STENCILS = {
     4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
 }
 
-STENCIL_RADIUS = 2  # widest one-axis reach of the order<=4 stencils
-
 
 def fd_partial(values: Callable[[np.ndarray], float], x: np.ndarray,
-               orders: tuple[int, ...], h: float,
-               cache: dict | None = None) -> float:
+               orders: tuple[int, ...], h: float, cache: dict) -> float:
     """Mixed partial d^{|orders|} f / prod_i dx_i^{orders[i]} by tensor-product stencils."""
     x = np.asarray(x, dtype=float)
     axes = [a for a, o in enumerate(orders) if o > 0]
@@ -159,13 +156,10 @@ def fd_partial(values: Callable[[np.ndarray], float], x: np.ndarray,
             pt[axes[which]] += offs[which][ci] * h
         if c == 0.0:
             continue
-        if cache is not None:
-            key = tuple(pt.tolist())
-            if key not in cache:
-                cache[key] = values(pt)
-            total += c * cache[key]
-        else:
-            total += c * values(pt)
+        key = tuple(pt.tolist())
+        if key not in cache:
+            cache[key] = values(pt)
+        total += c * cache[key]
     return total / scale
 
 

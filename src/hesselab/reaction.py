@@ -27,6 +27,7 @@ from .errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC, NotPSD,
 from .jets import orbit_table
 
 BLOWUP_CAP = 1e12
+NOAB_Q_THRESHOLD = -1e-6  # noab_probe's hit: Q below this at the boundary pair
 
 
 @dataclass
@@ -355,10 +356,10 @@ class NoabCounterexample:
     trial: int
 
 
-def noab_probe(n: int, seed: int, trials: int, q_threshold: float = -1e-6,
-               n_angles: int = 256, restarts: int = 24) -> NoabCounterexample | None:
+def noab_probe(n: int, seed: int, trials: int, n_angles: int = 256,
+               restarts: int = 24) -> NoabCounterexample | None:
     """Search boundary tensors (orthogonal pair minimum shifted to zero) for
-    a witness pair where Q is decisively negative.
+    a witness pair where Q is decisively negative (below NOAB_Q_THRESHOLD).
 
     Each trial draws a random tensor, shifts its orthogonal-pair minimum to
     zero, and evaluates Q at the vanishing pair.  A hit is re-verified with
@@ -373,7 +374,7 @@ def noab_probe(n: int, seed: int, trials: int, q_threshold: float = -1e-6,
         shifted, v, w = shift_to_boundary(A, MIN_ORTH_ABC, n_angles=n_angles,
                                           restarts=restarts, seed=sub)
         qv = q_quadratic(shifted).pair_value(v, w)
-        if qv < q_threshold:
+        if qv < NOAB_Q_THRESHOLD:
             # verify the boundary quality with a stronger search
             _, _, vmin = extremal_pair(shifted, MIN_ORTH_ABC, n_angles=1024,
                                        restarts=max(96, 4 * restarts), seed=sub + 1)

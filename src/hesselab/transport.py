@@ -18,6 +18,8 @@ from scipy.optimize import linprog
 from .errors import BadParams, Infeasible, NotDeterministic, OutOfDomain
 
 SLACK_TOL = 1e-9
+DOMINANCE_FLOOR = 0.5  # least share of a row's mass its largest entry must carry
+ENTROPIC_ITERS = 2000  # scaling iterations of entropic_plan
 
 
 @dataclass
@@ -136,7 +138,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def entropic_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
-                  epsilon: float = 1e-2, iters: int = 2000) -> np.ndarray:
+                  epsilon: float = 1e-2) -> np.ndarray:
     """Entropy-smoothed coupling by log-domain scaling iterations.
 
     Optional preconditioner / sanity check only: the exact solver never
@@ -149,7 +151,7 @@ def entropic_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     log_nu = np.log(nu.weights)
     f = np.zeros(mu.size)
     g = np.zeros(nu.size)
-    for _ in range(iters):
+    for _ in range(ENTROPIC_ITERS):
         f = epsilon * (log_mu - logsumexp((g[None, :] - C) / epsilon, axis=1))
         g = epsilon * (log_nu - logsumexp((f[:, None] - C) / epsilon, axis=0))
     return np.exp((f[:, None] + g[None, :] - C) / epsilon)
@@ -163,32 +165,31 @@ def marginal_residual(plan: TransportPlan, mu: DiscreteMeasure,
 
 
 def barycentric_map(plan: TransportPlan, mu: DiscreteMeasure,
-                    Y: np.ndarray, dominance_floor: float = 0.5) -> np.ndarray:
+                    Y: np.ndarray) -> np.ndarray:
     """T(x_a) = sum_b coupling[a,b] y_b / mu_a.
 
     Refuses (NotDeterministic) when any row's largest entry carries less
-    than ``dominance_floor`` of the row mass: such a coupling is too diffuse
-    to read as a map.
+    than DOMINANCE_FLOOR of the row mass: such a coupling is too diffuse to
+    read as a map.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     P = plan.coupling
     row_mass = P.sum(axis=1)
     dominance = P.max(axis=1) / np.maximum(row_mass, 1e-300)
-    if float(dominance.min()) < dominance_floor:
+    if float(dominance.min()) < DOMINANCE_FLOOR:
         raise NotDeterministic(
-            f"row dominance {dominance.min():.3f} below {dominance_floor}")
+            f"row dominance {dominance.min():.3f} below {DOMINANCE_FLOOR}")
     return (P @ Y) / row_mass[:, None]
 
 
 def holder_modulus(plan: TransportPlan, mu: DiscreteMeasure, Y: np.ndarray,
-                   alpha: float, interior: np.ndarray | None = None) -> float:
-    """max over interior pairs a != b of |T(x_a)-T(x_b)| / |x_a-x_b|^alpha."""
+                   alpha: float) -> float:
+    """max over pairs a != b of |T(x_a)-T(x_b)| / |x_a-x_b|^alpha."""
     T = barycentric_map(plan, mu, Y)
     X = mu.points
-    idx = np.arange(X.shape[0]) if interior is None else np.flatnonzero(interior)
     worst = 0.0
-    for ii, a in enumerate(idx):
-        for b in idx[ii + 1:]:
+    for a in range(X.shape[0]):
+        for b in range(a + 1, X.shape[0]):
             dx = float(np.linalg.norm(X[a] - X[b]))
             dT = float(np.linalg.norm(T[a] - T[b]))
             worst = max(worst, dT / dx**alpha)
@@ -201,26 +202,24 @@ def plan_tv(P1: np.ndarray, P2: np.ndarray) -> float:
 
 
 def weak_continuity_rows(costs_by_t: dict, mu: DiscreteMeasure,
-                         nu: DiscreteMeasure, alpha: float,
-                         interior: np.ndarray | None = None) -> list[dict]:
+                         nu: DiscreteMeasure, alpha: float) -> list[dict]:
     """Solve the instance under each flowed cost; report cost, modulus, and
     plan distance to the t = 0 plan, in increasing t order."""
     ts = sorted(costs_by_t)
     if ts[0] != 0.0:
         raise BadParams("weak-continuity experiment needs the t = 0 cost")
-    base = solve_exact(mu, nu, costs_by_t[ts[0]])
+    plans = [solve_exact(mu, nu, costs_by_t[t]) for t in ts]
     rows = []
-    for t in ts:
-        plan = solve_exact(mu, nu, costs_by_t[t])
+    for t, plan in zip(ts, plans):
         try:
-            modulus = holder_modulus(plan, mu, nu.points, alpha, interior)
+            modulus = holder_modulus(plan, mu, nu.points, alpha)
         except NotDeterministic:
             modulus = float("nan")
         rows.append({
             "t": t,
             "cost": plan.cost,
             "holder_modulus": modulus,
-            "plan_tv_to_t0": plan_tv(plan.coupling, base.coupling),
+            "plan_tv_to_t0": plan_tv(plan.coupling, plans[0].coupling),
             "slack_residual": plan.slack_residual,
         })
     return rows

@@ -435,11 +435,12 @@ def test_criterion_13_verify_all_reproducibility(tmp_path):
         code = verify_all(out)
         assert code == 0
         blobs = {}
-        for f in sorted(out.rglob("*.csv")):
-            blobs[str(f.relative_to(out))] = f.read_bytes()
+        for f in sorted(out.rglob("*")):
+            if f.is_file():
+                blobs[str(f.relative_to(out))] = f.read_bytes()
         outs.append(blobs)
     elapsed = time.time() - t0
     identical = outs[0] == outs[1] and len(outs[0]) > 0
     report(13, identical and elapsed < 900.0,
-           f"two verify-all runs produced byte-identical CSVs "
+           f"two verify-all runs produced byte-identical files "
            f"({len(outs[0])} files), total {elapsed:.1f} s (< 15 min)")

@@ -214,3 +214,36 @@ name = radial_sym
     assert "config error: " in err and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# each line exactly as flow-run printed it when each assert key had its own branch
+@pytest.mark.parametrize("key, bound, code, line", [
+    ("assert_abc_max_below", "0.001", 0,
+     "  ABC_max worst 7.629760867322588e-05 <= 0.001: True"),
+    ("assert_abc_max_below", "1e-05", 1,
+     "  ABC_max worst 7.629760867322588e-05 <= 1e-05: False"),
+    ("assert_orth_min_above", "-3.0", 0,
+     "  ORTH_ABC_min worst -2.378609541085708 >= -3.0: True"),
+    ("assert_orth_min_above", "-2.0", 1,
+     "  ORTH_ABC_min worst -2.378609541085708 >= -2.0: False"),
+    ("assert_chen_above", "2.5", 0,
+     "  chen_residual worst 2.907217800526917 >= 2.5: True"),
+    ("assert_chen_above", "3.0", 1,
+     "  chen_residual worst 2.907217800526917 >= 3.0: False"),
+    ("assert_stationary_below", "0.001", 0,
+     "  potential drift 0.00013574696608663513 <= 0.001: True"),
+    ("assert_stationary_below", "0.0001", 1,
+     "  potential drift 0.00013574696608663513 <= 0.0001: False"),
+])
+def test_flow_run_assert_table(tmp_path, capsys, key, bound, code, line):
+    cfg = Config.from_dict({
+        "experiment": {"kind": "flow-run"},
+        "potential": {"name": "quadratic_plus_periodic", "amplitude": 0.05,
+                      "wave": "1 2"},
+        "flow": {"mode": "periodic", "nodes": 16, "time": 0.002, "epochs": 2,
+                 "sample_per_axis": 2, key: bound},
+    })
+    assert run_config(cfg, tmp_path) == code
+    assert capsys.readouterr().out.splitlines() == [
+        "flow quadratic_plus_periodic mode=periodic T=0.002: 4 epochs",
+        line, "FAIL" if code else "PASS"]

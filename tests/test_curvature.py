@@ -356,6 +356,14 @@ def test_certify_ball_nonpositive_and_witness_reproduces(ball2):
     assert again == pytest.approx(cert.extremal_value, abs=1e-12)
 
 
+def test_hsc_witness_reproduces_in_2d(ball2):
+    cert = certify_sign(ball2, "HSC_POL", RegionSpec(count=4, seed=6, extent=0.9),
+                        SearchSpec(n_angles=360))
+    again = reevaluate_witness(ball2, cert)
+    assert again == hsc(core_form(ball2.jet(cert.witness_point)), cert.witness_v)
+    assert again == pytest.approx(cert.extremal_value, abs=1e-12)
+
+
 def test_certify_scale_invariance(ball2):
     base = certify_sign(ball2, "ABC", RegionSpec(count=6, seed=9, extent=0.8),
                         SearchSpec(n_angles=360))

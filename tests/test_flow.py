@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hesselab import flow
+from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
                              StabilityFailure)
-from hesselab.potentials import (GridPotential, catalog, quadratic,
+from hesselab.potentials import (GridPotential, LogBarrier, catalog, quadratic,
                                  read_grid_file)
 
 
@@ -117,6 +118,27 @@ def test_oversized_window_step_fails_after_the_step(ball2):
         flow.step(state, dt)
     assert err.value.node == (2, 3)
     assert err.value.time == dt
+
+
+def test_checked_det_rejects_a_nan_entry_in_1d():
+    with pytest.raises(StabilityFailure, match="positivity") as err:
+        flow._checked_det([np.array([1.0, np.nan, 1.0])], (slice(None),), 0.0)
+    assert err.value.node == (1,)
+
+
+class NanSampleBarrier(LogBarrier):
+    """-log x with a NaN value at x = 0.6."""
+
+    def _value(self, x):
+        return np.nan if x[0] == 0.6 else super()._value(x)
+
+
+def test_one_dimensional_init_rejects_a_nan_sample():
+    """u[10] is NaN, so the first checked node with a NaN Hessian is 9."""
+    grid = flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5])
+    with pytest.raises(StabilityFailure, match="positivity") as err:
+        flow.init(NanSampleBarrier(), grid, "frozen-window")
+    assert err.value.node == (9,)
 
 
 def test_adaptive_dt_singular():
@@ -271,9 +293,12 @@ def test_csv_round_trip(tmp_path):
     state = flow.init(quadratic(2), torus(16), "periodic")
     _, series = flow.run(state, 0.002, monitor_epochs=2, sample_per_axis=3)
     path = tmp_path / "series.csv"
-    series.to_csv(path)
+    _write_series(path, series)
     header = path.read_text().splitlines()[0]
     assert header.startswith("t,S_min,S_max,ABC_max,ORTH_ABC_min,H_pol_min,O_max")
+    dat = path.with_suffix(".dat").read_text().splitlines()
+    assert dat[0].startswith("# t S_min S_max ABC_max ORTH_ABC_min H_pol_min O_max")
+    assert len(dat) == len(series.times) + 1
 
 
 # -- weak-regularity probe ------------------------------------------------------------------

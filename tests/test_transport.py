@@ -407,6 +407,23 @@ def test_weak_continuity_quadratic_rows_identical():
     assert all(r["plan_tv_to_t0"] == 0.0 for r in rows)
 
 
+def test_weak_continuity_solves_each_time_once(monkeypatch):
+    X, Y = random_instance(4, 23)
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    times = (0.0, 0.01, 0.02)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve_exact(*args)
+
+    monkeypatch.setattr(transport, "solve_exact", counted)
+    rows = weak_continuity_rows({t: (1.0 + t) * C for t in times}, mu, nu, 0.5)
+    assert len(solves) == len(times)
+    assert rows[0]["plan_tv_to_t0"] == 0.0
+
+
 def test_weak_continuity_radial_experiment(radial):
     grid = flow.GridSpec(shape=(36, 36), spacing=0.036,
                          origin=np.array([0.55, -0.65]))
