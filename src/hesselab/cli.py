@@ -186,7 +186,10 @@ def _exp_flow_run(cfg: Config, outdir: Path):
                            cfg.get("flow", "origin_y", float)])
         spacing = cfg.get("flow", "spacing", float)
         grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
-    state = flow.init(handle, grid, mode, lam=lam)
+    try:
+        state = flow.init(handle, grid, mode, lam=lam)
+    except BadParams as exc:
+        raise ConfigError(f"bad [flow] grid: {exc}") from exc
     final, series = flow.run(state, T, sample_per_axis=per_axis,
                              monitor_epochs=epochs)
     _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)

@@ -57,6 +57,7 @@ RING = 2  # boundary ring width == widest monitor stencil radius
 MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
 MONITOR_ANGLES = 240  # scan angles of each monitor extremization
 KR_TOL = 1e-6  # kr_probe's allowance below zero for ORTH_ABC_min
+KR_SAMPLE_PER_AXIS = 5  # kr_probe's monitor nodes per grid axis
 
 CHANNELS = ("S_min", "S_max", "ABC_max", "ORTH_ABC_min", "H_pol_min",
             "O_max", "chen_residual", "hpol_bound_residual")
@@ -215,6 +216,9 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
         if not isinstance(handle, QuadraticPlusPeriodic):
             raise IncompatibleMode(
                 "periodic mode needs a quadratic-plus-periodic potential")
+        if len(grid.shape) != handle.n:
+            raise BadParams(f"a {len(grid.shape)}-D torus grid for a potential "
+                            f"in n = {handle.n}")
         m = grid.shape[0]
         if any(s != m for s in grid.shape):
             raise BadParams("torus grids must be square")
@@ -501,15 +505,15 @@ class KrVerdict:
 
 
 def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
-             mode: str = "frozen-window", sample_per_axis: int = 5,
-             monitor_epochs: int = 8) -> KrVerdict:
+             mode: str = "frozen-window", monitor_epochs: int = 8) -> KrVerdict:
     """Run the flow to time eps and test the orthogonal-pair minimum.
 
-    Verdict is weakly regular when ORTH_ABC_min >= -KR_TOL at every recorded
-    positive time; otherwise the first violating time is reported.
+    The monitor samples KR_SAMPLE_PER_AXIS nodes per axis.  Verdict is
+    weakly regular when ORTH_ABC_min >= -KR_TOL at every recorded positive
+    time; otherwise the first violating time is reported.
     """
     state = init(handle, grid, mode)
-    _, series = run(state, eps, sample_per_axis=sample_per_axis,
+    _, series = run(state, eps, sample_per_axis=KR_SAMPLE_PER_AXIS,
                     monitor_epochs=monitor_epochs)
     times = np.asarray(series.times)
     vals = series.channel("ORTH_ABC_min")

@@ -28,6 +28,8 @@ from .jets import orbit_table
 
 BLOWUP_CAP = 1e12
 NOAB_Q_THRESHOLD = -1e-6  # noab_probe's hit: Q below this at the boundary pair
+NOAB_ANGLES = 256  # noab_probe's scan angles per boundary shift
+NOAB_RESTARTS = 24  # noab_probe's restarts per boundary shift
 
 
 @dataclass
@@ -356,14 +358,14 @@ class NoabCounterexample:
     trial: int
 
 
-def noab_probe(n: int, seed: int, trials: int, n_angles: int = 256,
-               restarts: int = 24) -> NoabCounterexample | None:
+def noab_probe(n: int, seed: int, trials: int) -> NoabCounterexample | None:
     """Search boundary tensors (orthogonal pair minimum shifted to zero) for
     a witness pair where Q is decisively negative (below NOAB_Q_THRESHOLD).
 
     Each trial draws a random tensor, shifts its orthogonal-pair minimum to
-    zero, and evaluates Q at the vanishing pair.  A hit is re-verified with
-    a finer extremization before being returned.
+    zero with NOAB_ANGLES scan angles and NOAB_RESTARTS restarts, and
+    evaluates Q at the vanishing pair.  A hit is re-verified with a finer
+    extremization before being returned.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
@@ -371,13 +373,13 @@ def noab_probe(n: int, seed: int, trials: int, n_angles: int = 256,
     for trial in range(trials):
         sub = int(rng.integers(0, 2**63 - 1))
         A = AlgCurvTensor.random(n, sub)
-        shifted, v, w = shift_to_boundary(A, MIN_ORTH_ABC, n_angles=n_angles,
-                                          restarts=restarts, seed=sub)
+        shifted, v, w = shift_to_boundary(A, MIN_ORTH_ABC, n_angles=NOAB_ANGLES,
+                                          restarts=NOAB_RESTARTS, seed=sub)
         qv = q_quadratic(shifted).pair_value(v, w)
         if qv < NOAB_Q_THRESHOLD:
             # verify the boundary quality with a stronger search
             _, _, vmin = extremal_pair(shifted, MIN_ORTH_ABC, n_angles=1024,
-                                       restarts=max(96, 4 * restarts), seed=sub + 1)
+                                       restarts=4 * NOAB_RESTARTS, seed=sub + 1)
             band = 1e-8 * (1.0 + shifted.norm)
             if vmin > -band:
                 return NoabCounterexample(tensor=shifted, v=v, w=w, q_value=qv,

@@ -1,11 +1,18 @@
 """Exact discrete optimal transport for difference costs c(x,y) = psi(x-y).
 
-The solver is the exact LP over couplings (marginal-constrained, solved by
-the HiGHS dual simplex, which terminates at an optimal vertex); every plan
-returned carries dual potentials and is certified by complementary
-slackness at 1e-9.  Instances solve independently; each solve is
-single-threaded.  A cost matrix is one batched evaluation of psi over all
-m * k differences, with the errors the pointwise evaluation raises.
+Two uniform measures of one size m are solved as an assignment: the
+vertices of their coupling polytope are the permutation matrices divided
+by m (Birkhoff-von Neumann), so a minimum-cost assignment (Jonker-Volgenant,
+scipy's linear_sum_assignment) is an exact optimum of the LP.  Its duals
+are shortest-path potentials of the column graph.  All other instances
+solve the exact LP over couplings (marginal-constrained, HiGHS dual
+simplex, which terminates at an optimal vertex).  Either way a plan
+carries dual potentials and is certified by complementary slackness at
+1e-9, computed here from C, the plan and the duals alone, so the
+certificate does not rest on either solver being right.  Instances
+solve independently; each solve is single-threaded.  A cost matrix is one
+batched evaluation of psi over all m * k differences, with the errors the
+pointwise evaluation raises.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import BadParams, Infeasible, NotDeterministic, OutOfDomain
 
@@ -102,15 +109,77 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 C: np.ndarray) -> TransportPlan:
     """Exact optimal coupling with dual certificate.
 
-    Raises Infeasible on size/weight mismatch.  Suitable for supports up to
-    about a thousand points.
+    Uniform measures of equal size solve as an assignment, exact there
+    because some optimal coupling is a permutation matrix divided by m; the
+    duals are shortest-path potentials (``_assignment_duals``).  Other
+    instances solve the LP over couplings with the HiGHS dual simplex.  The returned
+    residuals are computed from C, the plan and the duals, whichever solver
+    ran.  Raises Infeasible on size/weight mismatch and BadParams on a
+    non-finite cost.  Suitable for supports up to about a thousand points.
     """
     C = np.asarray(C, dtype=float)
     m, k = mu.size, nu.size
     if C.shape != (m, k):
         raise Infeasible(f"cost matrix shape {C.shape} != ({m}, {k})")
+    if not np.isfinite(C).all():
+        raise BadParams("cost matrix has a NaN or infinite entry")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-10:
         raise Infeasible("marginal masses differ")
+    if m == k and all(np.abs(w - 1.0 / m).max() <= 1e-12
+                      for w in (mu.weights, nu.weights)):
+        rows, cols = linear_sum_assignment(C)
+        P = np.zeros((m, k))
+        P[rows, cols] = mu.weights
+        u, v = _assignment_duals(C, cols)
+    else:
+        P, u, v = _lp_plan(mu, nu, C)
+    return _residual_plan(C, P, u, v)
+
+
+def _residual_plan(C: np.ndarray, P: np.ndarray, u: np.ndarray,
+                   v: np.ndarray) -> TransportPlan:
+    """The plan with its cost and the residuals of the duals (u, v)."""
+    red = C - u[:, None] - v[None, :]
+    support = P > 1e-12
+    slack = float(np.abs(red[support]).max()) if support.any() else 0.0
+    feas = float(red.min())
+    return TransportPlan(coupling=P, cost=float(np.sum(P * C)), dual_u=u,
+                         dual_v=v, slack_residual=slack,
+                         feasibility_residual=feas)
+
+
+def _assignment_duals(C: np.ndarray, sigma: np.ndarray):
+    """Duals (u, v) with u[a] + v[sigma[a]] = C[a, sigma[a]] and u + v <= C.
+
+    v is the shortest-path distance, from a source with a zero arc to every
+    column, in the column graph with an arc sigma[a] -> b of weight
+    C[a, b] - C[a, sigma[a]]; C[a, b] - u[a] - v[b] is then that arc's
+    weight plus v[sigma[a]] - v[b] >= 0.  Bellman-Ford fixes v within
+    m + 1 passes unless the graph has a negative cycle, which would lower
+    the assignment's cost: then Infeasible is raised.  A pass counts as a
+    change only where it lowers v by more than tol, the rounding a cycle of
+    m arcs can gather, so a tie between assignments that rounding turns
+    into a cycle of weight -1e-16 is not taken for one; C - u - v then
+    stays above about -tol, which the caller's residuals check.
+    """
+    m = C.shape[0]
+    inv = np.empty(m, dtype=int)
+    inv[sigma] = np.arange(m)
+    W = C[inv] - C[inv, np.arange(m)][:, None]  # W[j, b]: arc j -> b, W[j, j] = 0
+    tol = 8 * m * np.finfo(float).eps * np.abs(C).max()
+    v = np.zeros(m)
+    for _ in range(m + 1):
+        nxt = (v[:, None] + W).min(axis=0)
+        if np.all(nxt >= v - tol):
+            return C[np.arange(m), sigma] - v[sigma], v
+        v = nxt
+    raise Infeasible("assignment duals found a negative cycle: the "
+                     "assignment is not optimal")
+
+
+def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray):
+    """Coupling and marginal duals (P, u, v) of the LP over couplings."""
+    m, k = C.shape
     from scipy.sparse import coo_matrix
     # rows a < m sum P[a, :], rows m + b sum P[:, b]; entries in the order of
     # a loop over (a, b) for the first block and over (b, a) for the second
@@ -125,16 +194,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise Infeasible(f"LP solve failed: {res.message}")
-    P = res.x.reshape(m, k)
     y = np.asarray(res.eqlin.marginals)
-    u, v = y[:m], y[m:]
-    red = C - u[:, None] - v[None, :]
-    support = P > 1e-12
-    slack = float(np.abs(red[support]).max()) if support.any() else 0.0
-    feas = float(red.min())
-    return TransportPlan(coupling=P, cost=float(np.sum(P * C)), dual_u=u,
-                         dual_v=v, slack_residual=slack,
-                         feasibility_residual=feas)
+    return res.x.reshape(m, k), y[:m], y[m:]
 
 
 def entropic_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
@@ -142,7 +203,7 @@ def entropic_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     """Entropy-smoothed coupling by log-domain scaling iterations.
 
     Optional preconditioner / sanity check only: the exact solver never
-    consumes it, and all certificates come from the LP path.
+    consumes it, and all certificates come from solve_exact.
     """
     if epsilon <= 0:
         raise BadParams("epsilon must be positive")

@@ -247,3 +247,28 @@ def test_flow_run_assert_table(tmp_path, capsys, key, bound, code, line):
     assert capsys.readouterr().out.splitlines() == [
         "flow quadratic_plus_periodic mode=periodic T=0.002: 4 epochs",
         line, "FAIL" if code else "PASS"]
+
+
+def test_periodic_flow_on_a_grid_of_another_dimension_exits_2(tmp_path, capsys,
+                                                              monkeypatch):
+    """flow-run builds a 2-D torus; an n = 3 potential on it is a config
+    error, reported without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text("""
+[experiment]
+kind = flow-run
+
+[potential]
+name = quadratic_plus_periodic
+n = 3
+
+[flow]
+mode = periodic
+nodes = 8
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad [flow] grid: a 2-D torus grid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

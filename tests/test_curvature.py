@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import AffineImage, ScaledHandle
 from hesselab import _extrema
@@ -175,6 +177,31 @@ def test_hsc_scale_invariant_in_vector(ball2):
     assert hsc(sample, v) == pytest.approx(hsc(sample, 3.7 * v), rel=1e-12)
     with pytest.raises(ZeroVector):
         hsc(sample, np.zeros(2))
+
+
+_HSC_HANDLES = [catalog("calabi_ball", n=2), catalog("calabi_ball", n=3),
+                catalog("cone2d"), catalog("radial_sym", C=1.0),
+                catalog("bidisk_product")]
+
+
+@st.composite
+def hsc_scalings(draw):
+    """A core form at a sampled domain point, a direction v with
+    |v| >= 1e-3 and a scale s != 0 with 1e-3 <= |s| <= 1e3."""
+    handle = draw(st.sampled_from(_HSC_HANDLES))
+    x = handle.domain.sample(1, draw(st.integers(0, 2**31 - 1)))[0]
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=handle.n,
+                               max_size=handle.n)))
+    assume(np.linalg.norm(v) >= 1e-3)
+    s = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    return core_form(handle.jet(x)), v, s
+
+
+@given(hsc_scalings())
+def test_hsc_scale_invariance_property(case):
+    """hsc(sample, s v) == hsc(sample, v) within 1e-12 relative."""
+    sample, v, s = case
+    assert hsc(sample, s * v) == pytest.approx(hsc(sample, v), rel=1e-12, abs=0.0)
 
 
 def test_hsc_full_reduces_to_hsc(ball2):

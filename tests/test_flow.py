@@ -50,6 +50,13 @@ def test_init_window_rejects_bad_spacing(ball2, spacing):
         flow.init(ball2, grid, "frozen-window")
 
 
+@pytest.mark.parametrize("n, shape", [(3, (8, 8)), (2, (8,)), (2, (8, 8, 8))])
+def test_init_torus_rejects_a_grid_of_another_dimension(n, shape):
+    handle = catalog("quadratic_plus_periodic", n=n, amplitude=0.05)
+    with pytest.raises(BadParams, match="torus grid"):
+        flow.init(handle, flow.GridSpec(shape=shape), "periodic")
+
+
 def test_incompatible_mode(ball2):
     with pytest.raises(IncompatibleMode):
         flow.init(ball2, torus(16), "periodic")

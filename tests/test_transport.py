@@ -236,25 +236,41 @@ def test_solver_matches_brute_force(m):
         assert marginal_residual(plan, mu, nu) < 1e-10
 
 
+def seeded_weights(m, seed):
+    """Non-uniform positive weights summing to 1 (the last one closes the sum)."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, m)
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    return w
+
+
+def spied_linprog(monkeypatch):
+    """Replace transport.linprog by a pass-through that records each call."""
+    from scipy.optimize import linprog
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    return calls
+
+
 def test_solver_pins_dual_simplex_and_keeps_the_looped_plan(monkeypatch):
-    """solve_exact calls the HiGHS dual simplex; its plan is byte-identical to
-    the LP whose marginal rows are built by Python loops and solved with the
-    default HiGHS choice."""
+    """On non-uniform measures solve_exact calls the HiGHS dual simplex; its
+    plan is byte-identical to the LP whose marginal rows are built by Python
+    loops and solved with the default HiGHS choice."""
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
     m = 32
     X, Y = random_instance(m, 3)
-    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    mu, nu = DiscreteMeasure(X, seeded_weights(m, 4)), DiscreteMeasure(Y, seeded_weights(m, 5))
     C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
-    methods = []
-
-    def spy(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "linprog", spy)
+    methods = spied_linprog(monkeypatch)
     plan = solve_exact(mu, nu, C)
     assert methods == ["highs-ds"]
+    assert plan.certified
     rows, cols = [], []
     for a in range(m):
         for b in range(m):
@@ -270,6 +286,89 @@ def test_solver_pins_dual_simplex_and_keeps_the_looped_plan(monkeypatch):
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert plan.coupling.tobytes() == ref.x.reshape(m, m).tobytes()
+
+
+def lp_path_plan(mu, nu, C):
+    """The plan the LP path gives, with the residuals solve_exact computes."""
+    return transport._residual_plan(C, *transport._lp_plan(mu, nu, C))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32, 96])
+def test_assignment_path_matches_lp_path(monkeypatch, m):
+    """Uniform equal-size instances take the assignment path; its plan has
+    the LP path's support and cost, and both carry certified duals."""
+    calls = spied_linprog(monkeypatch)
+    for seed in (0, 1, 2):
+        X, Y = window_instance(m, 100 * m + seed)
+        mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+        C = np.sqrt(((X[:, None] - Y[None]) ** 2).sum(axis=2))
+        C = C - np.log(C + 1.0)          # the radial_sym cost at t = 0
+        fast = solve_exact(mu, nu, C)
+        assert calls == [], "the assignment path called linprog"
+        slow = lp_path_plan(mu, nu, C)
+        calls.clear()
+        assert np.array_equal(fast.coupling > 1e-12, slow.coupling > 1e-12)
+        assert fast.cost == pytest.approx(slow.cost, rel=1e-12, abs=0.0)
+        for plan in (fast, slow):
+            assert plan.certified
+            red = C - plan.dual_u[:, None] - plan.dual_v[None, :]
+            assert red.min() >= -1e-12
+        assert marginal_residual(fast, mu, nu) <= 1e-12
+
+
+@pytest.mark.parametrize("C", [
+    np.full((6, 6), 0.7), 1.0 - np.eye(6),
+    np.sqrt(2.0) * np.subtract.outer(0.1 * np.arange(6) + 0.65, 0.1 * np.arange(6)).T])
+def test_assignment_path_certifies_ties(C):
+    """Costs where many permutations tie: constant, 1 - I, and y_b - x_a
+    with every y above every x, where all permutations tie in exact
+    arithmetic and rounding breaks the ties by 1e-16."""
+    mu = DiscreteMeasure.uniform(np.arange(6.0)[:, None])
+    plan = solve_exact(mu, mu, C)
+    assert plan.certified
+    assert plan.cost == pytest.approx(brute_force_assignment_cost(C), abs=1e-12)
+
+
+def test_non_optimal_assignment_is_infeasible(monkeypatch):
+    """A permutation the duals can improve on raises Infeasible: the
+    certificate does not rest on the assignment solver being right."""
+    X, Y = random_instance(7, 4)
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    rows, cols = transport.linear_sum_assignment(C)
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda C: (rows, np.roll(cols, 1)))
+    with pytest.raises(Infeasible, match="negative cycle"):
+        solve_exact(mu, nu, C)
+
+
+def test_unequal_or_non_uniform_measures_take_the_lp_path(monkeypatch):
+    calls = spied_linprog(monkeypatch)
+    X, Y = random_instance(6, 8)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    for a, b, Cab in ((DiscreteMeasure.uniform(X[:4]), nu, C[:4]),
+                      (DiscreteMeasure(X, seeded_weights(6, 1)), nu, C),
+                      (mu, DiscreteMeasure(Y, seeded_weights(6, 2)), C)):
+        before = len(calls)
+        plan = solve_exact(a, b, Cab)
+        assert calls[before:] == ["highs-ds"]
+        assert plan.certified
+        assert marginal_residual(plan, a, b) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cost_raises_bad_params_on_both_paths(monkeypatch, bad):
+    calls = spied_linprog(monkeypatch)
+    X, Y = random_instance(5, 6)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    C[2, 3] = bad
+    uniform = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    weighted = DiscreteMeasure(X, seeded_weights(5, 3)), uniform[1]
+    for mu, nu in (uniform, weighted):
+        with pytest.raises(BadParams, match="NaN or infinite"):
+            solve_exact(mu, nu, C)
+    assert calls == []
 
 
 def test_solver_with_radial_cost(radial):
