@@ -4,8 +4,7 @@ tube-domain metrics of convex potentials."""
 from .certificates import SignCertificate
 from .domains import DomainSpec
 from .jets import PotentialJet, fd_jet
-from .potentials import (GridPotential, PotentialHandle, catalog,
-                         catalog_entries, convexity_certify, quadratic)
+from .potentials import GridPotential, PotentialHandle, catalog, catalog_entries
 
 __all__ = [
     "SignCertificate",
@@ -16,8 +15,6 @@ __all__ = [
     "GridPotential",
     "catalog",
     "catalog_entries",
-    "convexity_certify",
-    "quadratic",
 ]
 
 __version__ = "0.1.0"

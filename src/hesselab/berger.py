@@ -105,12 +105,6 @@ def polarized_average(sample: CurvatureSample, count: int, seed: int) -> SphereA
     )
 
 
-def exact_polarized_average(sample: CurvatureSample) -> float:
-    """Closed-form value of the polarized sphere average (moment identity)."""
-    n = sample.n
-    return (2.0 * scalar(sample) + full_abc_trace(sample)) / (n * (n + 2))
-
-
 @dataclass
 class DecompositionFit:
     alpha: float

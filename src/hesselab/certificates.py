@@ -1,4 +1,4 @@
-"""Sign certificates produced by curvature scans and convexity checks."""
+"""Sign certificates produced by curvature scans."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ class SignCertificate:
 
     The witness is stored exactly as the configuration (point, vector pair)
     at which the extremum was located.  It reproduces ``extremal_value`` at
-    n = 2 but need not at n >= 3, where the extremizer can report a value
-    off the unit sphere (ROADMAP item 1).
+    n = 2 but need not at n >= 3, where the extremizer can keep a value it
+    took at a vector pair off the unit sphere.
     """
 
     verdict: str
@@ -31,11 +31,6 @@ class SignCertificate:
     samples_scanned: int
     quantity: str = ""
     extra: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        """Convexity-style reading: strictly positive beyond tolerance."""
-        return self.verdict == NONNEGATIVE and self.extremal_value > self.tolerance
 
     def to_text(self) -> str:
         lines = [

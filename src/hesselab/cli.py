@@ -70,9 +70,6 @@ class Config:
     def section(self, name: str) -> dict:
         return dict(self._p[name]) if self._p.has_section(name) else {}
 
-    def has(self, section: str) -> bool:
-        return self._p.has_section(section)
-
 
 def _potential_from(cfg: Config):
     sec = cfg.section("potential")
@@ -96,10 +93,8 @@ def _potential_from(cfg: Config):
         raise ConfigError(f"bad [potential] value: {exc}") from exc
     try:
         return catalog(name, **kwargs)
-    except BadGridFile as exc:
+    except (BadGridFile, BadParams) as exc:
         raise ConfigError(str(exc)) from exc
-    except HesselabError:
-        raise
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {name}: {exc}") from exc
 

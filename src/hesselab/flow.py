@@ -50,8 +50,7 @@ from .errors import (BadParams, IncompatibleMode, SingularHessian,
                      StabilityFailure)
 from .jets import (_STENCILS, PotentialJet, pd_check, symmetric_from_orders,
                    symmetrize)
-from .potentials import (GridPotential, PotentialHandle,
-                         QuadraticPlusPeriodic, write_grid_file)
+from .potentials import GridPotential, PotentialHandle, QuadraticPlusPeriodic
 
 RING = 2  # boundary ring width == widest monitor stencil radius
 MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
@@ -523,14 +522,7 @@ def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
     return KrVerdict(True, eps, None, series)
 
 
-def save_checkpoint(state: FlowState, path) -> None:
-    """Window checkpoints reuse the grid-potential text format plus a t header."""
-    if state.mode != "frozen-window":
-        raise BadParams("checkpoints are for frozen-window states")
-    write_grid_file(path, state.origin, state.spacing, state.u, t=state.t)
-
-
-def to_grid_potential(state: FlowState, name: str = "flow-checkpoint") -> GridPotential:
+def to_grid_potential(state: FlowState) -> GridPotential:
     if state.mode != "frozen-window":
         raise BadParams("grid potentials are extracted from window states")
-    return GridPotential(state.origin, state.spacing, state.u, name=name)
+    return GridPotential(state.origin, state.spacing, state.u, name="flow-checkpoint")

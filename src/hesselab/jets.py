@@ -77,14 +77,6 @@ def symmetric_from_orders(n: int, order: int, value_of: Callable) -> np.ndarray:
     return np.array(vals, dtype=float)[owner].reshape((n,) * order)
 
 
-def is_fully_symmetric(T: np.ndarray) -> bool:
-    k = T.ndim
-    return all(
-        np.array_equal(T, np.transpose(T, perm))
-        for perm in itertools.permutations(range(k))
-    )
-
-
 def pd_check(H: np.ndarray) -> tuple[bool, float, float]:
     """Scale-aware PD test; returns (ok, lambda_min, lambda_max)."""
     w = np.linalg.eigvalsh(H)
@@ -115,17 +107,6 @@ class PotentialJet:
                 f"hessian at {self.x} has lambda_min={lo:.3e} (lambda_max={hi:.3e})"
             )
         return self
-
-    def scaled(self, c: float) -> "PotentialJet":
-        """Jet of c * psi at the same point."""
-        return PotentialJet(
-            x=self.x.copy(),
-            value=c * self.value,
-            gradient=c * self.gradient,
-            hessian=c * self.hessian,
-            third=c * self.third,
-            fourth=c * self.fourth,
-        )
 
 
 # -- central finite-difference stencils (all second-order accurate) ----------

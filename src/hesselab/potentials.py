@@ -11,14 +11,12 @@ they are safe for unlimited concurrent reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .certificates import NONNEGATIVE, NONPOSITIVE, SignCertificate
 from .domains import DomainSpec
-from .errors import BadGridFile, BadParams, NotConvexHere, UnknownName
+from .errors import BadGridFile, BadParams, UnknownName
 from .jets import (PotentialJet, fd_jet, jet_from_inner, neg_log_jet,
                    pd_check, radial_r_jets, symmetrize)
 
@@ -26,12 +24,9 @@ from .jets import (PotentialJet, fd_jet, jet_from_inner, neg_log_jet,
 class PotentialHandle:
     """Base class: a named convex potential on a domain."""
 
-    mode = "closed-form"
-
-    def __init__(self, name: str, domain: DomainSpec, params: dict | None = None):
+    def __init__(self, name: str, domain: DomainSpec):
         self.name = name
         self.domain = domain
-        self.params = dict(params or {})
 
     @property
     def n(self) -> int:
@@ -139,7 +134,7 @@ class CalabiBall(PotentialHandle):
 
     def __init__(self, n: int = 2, margin: float = 0.02):
         dom = DomainSpec(n, "ball", {"radius": 1.0}, margin)
-        super().__init__("calabi_ball", dom, {"n": n})
+        super().__init__("calabi_ball", dom)
 
     def _value(self, x):
         return -float(np.log(1.0 - x @ x))
@@ -183,7 +178,7 @@ class RadialSym(PotentialHandle):
         if C <= 0:
             raise BadParams(f"radial_sym requires C > 0, got {C}")
         dom = DomainSpec(n, "full-space", {"exclude_radius": margin}, margin)
-        super().__init__("radial_sym", dom, {"n": n, "C": C})
+        super().__init__("radial_sym", dom)
         self.C = float(C)
 
     def _value(self, x):
@@ -229,8 +224,7 @@ class QuadraticPlusPeriodic(PotentialHandle):
         if amplitude != 0.0 and all(k == 0 for k in wave):
             raise BadParams("nonzero amplitude requires a nonzero wave vector")
         dom = DomainSpec(n, "torus", {}, 0.0)
-        super().__init__("quadratic_plus_periodic", dom,
-                         {"n": n, "amplitude": amplitude, "wave": wave})
+        super().__init__("quadratic_plus_periodic", dom)
         self.amplitude = float(amplitude)
         self.wave = np.asarray(wave, dtype=float)
         self.quad = A
@@ -265,19 +259,12 @@ class QuadraticPlusPeriodic(PotentialHandle):
                 f"wave {tuple(int(v) for v in self.wave)}) on the unit torus T^{self.n}")
 
 
-def quadratic(n: int = 2, quad: np.ndarray | None = None) -> QuadraticPlusPeriodic:
-    """Pure quadratic potential (periodic amplitude zero)."""
-    return QuadraticPlusPeriodic(n=n, amplitude=0.0, quad=quad)
-
-
 class GridPotential(PotentialHandle):
     """Potential sampled on a uniform grid, differentiated by stencils.
 
     Jets carry the stencils' second-order truncation error; spacing for the
     stencils is ``max(1e-3, 2 * grid spacing)``.
     """
-
-    mode = "grid-interpolated"
 
     def __init__(self, origin: np.ndarray, spacing: float, values: np.ndarray,
                  name: str = "grid"):
@@ -300,7 +287,7 @@ class GridPotential(PotentialHandle):
         # the stencil (radius 2) must stay inside the data
         margin = 2.0 * self.fd_h + 1e-12
         dom = DomainSpec(n, "box", {"bounds": bounds}, margin)
-        super().__init__(name, dom, {"spacing": spacing})
+        super().__init__(name, dom)
         self._spline, self._spline_rows = self._build_spline()
 
     def _build_spline(self):
@@ -339,14 +326,14 @@ class GridPotential(PotentialHandle):
                 f"spacing {self.spacing}")
 
     @classmethod
-    def from_file(cls, path: str | Path, name: str = "grid") -> "GridPotential":
+    def from_file(cls, path: str | Path) -> "GridPotential":
         origin, spacing, values, _ = read_grid_file(path)
-        return cls(origin, spacing, values, name=name)
+        return cls(origin, spacing, values)
 
 
 # -- grid potential text format ----------------------------------------------
 # header line: n h x0_1 .. x0_n m_1 .. m_n   (dims then origin then shape)
-# optional line: t = <float>                  (flow checkpoints)
+# optional line: t = <float>                  (read and returned, never written)
 # then the values in row-major order, whitespace/comma separated.
 
 def read_grid_file(path: str | Path):
@@ -380,27 +367,15 @@ def read_grid_file(path: str | Path):
     return origin, spacing, values.reshape(shape), t
 
 
-def write_grid_file(path: str | Path, origin, spacing, values, t: float | None = None):
-    values = np.asarray(values, dtype=float)
-    origin = np.atleast_1d(np.asarray(origin, dtype=float))
-    n = origin.shape[0]
-    with open(path, "w") as fh:
-        head = [str(n), repr(float(spacing))]
-        head += [repr(float(v)) for v in origin]
-        head += [str(m) for m in values.shape]
-        fh.write(" ".join(head) + "\n")
-        if t is not None:
-            fh.write(f"t = {t!r}\n")
-        flat = values.ravel()
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join(repr(float(v)) for v in flat[start:start + 8]) + "\n")
-
-
 # -- catalog ------------------------------------------------------------------
 
 def _grid(**params) -> GridPotential:
     if "path" in params:
-        return GridPotential.from_file(params["path"])
+        path = params.pop("path")
+        if params:
+            raise BadParams(f"a grid potential read from a file takes no other "
+                            f"parameters, got {sorted(params)}")
+        return GridPotential.from_file(path)
     return GridPotential(**params)
 
 
@@ -434,30 +409,3 @@ def catalog_entries() -> list[tuple[str, str]]:
         else:
             rows.append((name, catalog(name).describe()))
     return rows
-
-
-def convexity_certify(handle: PotentialHandle, sample_count: int,
-                      seed: int, extent: float | None = None) -> SignCertificate:
-    """Minimum Hessian eigenvalue over seeded interior samples.
-
-    Verdict NONNEGATIVE (``passed``) when the minimum eigenvalue clears the
-    scale-aware tolerance; NotConvexHere from jet evaluation propagates.
-    """
-    if sample_count < 1:
-        raise BadParams("sample_count must be >= 1")
-    pts = handle.domain.sample(sample_count, seed, extent=extent)
-    best = np.inf
-    witness = pts[0]
-    tol = 0.0
-    for p in pts:
-        jet = handle.jet(p)
-        w = np.linalg.eigvalsh(jet.hessian)
-        tol = max(tol, 1e-10 * (1.0 + abs(float(w[-1]))))
-        if w[0] < best:
-            best = float(w[0])
-            witness = p
-    verdict = NONNEGATIVE if best > tol else NONPOSITIVE
-    return SignCertificate(
-        verdict=verdict, extremal_value=best, witness_point=witness,
-        witness_v=None, witness_w=None, tolerance=tol,
-        samples_scanned=sample_count, quantity="HESSIAN_MIN_EIG")

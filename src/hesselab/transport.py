@@ -7,12 +7,13 @@ scipy's linear_sum_assignment) is an exact optimum of the LP.  Its duals
 are shortest-path potentials of the column graph.  All other instances
 solve the exact LP over couplings (marginal-constrained, HiGHS dual
 simplex, which terminates at an optimal vertex).  Either way a plan
-carries dual potentials and is certified by complementary slackness at
-1e-9, computed here from C, the plan and the duals alone, so the
-certificate does not rest on either solver being right.  Instances
-solve independently; each solve is single-threaded.  A cost matrix is one
-batched evaluation of psi over all m * k differences, with the errors the
-pointwise evaluation raises.
+carries dual potentials and is certified at 1e-9 by primal feasibility (its
+marginals and no negative entry), complementary slackness and dual
+feasibility, computed here from the weights, C, the plan and the duals
+alone, so the certificate does not rest on either solver being right.
+Instances solve independently; each solve is single-threaded.  A cost
+matrix is one batched evaluation of psi over all m * k differences, with
+the errors the pointwise evaluation raises.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import BadParams, Infeasible, NotDeterministic, OutOfDomain
+from .errors import BadParams, Infeasible, NotDeterministic
 
 SLACK_TOL = 1e-9
 DOMINANCE_FLOOR = 0.5  # least share of a row's mass its largest entry must carry
-ENTROPIC_ITERS = 2000  # scaling iterations of entropic_plan
 
 
 @dataclass
@@ -64,17 +64,6 @@ class DiscreteMeasure:
         w[-1] = 1.0 - w[:-1].sum()
         return cls(points, w)
 
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteMeasure":
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(rows[:, :-1], rows[:, -1])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for p, w in zip(self.points, self.weights):
-                fh.write(",".join(repr(float(c)) for c in p)
-                         + f",{float(w)!r}\n")
-
 
 def cost_matrix(source, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """C[a, b] = psi(x_a - y_b) for a potential handle or checkpoint handle.
@@ -98,10 +87,13 @@ class TransportPlan:
     dual_v: np.ndarray
     slack_residual: float       # max |C - u - v| on the support
     feasibility_residual: float  # worst min(C - u - v) violation below 0
+    marginal_residual: float     # max |row or column sum - weight|
 
     @property
     def certified(self) -> bool:
-        return (self.slack_residual < SLACK_TOL
+        return (self.marginal_residual < SLACK_TOL
+                and self.coupling.min() > -SLACK_TOL
+                and self.slack_residual < SLACK_TOL
                 and self.feasibility_residual > -SLACK_TOL)
 
 
@@ -113,8 +105,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     because some optimal coupling is a permutation matrix divided by m; the
     duals are shortest-path potentials (``_assignment_duals``).  Other
     instances solve the LP over couplings with the HiGHS dual simplex.  The returned
-    residuals are computed from C, the plan and the duals, whichever solver
-    ran.  Raises Infeasible on size/weight mismatch and BadParams on a
+    residuals are computed from the weights, C, the plan and the duals,
+    whichever solver ran.  Raises Infeasible on size/weight mismatch and BadParams on a
     non-finite cost.  Suitable for supports up to about a thousand points.
     """
     C = np.asarray(C, dtype=float)
@@ -133,19 +125,23 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         u, v = _assignment_duals(C, cols)
     else:
         P, u, v = _lp_plan(mu, nu, C)
-    return _residual_plan(C, P, u, v)
+    return _residual_plan(mu, nu, C, P, u, v)
 
 
-def _residual_plan(C: np.ndarray, P: np.ndarray, u: np.ndarray,
-                   v: np.ndarray) -> TransportPlan:
-    """The plan with its cost and the residuals of the duals (u, v)."""
+def _residual_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
+                   P: np.ndarray, u: np.ndarray, v: np.ndarray) -> TransportPlan:
+    """The plan with its cost, its marginal residual against the weights of
+    mu and nu, and the residuals of the duals (u, v)."""
     red = C - u[:, None] - v[None, :]
     support = P > 1e-12
     slack = float(np.abs(red[support]).max()) if support.any() else 0.0
     feas = float(red.min())
+    marg = max(np.abs(P.sum(axis=1) - mu.weights).max(),
+               np.abs(P.sum(axis=0) - nu.weights).max())
     return TransportPlan(coupling=P, cost=float(np.sum(P * C)), dual_u=u,
                          dual_v=v, slack_residual=slack,
-                         feasibility_residual=feas)
+                         feasibility_residual=feas,
+                         marginal_residual=float(marg))
 
 
 def _assignment_duals(C: np.ndarray, sigma: np.ndarray):
@@ -196,33 +192,6 @@ def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray):
         raise Infeasible(f"LP solve failed: {res.message}")
     y = np.asarray(res.eqlin.marginals)
     return res.x.reshape(m, k), y[:m], y[m:]
-
-
-def entropic_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
-                  epsilon: float = 1e-2) -> np.ndarray:
-    """Entropy-smoothed coupling by log-domain scaling iterations.
-
-    Optional preconditioner / sanity check only: the exact solver never
-    consumes it, and all certificates come from solve_exact.
-    """
-    if epsilon <= 0:
-        raise BadParams("epsilon must be positive")
-    from scipy.special import logsumexp
-    log_mu = np.log(mu.weights)
-    log_nu = np.log(nu.weights)
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
-    for _ in range(ENTROPIC_ITERS):
-        f = epsilon * (log_mu - logsumexp((g[None, :] - C) / epsilon, axis=1))
-        g = epsilon * (log_nu - logsumexp((f[:, None] - C) / epsilon, axis=0))
-    return np.exp((f[:, None] + g[None, :] - C) / epsilon)
-
-
-def marginal_residual(plan: TransportPlan, mu: DiscreteMeasure,
-                      nu: DiscreteMeasure) -> float:
-    r1 = np.abs(plan.coupling.sum(axis=1) - mu.weights).max()
-    r2 = np.abs(plan.coupling.sum(axis=0) - nu.weights).max()
-    return float(max(r1, r2))
 
 
 def barycentric_map(plan: TransportPlan, mu: DiscreteMeasure,

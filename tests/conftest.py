@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from hesselab.curvature import CurvatureSample, full_abc_trace, scalar
 from hesselab.domains import DomainSpec
 from hesselab.jets import PotentialJet
-from hesselab.potentials import PotentialHandle, catalog, quadratic
+from hesselab.potentials import PotentialHandle, QuadraticPlusPeriodic, catalog
 
 # property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written
@@ -13,11 +16,61 @@ settings.register_profile("deterministic", derandomize=True, database=None,
 settings.load_profile("deterministic")
 
 
+# -- oracles and fixtures the tests share ------------------------------------
+
+def quadratic(n: int = 2, quad: np.ndarray | None = None) -> QuadraticPlusPeriodic:
+    """Pure quadratic potential (periodic amplitude zero)."""
+    return QuadraticPlusPeriodic(n=n, amplitude=0.0, quad=quad)
+
+
+def is_fully_symmetric(T: np.ndarray) -> bool:
+    k = T.ndim
+    return all(
+        np.array_equal(T, np.transpose(T, perm))
+        for perm in itertools.permutations(range(k))
+    )
+
+
+def exact_polarized_average(sample: CurvatureSample) -> float:
+    """Closed-form value of the polarized sphere average (moment identity)."""
+    n = sample.n
+    return (2.0 * scalar(sample) + full_abc_trace(sample)) / (n * (n + 2))
+
+
+def write_grid_file(path, origin, spacing, values, t: float | None = None):
+    """Write the grid potential text format that read_grid_file reads."""
+    values = np.asarray(values, dtype=float)
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    n = origin.shape[0]
+    with open(path, "w") as fh:
+        head = [str(n), repr(float(spacing))]
+        head += [repr(float(v)) for v in origin]
+        head += [str(m) for m in values.shape]
+        fh.write(" ".join(head) + "\n")
+        if t is not None:
+            fh.write(f"t = {t!r}\n")
+        flat = values.ravel()
+        for start in range(0, flat.size, 8):
+            fh.write(" ".join(repr(float(v)) for v in flat[start:start + 8]) + "\n")
+
+
+def scaled_jet(jet: PotentialJet, c: float) -> PotentialJet:
+    """Jet of c * psi at the same point."""
+    return PotentialJet(
+        x=jet.x.copy(),
+        value=c * jet.value,
+        gradient=c * jet.gradient,
+        hessian=c * jet.hessian,
+        third=c * jet.third,
+        fourth=c * jet.fourth,
+    )
+
+
 class ScaledHandle(PotentialHandle):
     """c * psi for a base handle; used by scale-invariance tests."""
 
     def __init__(self, base: PotentialHandle, c: float):
-        super().__init__(f"{base.name}_x{c}", base.domain, base.params)
+        super().__init__(f"{base.name}_x{c}", base.domain)
         self.base = base
         self.c = float(c)
 
@@ -25,7 +78,7 @@ class ScaledHandle(PotentialHandle):
         return self.c * self.base._value(x)
 
     def _jet(self, x):
-        return self.base._jet(x).scaled(self.c)
+        return scaled_jet(self.base._jet(x), self.c)
 
 
 class AffineImage(PotentialHandle):
@@ -37,7 +90,7 @@ class AffineImage(PotentialHandle):
         n = base.n
         # a safe box that maps inside the base domain is enough for tests
         dom = DomainSpec(n, "box", {"bounds": self._bounds()}, base.domain.margin)
-        super().__init__(f"{base.name}_affine", dom, base.params)
+        super().__init__(f"{base.name}_affine", dom)
 
     def _bounds(self):
         n = self.base.n

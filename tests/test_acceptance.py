@@ -9,13 +9,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import quadratic
 from hesselab import _extrema, berger, flow, reaction, transport
 from hesselab.certificates import NONPOSITIVE
 from hesselab.cli import verify_all
 from hesselab.curvature import (RegionSpec, SearchSpec, anti_bisectional,
                                 certify_sign, core_form, mtw_tensor, scalar)
 from hesselab.errors import BlowUp
-from hesselab.potentials import catalog, quadratic
+from hesselab.potentials import catalog
 from hesselab.transport import DiscreteMeasure, cost_matrix, solve_exact
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import exact_polarized_average, quadratic
 from hesselab import _extrema, berger
 from hesselab.curvature import core_form, full_abc_trace, ricci, scalar
 from hesselab.errors import BadFrame, BadParams, NotNegativeHSC
-from hesselab.potentials import catalog, quadratic
+from hesselab.potentials import catalog
 
 
 def samples_on(handle, count, seed, extent=None):
@@ -51,14 +52,14 @@ def test_polarized_average_flat():
     sample = core_form(quadratic(2).jet(np.array([0.3, 0.3])))
     avg = berger.polarized_average(sample, 2000, seed=4)
     assert avg.estimate == 0.0
-    assert berger.exact_polarized_average(sample) == 0.0
+    assert exact_polarized_average(sample) == 0.0
 
 
 def test_polarized_average_matches_moment_identity(ball2, cone):
     for handle, extent in ((ball2, 0.85), (cone, None)):
         for sample in samples_on(handle, 3, 13, extent=extent):
             mc = berger.polarized_average(sample, 40000, seed=7)
-            exact = berger.exact_polarized_average(sample)
+            exact = exact_polarized_average(sample)
             assert abs(mc.estimate - exact) <= 4 * mc.standard_error + 1e-12
 
 
@@ -220,6 +221,6 @@ def test_decomposition_fit_average_of_first_sample(ball2):
     samples = samples_on(ball2, 4, 51, extent=0.8)
     fit = berger.decomposition_fit(samples, 20000, seed=3)
     assert fit.averages[0] == pytest.approx(
-        berger.exact_polarized_average(samples[0]), abs=0.05)
+        exact_polarized_average(samples[0]), abs=0.05)
     assert fit.beta / fit.alpha == pytest.approx(0.5, abs=0.06)
     assert fit.residual < 0.05

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from conftest import write_grid_file
 from hesselab.cli import Config, main, run_config
 from hesselab.potentials import CATALOG_NAMES, catalog_entries
 
@@ -184,6 +186,27 @@ def test_truncated_grid_file_exits_2(tmp_path, capsys):
     cfg = certify_dict(potential={"name": "grid", "path": str(path)})
     assert run_config(cfg, tmp_path / "out") == 2
     assert "3 values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("potential", [
+    {"name": "radial_sym", "C": "-1"},
+    {"name": "quadratic_plus_periodic", "amplitude": "5"},
+    {"name": "calabi_ball", "n": "0"},
+    {"name": "grid", "spacing": "0.1"}])
+def test_out_of_range_catalog_parameters_exit_2(tmp_path, capsys, potential):
+    """Parameters the catalog refuses are config errors, and a grid read
+    from a file refuses every other key, as the other entries do."""
+    if potential["name"] == "grid":
+        path = tmp_path / "bowl.grid"
+        axes = np.linspace(-1.0, 1.0, 8)
+        write_grid_file(path, [-1.0, -1.0], axes[1] - axes[0],
+                        np.add.outer(axes**2, axes**2))
+        potential = {**potential, "path": str(path)}
+    cfg = Config.from_dict({"experiment": {"kind": "curvature-scan"},
+                            "potential": potential})
+    assert run_config(cfg, tmp_path / "out") == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import AffineImage, ScaledHandle
+from conftest import AffineImage, ScaledHandle, quadratic
 from hesselab import _extrema
 from hesselab.certificates import DEGENERATE, NONPOSITIVE
 from hesselab.curvature import (RegionSpec, SearchSpec, anti_bisectional,
@@ -15,7 +15,7 @@ from hesselab.curvature import (RegionSpec, SearchSpec, anti_bisectional,
                                 symmetry_defect)
 from hesselab.errors import BadFrame, OutOfDomain, ZeroVector
 from hesselab.jets import fd_jet
-from hesselab.potentials import catalog, quadratic
+from hesselab.potentials import catalog
 
 
 # -- independent oracle: curvature of the lifted potential on C^n ---------------

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import quadratic
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
                              StabilityFailure)
-from hesselab.potentials import (GridPotential, LogBarrier, catalog, quadratic,
-                                 read_grid_file)
+from hesselab.potentials import LogBarrier, catalog
 
 
 def torus(m=32):
@@ -330,22 +330,7 @@ def test_kr_probe_quadratic_degenerate_is_regular():
     assert verdict.regular
 
 
-# -- checkpoints -------------------------------------------------------------------------------
-
-def test_checkpoint_roundtrip(tmp_path, ball2):
-    state = flow.init(ball2, ball_window(), "frozen-window")
-    out = state
-    for _ in range(5):
-        out = flow.step(out)
-    path = tmp_path / "ckpt.grid"
-    flow.save_checkpoint(out, path)
-    origin, spacing, values, t = read_grid_file(path)
-    assert t == pytest.approx(out.t)
-    assert np.array_equal(values, out.u)
-    handle = GridPotential(origin, spacing, values)
-    x = np.array([0.0, 0.0])
-    assert handle.value(x) == pytest.approx(float(out.u[20, 20]), abs=1e-10)
-
+# -- grid potentials from window states --------------------------------------------------------
 
 def test_to_grid_potential_matches_closed_form_at_t0(ball2):
     state = flow.init(ball2, ball_window(), "frozen-window")

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import ConcaveQuadratic
+from conftest import (ConcaveQuadratic, is_fully_symmetric, quadratic,
+                      write_grid_file)
 from hesselab.errors import (BadGridFile, BadParams, NotConvexHere, OutOfDomain,
                              UnknownName)
-from hesselab.jets import fd_jet, is_fully_symmetric
+from hesselab.jets import fd_jet
 from hesselab.potentials import (CATALOG_NAMES, GridPotential, catalog,
-                                 convexity_certify, quadratic,
-                                 read_grid_file, write_grid_file)
+                                 read_grid_file)
 
 
 def test_log_barrier_jet_values():
@@ -165,20 +165,6 @@ def test_quadratic_plus_periodic_zero_amplitude_matches_quadratic():
         assert j1.value == pytest.approx(j2.value, abs=1e-15)
         assert np.array_equal(j1.hessian, j2.hessian)
         assert np.array_equal(j1.fourth, j2.fourth)
-
-
-def test_convexity_certify():
-    cert = convexity_certify(quadratic(2), 100, seed=1)
-    assert cert.passed
-    assert cert.extremal_value == pytest.approx(1.0, abs=1e-12)
-    ball = catalog("calabi_ball", n=2)
-    cert2 = convexity_certify(ball, 60, seed=2, extent=0.94)  # r^2 <= 0.9
-    assert cert2.passed
-    assert cert2.extremal_value >= 2.0 - 1e-9
-    with pytest.raises(NotConvexHere):
-        convexity_certify(ConcaveQuadratic(), 10, seed=3)
-    with pytest.raises(BadParams):
-        convexity_certify(quadratic(2), 0, seed=1)
 
 
 def test_truncated_grid_file_raises(tmp_path):

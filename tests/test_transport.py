@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import quadratic
 from hesselab import flow, transport
 from hesselab.errors import (BadParams, Infeasible, NotDeterministic,
                              OutOfDomain)
-from hesselab.potentials import GridPotential, quadratic
+from hesselab.potentials import GridPotential
 from hesselab.transport import (DiscreteMeasure, TransportPlan, barycentric_map,
-                                cost_matrix, holder_modulus, marginal_residual,
-                                plan_tv, solve_exact, weak_continuity_rows)
+                                cost_matrix, holder_modulus, plan_tv,
+                                solve_exact, weak_continuity_rows)
 
 
 def brute_force_assignment_cost(C):
@@ -119,15 +120,6 @@ def test_distinct_support_check_edge_rows():
                 DiscreteMeasure.uniform(P)
 
 
-def test_measure_csv_roundtrip(tmp_path):
-    mu = DiscreteMeasure.uniform(np.array([[0.1, 0.2], [0.4, -0.1], [1.0, 0.3]]))
-    path = tmp_path / "mu.csv"
-    mu.to_csv(path)
-    back = DiscreteMeasure.from_csv(path)
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)
-
-
 # -- cost matrices -------------------------------------------------------------------
 
 def test_quadratic_cost_diagonal_zero():
@@ -233,7 +225,7 @@ def test_solver_matches_brute_force(m):
         plan = solve_exact(mu, nu, C)
         assert plan.cost == pytest.approx(brute_force_assignment_cost(C), abs=1e-11)
         assert plan.certified
-        assert marginal_residual(plan, mu, nu) < 1e-10
+        assert plan.marginal_residual < 1e-10
 
 
 def seeded_weights(m, seed):
@@ -290,7 +282,7 @@ def test_solver_pins_dual_simplex_and_keeps_the_looped_plan(monkeypatch):
 
 def lp_path_plan(mu, nu, C):
     """The plan the LP path gives, with the residuals solve_exact computes."""
-    return transport._residual_plan(C, *transport._lp_plan(mu, nu, C))
+    return transport._residual_plan(mu, nu, C, *transport._lp_plan(mu, nu, C))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 32, 96])
@@ -313,7 +305,7 @@ def test_assignment_path_matches_lp_path(monkeypatch, m):
             assert plan.certified
             red = C - plan.dual_u[:, None] - plan.dual_v[None, :]
             assert red.min() >= -1e-12
-        assert marginal_residual(fast, mu, nu) <= 1e-12
+        assert fast.marginal_residual <= 1e-12
 
 
 @pytest.mark.parametrize("C", [
@@ -342,6 +334,39 @@ def test_non_optimal_assignment_is_infeasible(monkeypatch):
         solve_exact(mu, nu, C)
 
 
+def test_infeasible_plan_is_not_certified():
+    """Zero duals meet slackness and feasibility on any C >= 0, and the
+    optimal duals meet them on any part of the optimal support, so the
+    certificate rests on primal feasibility: the zero coupling, the optimum
+    with one row's mass taken off, and the optimum with mass swapped onto
+    two negative entries (right marginals, cost below the optimum) are
+    refused."""
+    X, Y = random_instance(5, 4)
+    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
+    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
+    zeros = np.zeros(5)
+    empty = transport._residual_plan(mu, nu, C, np.zeros((5, 5)), zeros, zeros)
+    assert empty.marginal_residual == pytest.approx(0.2)
+    assert not empty.certified
+    best = solve_exact(mu, nu, C)
+    assert best.certified
+    short = best.coupling.copy()
+    short[0] = 0.0
+    plan = transport._residual_plan(mu, nu, C, short, best.dual_u, best.dual_v)
+    assert plan.slack_residual <= best.slack_residual
+    assert plan.marginal_residual == pytest.approx(0.2)
+    assert not plan.certified
+    sigma = best.coupling.argmax(axis=1)
+    swap = best.coupling.copy()
+    swap[[0, 1], sigma[[0, 1]]] += 0.1
+    swap[[0, 1], sigma[[1, 0]]] -= 0.1
+    plan = transport._residual_plan(mu, nu, C, swap, best.dual_u, best.dual_v)
+    assert plan.marginal_residual < 1e-15
+    assert plan.slack_residual <= best.slack_residual
+    assert plan.cost < best.cost - 1e-3
+    assert not plan.certified
+
+
 def test_unequal_or_non_uniform_measures_take_the_lp_path(monkeypatch):
     calls = spied_linprog(monkeypatch)
     X, Y = random_instance(6, 8)
@@ -354,7 +379,7 @@ def test_unequal_or_non_uniform_measures_take_the_lp_path(monkeypatch):
         plan = solve_exact(a, b, Cab)
         assert calls[before:] == ["highs-ds"]
         assert plan.certified
-        assert marginal_residual(plan, a, b) < 1e-10
+        assert plan.marginal_residual < 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -409,22 +434,6 @@ def test_infeasible_inputs():
         solve_exact(mu, nu, np.zeros((2, 2)))
 
 
-def test_entropic_plan_approximates_exact_cost():
-    X, Y = random_instance(5, 9)
-    mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
-    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
-    exact = solve_exact(mu, nu, C)
-    smooth = transport.entropic_plan(mu, nu, C, epsilon=1e-2)
-    # the final scaling step matches the column marginal exactly; the row
-    # marginal converges linearly and is only approximate
-    assert np.abs(smooth.sum(axis=0) - nu.weights).max() < 1e-12
-    assert np.abs(smooth.sum(axis=1) - mu.weights).max() < 1e-3
-    smoothed_cost = float(np.sum(smooth * C))
-    assert abs(smoothed_cost - exact.cost) < 0.02 * (1 + abs(exact.cost))
-    with pytest.raises(BadParams):
-        transport.entropic_plan(mu, nu, C, epsilon=0.0)
-
-
 def test_cost_lipschitz_in_cost_matrix():
     X, Y = random_instance(6, 7)
     mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
@@ -445,7 +454,8 @@ def test_identity_coupling_modulus_is_identity_quotient():
     mu = DiscreteMeasure.uniform(pts)
     plan = TransportPlan(coupling=np.eye(3) / 3.0, cost=0.0,
                          dual_u=np.zeros(3), dual_v=np.zeros(3),
-                         slack_residual=0.0, feasibility_residual=0.0)
+                         slack_residual=0.0, feasibility_residual=0.0,
+                         marginal_residual=0.0)
     assert holder_modulus(plan, mu, pts, alpha=1.0) == pytest.approx(1.0, abs=1e-12)
     expected = max(np.linalg.norm(pts[a] - pts[b]) ** 0.3
                    for a in range(3) for b in range(a + 1, 3))
@@ -474,7 +484,7 @@ def test_not_deterministic_refused():
     diffuse = np.outer(mu.weights, nu.weights)
     plan = TransportPlan(coupling=diffuse, cost=0.0, dual_u=np.zeros(2),
                          dual_v=np.zeros(3), slack_residual=0.0,
-                         feasibility_residual=0.0)
+                         feasibility_residual=0.0, marginal_residual=0.0)
     with pytest.raises(NotDeterministic):
         barycentric_map(plan, mu, pts3)
 
