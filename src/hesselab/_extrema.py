@@ -16,6 +16,12 @@ Returned values are recomputed from the returned unit vectors.  n >= 3 uses
 seeded multi-restart alternating eigensolves for the pair objective (each
 half-step is exact, the value is monotone) and great-circle line searches
 for the quartic.
+
+The search settings live here and nowhere else: ``n_angles`` scan nodes
+(read at n = 2 only), and ``restarts`` start points drawn from ``seed``
+(read at n >= 3 only), by default 720, 64 and 0.  Two callers override
+them: ``flow._channel_values`` scans MONITOR_ANGLES nodes, and
+``reaction.noab_probe`` passes its own restarts and a seed per trial.
 """
 
 from __future__ import annotations

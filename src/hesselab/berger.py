@@ -112,8 +112,6 @@ class DecompositionFit:
     residual: float            # max |avg - alpha*S - beta*T| over the batch
     combined_mc_error: float   # rms of the per-sample standard errors
     averages: list
-    scalar_traces: list
-    abc_traces: list
 
     @property
     def beta_over_alpha(self) -> float:
@@ -143,7 +141,7 @@ def decomposition_fit(samples: list[CurvatureSample], count: int,
     return DecompositionFit(
         alpha=float(coef[0]), beta=float(coef[1]), residual=resid,
         combined_mc_error=float(np.sqrt(np.mean(np.square(ses)))),
-        averages=avgs, scalar_traces=Ss, abc_traces=Ts,
+        averages=avgs,
     )
 
 
@@ -159,7 +157,6 @@ class TrigFit:
     a3: float
     a4: float
     residual: float
-    plane: tuple
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -200,14 +197,13 @@ def plane_fit(sample: CurvatureSample, X: np.ndarray, Xp: np.ndarray,
     a2 = float(2.0 * np.mean(vals * np.sin(2 * th)))
     a3 = float(2.0 * np.mean(vals * np.cos(4 * th)))
     a4 = float(2.0 * np.mean(vals * np.sin(4 * th)))
-    fit = TrigFit(a0, a1, a2, a3, a4, 0.0, (X, Xp))
-    resid = float(np.abs(vals - fit(th)).max())
-    return TrigFit(a0, a1, a2, a3, a4, resid, (X, Xp))
+    fit = TrigFit(a0, a1, a2, a3, a4, 0.0)
+    fit.residual = float(np.abs(vals - fit(th)).max())
+    return fit
 
 
 @dataclass
 class WedgeReport:
-    minimizer: np.ndarray          # coordinate components, h-unit
     h_min: float
     planes_checked: int
     worst_fifth_margin: float      # max over planes of a0 - h_min/5 (<= tol)
@@ -230,7 +226,7 @@ def fifth_and_wedge_checks(sample: CurvatureSample, n_perp: int = 16,
     n = sample.n
     if n < 2:
         raise BadParams("plane checks need n >= 2")
-    _, mn = _extrema.quartic_extrema(Ef, seed=seed)
+    _, mn = _extrema.quartic_extrema(Ef)
     tol = 1e-9 * (1.0 + float(np.abs(Ef).max()))
     if mn.value >= -tol:
         raise NotNegativeHSC(
@@ -257,9 +253,8 @@ def fifth_and_wedge_checks(sample: CurvatureSample, n_perp: int = 16,
         a0 = float(np.einsum("abcd,na,nb,nc,nd->n", Ef, Vf, Vf, Vf, Vf).mean())
         worst_fifth = max(worst_fifth, a0 - bound)
         worst_wedge = max(worst_wedge, float(vals.max()) - bound)
-    F = sample.frame
     return WedgeReport(
-        minimizer=F @ Xf, h_min=mn.value, planes_checked=len(perps),
+        h_min=mn.value, planes_checked=len(perps),
         worst_fifth_margin=float(worst_fifth), worst_wedge_margin=float(worst_wedge),
         tolerance=tol, passed=(worst_fifth <= tol and worst_wedge <= tol),
     )

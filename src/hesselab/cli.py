@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import berger, flow, reaction, transport
-from .curvature import (RegionSpec, SearchSpec, anti_bisectional, certify_sign,
-                        core_form, mtw_tensor, scan_csv_rows)
+from .curvature import (RegionSpec, anti_bisectional, certify_sign, core_form,
+                        mtw_tensor, scan_csv_rows)
 from .errors import BadGridFile, BadParams, ConfigError, HesselabError
 from .potentials import CATALOG_NAMES, catalog, catalog_entries
 from .transport import DiscreteMeasure
@@ -61,9 +61,7 @@ class Config:
             return default
         raw = self._p.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            return self._p.getboolean(section, key) if cast is bool else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -133,6 +131,9 @@ def _exp_curvature_scan(cfg: Config, outdir: Path):
     count = cfg.get("scan", "count", int, 25)
     seed = cfg.get("scan", "seed", int, 7)
     extent = cfg.get("scan", "extent", float, -1.0)
+    if count < 1 or seed < 0:
+        raise ConfigError(f"[scan] needs count >= 1 and seed >= 0, "
+                          f"got count = {count}, seed = {seed}")
     pts = handle.domain.sample(count, seed, extent=None if extent < 0 else extent)
     rows = scan_csv_rows(handle, pts)
     cols = ([f"x{i+1}" for i in range(handle.n)]
@@ -153,8 +154,7 @@ def _exp_certify(cfg: Config, outdir: Path):
     try:
         cert = certify_sign(handle, quantity,
                             RegionSpec(count=count, seed=seed,
-                                       extent=None if extent < 0 else extent),
-                            SearchSpec())
+                                       extent=None if extent < 0 else extent))
     except BadParams as exc:
         raise ConfigError(f"bad [certify] parameters: {exc}") from exc
     _out(outdir, f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
@@ -174,6 +174,9 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     lam = cfg.get("flow", "lambda", float, 0.0)
     epochs = cfg.get("flow", "epochs", int, 8)
     per_axis = cfg.get("flow", "sample_per_axis", int, 4)
+    if epochs < 1 or per_axis < 1:
+        raise ConfigError(f"[flow] needs epochs >= 1 and sample_per_axis >= 1, "
+                          f"got epochs = {epochs}, sample_per_axis = {per_axis}")
     if mode == "periodic":
         grid = flow.GridSpec(shape=(m, m))
     else:
@@ -216,9 +219,11 @@ def _exp_kr_probe(cfg: Config, outdir: Path):
                        cfg.get("probe", "origin_y", float)])
     spacing = cfg.get("probe", "spacing", float)
     expect_regular = cfg.get("probe", "expect_regular", bool, True)
+    epochs = cfg.get("probe", "epochs", int, 5)
+    if epochs < 1:
+        raise ConfigError(f"[probe] needs epochs >= 1, got {epochs}")
     grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
-    verdict = flow.kr_probe(handle, eps, grid,
-                            monitor_epochs=cfg.get("probe", "epochs", int, 5))
+    verdict = flow.kr_probe(handle, eps, grid, monitor_epochs=epochs)
     _write_series(_out(outdir, f"kr_probe_{handle.name}.csv"), verdict.series)
     ok = verdict.regular == expect_regular
     return ok, [f"kr-probe {handle.name}: {verdict.label}"]
@@ -245,7 +250,9 @@ def _exp_ode_run(cfg: Config, outdir: Path):
 def _exp_null_vector_suite(cfg: Config, outdir: Path):
     trials = cfg.get("suite", "trials", int, 50)
     seed = cfg.get("suite", "seed", int, 3)
-    dims = [int(v) for v in cfg.get("suite", "dims", str, "2 3").split()]
+    dims = cfg.get("suite", "dims", lambda raw: [int(v) for v in raw.split()], [2, 3])
+    if not dims or min(dims) < 1:
+        raise ConfigError(f"[suite] dims must be integers >= 1, got {dims}")
     probe_trials = cfg.get("suite", "probe_trials", int, 2000)
     rng = np.random.default_rng(seed)
     rows = []
@@ -281,6 +288,8 @@ def _exp_trace_suite(cfg: Config, outdir: Path):
     trials = cfg.get("suite", "trials", int, 2000)
     seed = cfg.get("suite", "seed", int, 5)
     max_n = cfg.get("suite", "max_dim", int, 6)
+    if max_n < 1:
+        raise ConfigError(f"[suite] needs max_dim >= 1, got {max_n}")
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -432,7 +441,7 @@ def _mtw_ratio_check(outdir: Path):
         for p in pts:
             xi = rng.normal(size=2)
             eta = rng.normal(size=2)
-            val = mtw_tensor(handle, p, np.zeros(2), xi, eta).value
+            val = mtw_tensor(handle, p, np.zeros(2), xi, eta)
             sample = core_form(handle.jet(p))
             ref = anti_bisectional(sample, xi, np.linalg.solve(sample.h, eta))
             if abs(ref) > 1e-12:

@@ -170,17 +170,8 @@ def oab_trace(sample: CurvatureSample, frame: np.ndarray | None = None) -> float
 
 # -- MTW tensor (independent code path from core_form) -------------------------
 
-@dataclass
-class MTWValue:
-    value: float
-    xi: np.ndarray
-    eta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
 def mtw_tensor(handle: PotentialHandle, x: np.ndarray, y: np.ndarray,
-               xi: np.ndarray, eta: np.ndarray) -> MTWValue:
+               xi: np.ndarray, eta: np.ndarray) -> float:
     """Transport-regularity tensor of the cost c(x,y) = psi(x-y).
 
     Assembled from the cost's own multi-index derivatives: for this cost
@@ -202,20 +193,10 @@ def mtw_tensor(handle: PotentialHandle, x: np.ndarray, y: np.ndarray,
         raise SingularMixedHessian(str(exc)) from exc
     inner = np.einsum("ijp,pq,qrs->ijrs", c_ij_p, mixed_inv, c_q_rs) - c_ij_rs
     eta_up = mixed_inv @ eta
-    val = float(np.einsum("ijrs,i,j,r,s->", inner, xi, xi, eta_up, eta_up))
-    return MTWValue(value=val, xi=xi, eta=eta, x=x, y=y)
+    return float(np.einsum("ijrs,i,j,r,s->", inner, xi, xi, eta_up, eta_up))
 
 
 # -- sign certification over a region ------------------------------------------
-
-@dataclass
-class SearchSpec:
-    """Vector-space search controls for certify_sign."""
-
-    n_angles: int = 720
-    restarts: int = 64
-    seed: int = 0
-
 
 @dataclass
 class RegionSpec:
@@ -226,14 +207,12 @@ class RegionSpec:
     extent: float | None = None
 
 
-def _sample_extrema(sample: CurvatureSample, quantity: str, search: SearchSpec):
+def _sample_extrema(sample: CurvatureSample, quantity: str):
     Ef = sample.E_frame
     if quantity == "HSC_POL":
-        return _extrema.quartic_extrema(Ef, search.n_angles, search.restarts,
-                                        search.seed)
+        return _extrema.quartic_extrema(Ef)
     # "ABC", "ORTH_ABC" or "MTW_ORTH"; certify_sign has checked the name
-    return _extrema.pair_extrema(Ef, orth=quantity != "ABC", n_angles=search.n_angles,
-                                 restarts=search.restarts, seed=search.seed)
+    return _extrema.pair_extrema(Ef, orth=quantity != "ABC")
 
 
 def _to_coords(sample: CurvatureSample, ext: _extrema.Extremum):
@@ -244,8 +223,7 @@ def _to_coords(sample: CurvatureSample, ext: _extrema.Extremum):
 
 
 def certify_sign(handle: PotentialHandle, quantity: str,
-                 region: RegionSpec | None = None,
-                 search: SearchSpec | None = None) -> SignCertificate:
+                 region: RegionSpec | None = None) -> SignCertificate:
     """Extremize a curvature quantity over sampled points and unit vectors.
 
     Vectors are unit with respect to h at each point; orthogonality (for the
@@ -253,31 +231,30 @@ def certify_sign(handle: PotentialHandle, quantity: str,
     1e-9 * (1 + max |E| at the witness point).
     """
     region = region or RegionSpec()
-    search = search or SearchSpec()
     if quantity not in QUANTITIES:
         raise BadParams(f"quantity must be one of {QUANTITIES}")
-    if region.count < 1:
-        raise BadParams("region count must be >= 1")
+    if region.count < 1 or region.seed < 0:
+        raise BadParams("region count must be >= 1 and seed >= 0")
     pts = handle.domain.sample(region.count, region.seed, extent=region.extent)
     gmax = gmin = None
-    for idx, p in enumerate(pts):
+    for p in pts:
         sample = core_form(handle.jet(p))
-        mx, mn = _sample_extrema(sample, quantity, search)
+        mx, mn = _sample_extrema(sample, quantity)
         for ext, is_max in ((mx, True), (mn, False)):
-            rec = (ext.value, idx, sample, ext)
+            rec = (ext.value, sample, ext)
             if is_max and (gmax is None or ext.value > gmax[0]):
                 gmax = rec
             if not is_max and (gmin is None or ext.value < gmin[0]):
                 gmin = rec
     scale_pt = gmax if abs(gmax[0]) >= abs(gmin[0]) else gmin
-    tol = 1e-9 * (1.0 + float(np.abs(scale_pt[2].E_frame).max()))
+    tol = 1e-9 * (1.0 + float(np.abs(scale_pt[1].E_frame).max()))
     verdict, extremal = verdict_from_extrema(gmax[0], gmin[0], tol)
     chosen = gmax if extremal == gmax[0] else gmin
-    v, w = _to_coords(chosen[2], chosen[3])
+    v, w = _to_coords(chosen[1], chosen[2])
     return SignCertificate(
         verdict=verdict,
         extremal_value=extremal,
-        witness_point=chosen[2].x,
+        witness_point=chosen[1].x,
         witness_v=v,
         witness_w=w,
         tolerance=tol,
@@ -295,19 +272,13 @@ def reevaluate_witness(handle: PotentialHandle, cert: SignCertificate) -> float:
     return anti_bisectional(sample, cert.witness_v, cert.witness_w)
 
 
-def scan_csv_rows(handle: PotentialHandle, points: np.ndarray,
-                  search: SearchSpec | None = None) -> list[dict]:
+def scan_csv_rows(handle: PotentialHandle, points: np.ndarray) -> list[dict]:
     """Per-point scan rows: x, S, O, polarized-HSC min, ABC extrema, witness."""
-    search = search or SearchSpec()
     rows = []
     for p in points:
         sample = core_form(handle.jet(p))
-        hmx, hmn = _extrema.quartic_extrema(sample.E_frame, search.n_angles,
-                                            search.restarts, search.seed)
-        amx, amn = _extrema.pair_extrema(sample.E_frame, orth=False,
-                                         n_angles=search.n_angles,
-                                         restarts=search.restarts,
-                                         seed=search.seed)
+        _, hmn = _extrema.quartic_extrema(sample.E_frame)
+        amx, amn = _extrema.pair_extrema(sample.E_frame)
         v, w = _to_coords(sample, amn)
         row = {"S": scalar(sample), "O": oab_trace(sample),
                "Hmin_pol": hmn.value, "ABC_min": amn.value,

@@ -28,7 +28,6 @@ from .jets import orbit_table
 
 BLOWUP_CAP = 1e12
 NOAB_Q_THRESHOLD = -1e-6  # noab_probe's hit: Q below this at the boundary pair
-NOAB_ANGLES = 256  # noab_probe's scan angles per boundary shift
 NOAB_RESTARTS = 24  # noab_probe's restarts per boundary shift
 
 
@@ -191,28 +190,24 @@ MAX_ABC = "MAX_ABC"
 MIN_ORTH_ABC = "MIN_ORTH_ABC"
 
 
-def extremal_pair(A: AlgCurvTensor, mode: str, n_angles: int = 720,
-                  restarts: int = 64, seed: int = 0):
+def extremal_pair(A: AlgCurvTensor, mode: str):
     """Extremize A(v, w, v, w) over unit pairs; returns (v, w, value)."""
     if mode == MAX_ABC:
-        mx, _ = _extrema.pair_extrema(A.A, orth=False, n_angles=n_angles,
-                                      restarts=restarts, seed=seed)
+        mx, _ = _extrema.pair_extrema(A.A)
         return mx.v, mx.w, mx.value
     if mode == MIN_ORTH_ABC:
-        _, mn = _extrema.pair_extrema(A.A, orth=True, n_angles=n_angles,
-                                      restarts=restarts, seed=seed)
+        _, mn = _extrema.pair_extrema(A.A, orth=True)
         return mn.v, mn.w, mn.value
     raise BadParams(f"unknown extremal mode {mode!r}")
 
 
-def shift_to_boundary(A: AlgCurvTensor, mode: str = MAX_ABC,
-                      n_angles: int = 720, restarts: int = 64, seed: int = 0):
+def shift_to_boundary(A: AlgCurvTensor, mode: str = MAX_ABC):
     """Shift A along I x I so the selected extremum lands exactly at zero.
 
     Returns (boundary tensor, v, w).  The shift changes every pair value by
     the same amount on unit pairs, so the witness pair is preserved.
     """
-    v, w, val = extremal_pair(A, mode, n_angles, restarts, seed)
+    v, w, val = extremal_pair(A, mode)
     shifted = AlgCurvTensor(A.A - val * identity_shift_tensor(A.n))
     return shifted, v, w
 
@@ -223,7 +218,6 @@ def shift_to_boundary(A: AlgCurvTensor, mode: str = MAX_ABC,
 class NullVectorReport:
     v: np.ndarray
     w: np.ndarray
-    witness_value: float
     first_derivative_residual: float
     hform_min_eig: float
     q_value: float
@@ -265,8 +259,7 @@ def assemble_block(M1, M2, N) -> np.ndarray:
     return G
 
 
-def null_vector_check_negative(A: AlgCurvTensor, n_angles: int = 720,
-                               restarts: int = 64, seed: int = 0) -> NullVectorReport:
+def null_vector_check_negative(A: AlgCurvTensor) -> NullVectorReport:
     """Verify the boundary structure at the pair maximum of a non-positive tensor.
 
     Requires the maximum of A(v,w,v,w) over unit pairs to sit inside the
@@ -276,7 +269,7 @@ def null_vector_check_negative(A: AlgCurvTensor, n_angles: int = 720,
     witness, and the sharper inequality Q + <M1, M2> <= 0.
     """
     scale = A.norm
-    v, w, val = extremal_pair(A, MAX_ABC, n_angles, restarts, seed)
+    v, w, val = extremal_pair(A, MAX_ABC)
     band = 1e-9 * (1.0 + scale)
     if abs(val) > band:
         raise NotExtremal(
@@ -291,8 +284,7 @@ def null_vector_check_negative(A: AlgCurvTensor, n_angles: int = 720,
     q = q_quadratic(A)
     qv = q.pair_value(v, w)
     sharper = qv + float(np.sum(M1 * M2))
-    return NullVectorReport(v=v, w=w, witness_value=val,
-                            first_derivative_residual=float(resid),
+    return NullVectorReport(v=v, w=w, first_derivative_residual=float(resid),
                             hform_min_eig=min_eig, q_value=qv,
                             sharper_value=sharper, scale=scale)
 
@@ -363,9 +355,9 @@ def noab_probe(n: int, seed: int, trials: int) -> NoabCounterexample | None:
     a witness pair where Q is decisively negative (below NOAB_Q_THRESHOLD).
 
     Each trial draws a random tensor, shifts its orthogonal-pair minimum to
-    zero with NOAB_ANGLES scan angles and NOAB_RESTARTS restarts, and
-    evaluates Q at the vanishing pair.  A hit is re-verified with a finer
-    extremization before being returned.
+    zero with NOAB_RESTARTS restarts seeded by the trial, and evaluates Q at
+    the vanishing pair.  A hit is re-verified with four times the restarts
+    and the next seed before being returned.
     """
     if trials < 1:
         raise BadParams("trials must be >= 1")
@@ -373,17 +365,17 @@ def noab_probe(n: int, seed: int, trials: int) -> NoabCounterexample | None:
     for trial in range(trials):
         sub = int(rng.integers(0, 2**63 - 1))
         A = AlgCurvTensor.random(n, sub)
-        shifted, v, w = shift_to_boundary(A, MIN_ORTH_ABC, n_angles=NOAB_ANGLES,
-                                          restarts=NOAB_RESTARTS, seed=sub)
-        qv = q_quadratic(shifted).pair_value(v, w)
+        _, mn = _extrema.pair_extrema(A.A, orth=True, restarts=NOAB_RESTARTS, seed=sub)
+        shifted = AlgCurvTensor(A.A - mn.value * identity_shift_tensor(n))
+        qv = q_quadratic(shifted).pair_value(mn.v, mn.w)
         if qv < NOAB_Q_THRESHOLD:
             # verify the boundary quality with a stronger search
-            _, _, vmin = extremal_pair(shifted, MIN_ORTH_ABC, n_angles=1024,
-                                       restarts=4 * NOAB_RESTARTS, seed=sub + 1)
+            _, check = _extrema.pair_extrema(shifted.A, orth=True,
+                                             restarts=4 * NOAB_RESTARTS, seed=sub + 1)
             band = 1e-8 * (1.0 + shifted.norm)
-            if vmin > -band:
-                return NoabCounterexample(tensor=shifted, v=v, w=w, q_value=qv,
-                                          orth_min_after_shift=float(vmin),
+            if check.value > -band:
+                return NoabCounterexample(tensor=shifted, v=mn.v, w=mn.w, q_value=qv,
+                                          orth_min_after_shift=check.value,
                                           trial=trial)
     return None
 
@@ -392,7 +384,6 @@ def noab_probe(n: int, seed: int, trials: int) -> NoabCounterexample | None:
 
 @dataclass
 class PolarizationReport:
-    bound_by_class: dict
     worst_margin: float
     violations: list
     passed: bool
@@ -426,36 +417,32 @@ def polarization_bounds(A: AlgCurvTensor, H_bound: float, O_bound: float,
     b4 = 3.0 * O
     tol = 1e-9 * (1.0 + A.norm)
 
-    def class_bound(idx) -> tuple[str, float]:
+    def class_bound(idx) -> float:
         i, j, k, l = idx
         P = tuple(sorted((i, k)))
         Qm = tuple(sorted((j, l)))
         distinct = len(set(idx))
-        if distinct == 1:
-            return "sectional", H
+        if distinct == 1:  # sectional
+            return H
         if distinct == 2:
-            if P[0] == P[1] and Qm[0] == Qm[1]:
-                return "orthogonal", O
-            if P == Qm:
-                return "bisectional", b2
-            return "two-index-polar", b_ho
+            if P[0] == P[1] and Qm[0] == Qm[1]:  # orthogonal
+                return O
+            if P == Qm:  # bisectional
+                return b2
+            return b_ho  # two-index polar
         if distinct == 3:
-            if P[0] == P[1] or Qm[0] == Qm[1]:
-                return "step-one", O
-            return "one-shared", b3
-        return "all-distinct", b4
+            if P[0] == P[1] or Qm[0] == Qm[1]:  # step-one
+                return O
+            return b3  # one shared index
+        return b4  # all distinct
 
     worst = -np.inf
     violations = []
-    by_class: dict = {}
     for idx in canonical_indices(A.n):
-        cname, bound = class_bound(idx)
+        bound = class_bound(idx)
         margin = abs(float(A.A[idx])) - bound
         worst = max(worst, margin)
-        prev = by_class.get(cname, (-np.inf, None))
-        if margin > prev[0]:
-            by_class[cname] = (margin, idx)
         if margin > tol:
             violations.append((idx, float(A.A[idx]), bound))
-    return PolarizationReport(bound_by_class=by_class, worst_margin=float(worst),
-                              violations=violations, passed=not violations)
+    return PolarizationReport(worst_margin=float(worst), violations=violations,
+                              passed=not violations)

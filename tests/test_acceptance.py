@@ -13,7 +13,7 @@ from conftest import quadratic
 from hesselab import _extrema, berger, flow, reaction, transport
 from hesselab.certificates import NONPOSITIVE
 from hesselab.cli import verify_all
-from hesselab.curvature import (RegionSpec, SearchSpec, anti_bisectional,
+from hesselab.curvature import (RegionSpec, anti_bisectional,
                                 certify_sign, core_form, mtw_tensor, scalar)
 from hesselab.errors import BlowUp
 from hesselab.potentials import catalog
@@ -41,7 +41,7 @@ def test_criterion_01_mtw_abc_proportionality():
             xi = rng.normal(size=2)
             eta = rng.normal(size=2)
             y = rng.normal(size=2) * 0.05
-            val = mtw_tensor(handle, p + y, y, xi, eta).value
+            val = mtw_tensor(handle, p + y, y, xi, eta)
             sample = core_form(handle.jet(p))
             ref = anti_bisectional(sample, xi, np.linalg.solve(sample.h, eta))
             if abs(ref) > 1e-11:
@@ -81,8 +81,7 @@ def test_criterion_02_ball_formulas():
     pointwise_ok = worst <= 1e-8
 
     cert = certify_sign(handle, "ABC",
-                        RegionSpec(count=25, seed=7, extent=np.sqrt(0.95)),
-                        SearchSpec())
+                        RegionSpec(count=25, seed=7, extent=np.sqrt(0.95)))
     sign_ok = cert.verdict == NONPOSITIVE
 
     h3 = catalog("calabi_ball", n=3)

@@ -295,3 +295,39 @@ nodes = 8
     assert "config error: bad [flow] grid: a 2-D torus grid" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, potential, section, key, value", [
+    ("curvature-scan", "cone2d", "scan", "count", "-1"),
+    ("curvature-scan", "cone2d", "scan", "seed", "-1"),
+    ("certify", "cone2d", "certify", "seed", "-3"),
+    ("null-vector-suite", "cone2d", "suite", "dims", "0"),
+    ("trace-suite", "cone2d", "suite", "max_dim", "0"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "epochs", "0"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "sample_per_axis", "0"),
+    ("kr-probe", "radial_sym", "probe", "epochs", "0"),
+    ("kr-probe", "radial_sym", "probe", "expect_regular", "ture")])
+def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
+                                                kind, potential, section, key, value):
+    """A value an experiment cannot use is a config error, reported without
+    a traceback; a boolean is one of 1/true/yes/on or 0/false/no/off."""
+    monkeypatch.chdir(tmp_path)
+    required = {"certify": "quantity = ABC", "flow": "nodes = 8",
+                "probe": "origin_x = 0.35\norigin_y = -0.55\nspacing = 0.028\nnodes = 8"}
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"""
+[experiment]
+kind = {kind}
+
+[potential]
+name = {potential}
+
+[{section}]
+{required.get(section, "")}
+{key} = {value}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import AffineImage, ScaledHandle, quadratic
 from hesselab import _extrema
 from hesselab.certificates import DEGENERATE, NONPOSITIVE
-from hesselab.curvature import (RegionSpec, SearchSpec, anti_bisectional,
+from hesselab.curvature import (RegionSpec, anti_bisectional,
                                 certify_sign, core_form, full_abc_trace, hsc,
                                 hsc_full, mtw_tensor, oab_trace,
                                 reevaluate_witness, ricci, scalar,
@@ -302,7 +302,7 @@ def test_oab_trace_bad_frame(ball2):
 def test_mtw_quadratic_zero(quad2):
     val = mtw_tensor(quad2, np.array([0.3, 0.4]), np.array([0.1, 0.1]),
                      np.array([1.0, 2.0]), np.array([2.0, -1.0]))
-    assert val.value == 0.0
+    assert val == 0.0
 
 
 def test_mtw_abc_ratio_is_one(ball2, cone, radial):
@@ -318,7 +318,7 @@ def test_mtw_abc_ratio_is_one(ball2, cone, radial):
             sample = core_form(handle.jet(p))
             ref = anti_bisectional(sample, xi, np.linalg.solve(sample.h, eta))
             if abs(ref) > 1e-10:
-                assert mv.value / ref == pytest.approx(1.0, abs=1e-9)
+                assert mv / ref == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mtw_radial_orthogonal_nonnegative(radial):
@@ -331,7 +331,7 @@ def test_mtw_radial_orthogonal_nonnegative(radial):
         # enforce eta(xi) = 0 by projecting the covector
         eta = eta_raw - (eta_raw @ xi) / (xi @ xi) * xi
         assert abs(eta @ xi) < 1e-12 * np.linalg.norm(eta) * np.linalg.norm(xi) + 1e-15
-        val = mtw_tensor(radial, p, np.zeros(2), xi, eta).value
+        val = mtw_tensor(radial, p, np.zeros(2), xi, eta)
         assert val >= -1e-10 * (1 + abs(val))
 
 
@@ -344,8 +344,7 @@ def test_mtw_out_of_domain(ball2):
 # -- sign certification ---------------------------------------------------------------
 
 def test_certify_cone_nonpositive_with_quarter_pi_witness(cone):
-    cert = certify_sign(cone, "ABC", RegionSpec(count=12, seed=5),
-                        SearchSpec(n_angles=720))
+    cert = certify_sign(cone, "ABC", RegionSpec(count=12, seed=5))
     assert cert.verdict == NONPOSITIVE
     # in the raised-covector chart the degenerate maximum sits at
     # theta = phi = pi/4 (mod the sign symmetries of the two angles)
@@ -370,34 +369,29 @@ def test_certify_cone_nonpositive_with_quarter_pi_witness(cone):
 
 def test_certify_quadratic_degenerate(quad2):
     for q in ("ABC", "ORTH_ABC", "HSC_POL", "MTW_ORTH"):
-        cert = certify_sign(quad2, q, RegionSpec(count=4, seed=2),
-                            SearchSpec(n_angles=180))
+        cert = certify_sign(quad2, q, RegionSpec(count=4, seed=2))
         assert cert.verdict == DEGENERATE
 
 
 def test_certify_ball_nonpositive_and_witness_reproduces(ball2):
-    cert = certify_sign(ball2, "ABC", RegionSpec(count=10, seed=6, extent=0.9),
-                        SearchSpec())
+    cert = certify_sign(ball2, "ABC", RegionSpec(count=10, seed=6, extent=0.9))
     assert cert.verdict == NONPOSITIVE
     again = reevaluate_witness(ball2, cert)
     assert again == pytest.approx(cert.extremal_value, abs=1e-12)
 
 
 def test_hsc_witness_reproduces_in_2d(ball2):
-    cert = certify_sign(ball2, "HSC_POL", RegionSpec(count=4, seed=6, extent=0.9),
-                        SearchSpec(n_angles=360))
+    cert = certify_sign(ball2, "HSC_POL", RegionSpec(count=4, seed=6, extent=0.9))
     again = reevaluate_witness(ball2, cert)
     assert again == hsc(core_form(ball2.jet(cert.witness_point)), cert.witness_v)
     assert again == pytest.approx(cert.extremal_value, abs=1e-12)
 
 
 def test_certify_scale_invariance(ball2):
-    base = certify_sign(ball2, "ABC", RegionSpec(count=6, seed=9, extent=0.8),
-                        SearchSpec(n_angles=360))
+    base = certify_sign(ball2, "ABC", RegionSpec(count=6, seed=9, extent=0.8))
     for c in (0.5, 3.0):
         scaled = ScaledHandle(ball2, c)
-        cert = certify_sign(scaled, "ABC", RegionSpec(count=6, seed=9, extent=0.8),
-                            SearchSpec(n_angles=360))
+        cert = certify_sign(scaled, "ABC", RegionSpec(count=6, seed=9, extent=0.8))
         assert cert.verdict == base.verdict
         assert np.allclose(cert.witness_point, base.witness_point)
         for bw, cw in ((base.witness_v, cert.witness_v),
@@ -428,16 +422,14 @@ def test_nonpositive_abc_implies_nonpositive_polarized_sectional(ball2):
     """Diagonal restriction: a NONPOSITIVE pair certificate forces the
     polarized sectional certificate to be non-positive as well."""
     region = RegionSpec(count=8, seed=15, extent=0.85)
-    abc = certify_sign(ball2, "ABC", region, SearchSpec(n_angles=360))
+    abc = certify_sign(ball2, "ABC", region)
     assert abc.verdict == NONPOSITIVE
-    hsc_cert = certify_sign(ball2, "HSC_POL", region, SearchSpec(n_angles=360))
+    hsc_cert = certify_sign(ball2, "HSC_POL", region)
     assert hsc_cert.extra["max_value"] <= hsc_cert.tolerance
 
 
 def test_mtw_orth_certificate_matches_orth_abc(radial):
-    c1 = certify_sign(radial, "ORTH_ABC", RegionSpec(count=8, seed=3),
-                      SearchSpec(n_angles=360))
-    c2 = certify_sign(radial, "MTW_ORTH", RegionSpec(count=8, seed=3),
-                      SearchSpec(n_angles=360))
+    c1 = certify_sign(radial, "ORTH_ABC", RegionSpec(count=8, seed=3))
+    c2 = certify_sign(radial, "MTW_ORTH", RegionSpec(count=8, seed=3))
     assert c1.verdict == c2.verdict
     assert c1.extremal_value == pytest.approx(c2.extremal_value, rel=1e-12)

@@ -6,6 +6,10 @@ names it, in ``src/hesselab`` (the ``__init__`` re-exports aside) or in
 ``perfbench/*.py``.  Imports, strings and comments do not count, so a name
 that survives only in an error message or a comment is caught.  ``KEPT``
 lists the names that only tests reach, each with the reason it stays.
+
+A field of a ``src/hesselab`` dataclass counts as read when an
+``ast.Attribute`` load names it in ``src/hesselab``, ``perfbench/*.py`` or
+``tests``; a field that is only ever written is caught.
 """
 
 import ast
@@ -71,3 +75,32 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
     unreached = unreached_names()
     assert unreached - set(KEPT) == set(), "public names nothing reaches"
     assert set(KEPT) - unreached == set(), "kept names the program now reaches"
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of each annotated field of a @dataclass class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id
+
+
+def unread_fields() -> set[str]:
+    sources = sorted(PACKAGE.glob("*.py"))
+    readers = sources + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in readers}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{cls}.{name}" for p in sources for cls, name in _dataclass_fields(trees[p])
+            if name not in read}
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == set(), "dataclass fields nothing reads"
