@@ -56,10 +56,6 @@ class SphereMoments:
     def ratio(self) -> float:
         return self.m4 / self.m22
 
-    @property
-    def exact_ratio(self) -> float:
-        return self.exact_m4 / self.exact_m22
-
 
 def sphere_moments(n: int, count: int, seed: int) -> SphereMoments:
     """Estimates of the fourth moments of the real unit sphere S^{n-1}.
@@ -157,10 +153,6 @@ class TrigFit:
     a3: float
     a4: float
     residual: float
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2, self.a3, self.a4])
 
     def __call__(self, theta):
         t = np.asarray(theta, dtype=float)

@@ -171,12 +171,13 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     mode = cfg.get("flow", "mode", str, "periodic")
     m = cfg.get("flow", "nodes", int, 32)
     T = cfg.get("flow", "time", float, 0.05)
-    lam = cfg.get("flow", "lambda", float, 0.0)
     epochs = cfg.get("flow", "epochs", int, 8)
     per_axis = cfg.get("flow", "sample_per_axis", int, 4)
-    if epochs < 1 or per_axis < 1:
-        raise ConfigError(f"[flow] needs epochs >= 1 and sample_per_axis >= 1, "
-                          f"got epochs = {epochs}, sample_per_axis = {per_axis}")
+    if "lambda" in cfg.section("flow"):
+        raise ConfigError("[flow] lambda is not supported: the flow is the unnormalized one")
+    if not 0.0 < T < np.inf or epochs < 1 or per_axis < 1:
+        raise ConfigError(f"[flow] needs time > 0, epochs >= 1 and sample_per_axis >= 1, "
+                          f"got time = {T}, epochs = {epochs}, sample_per_axis = {per_axis}")
     if mode == "periodic":
         grid = flow.GridSpec(shape=(m, m))
     else:
@@ -185,7 +186,7 @@ def _exp_flow_run(cfg: Config, outdir: Path):
         spacing = cfg.get("flow", "spacing", float)
         grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
     try:
-        state = flow.init(handle, grid, mode, lam=lam)
+        state = flow.init(handle, grid, mode)
     except BadParams as exc:
         raise ConfigError(f"bad [flow] grid: {exc}") from exc
     final, series = flow.run(state, T, sample_per_axis=per_axis,
@@ -220,10 +221,14 @@ def _exp_kr_probe(cfg: Config, outdir: Path):
     spacing = cfg.get("probe", "spacing", float)
     expect_regular = cfg.get("probe", "expect_regular", bool, True)
     epochs = cfg.get("probe", "epochs", int, 5)
-    if epochs < 1:
-        raise ConfigError(f"[probe] needs epochs >= 1, got {epochs}")
+    if not 0.0 < eps < np.inf or epochs < 1:
+        raise ConfigError(f"[probe] needs epsilon > 0 and epochs >= 1, "
+                          f"got epsilon = {eps}, epochs = {epochs}")
     grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
-    verdict = flow.kr_probe(handle, eps, grid, monitor_epochs=epochs)
+    try:
+        verdict = flow.kr_probe(handle, eps, grid, monitor_epochs=epochs)
+    except BadParams as exc:
+        raise ConfigError(f"bad [probe] grid: {exc}") from exc
     _write_series(_out(outdir, f"kr_probe_{handle.name}.csv"), verdict.series)
     ok = verdict.regular == expect_regular
     return ok, [f"kr-probe {handle.name}: {verdict.label}"]
@@ -251,9 +256,11 @@ def _exp_null_vector_suite(cfg: Config, outdir: Path):
     trials = cfg.get("suite", "trials", int, 50)
     seed = cfg.get("suite", "seed", int, 3)
     dims = cfg.get("suite", "dims", lambda raw: [int(v) for v in raw.split()], [2, 3])
-    if not dims or min(dims) < 1:
-        raise ConfigError(f"[suite] dims must be integers >= 1, got {dims}")
     probe_trials = cfg.get("suite", "probe_trials", int, 2000)
+    if trials < 1 or probe_trials < 1 or seed < 0 or not dims or min(dims) < 1:
+        raise ConfigError(f"[suite] needs trials >= 1, probe_trials >= 1, seed >= 0 and "
+                          f"dims >= 1, got trials = {trials}, probe_trials = "
+                          f"{probe_trials}, seed = {seed}, dims = {dims}")
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -288,8 +295,9 @@ def _exp_trace_suite(cfg: Config, outdir: Path):
     trials = cfg.get("suite", "trials", int, 2000)
     seed = cfg.get("suite", "seed", int, 5)
     max_n = cfg.get("suite", "max_dim", int, 6)
-    if max_n < 1:
-        raise ConfigError(f"[suite] needs max_dim >= 1, got {max_n}")
+    if trials < 1 or seed < 0 or max_n < 1:
+        raise ConfigError(f"[suite] needs trials >= 1, seed >= 0 and max_dim >= 1, "
+                          f"got trials = {trials}, seed = {seed}, max_dim = {max_n}")
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -307,6 +315,9 @@ def _exp_trace_suite(cfg: Config, outdir: Path):
 def _exp_berger_suite(cfg: Config, outdir: Path):
     seed = cfg.get("suite", "seed", int, 9)
     count = cfg.get("suite", "count", int, 20000)
+    if count < 8 or seed < 0:  # the fits average count // 4 >= 2 points per sample
+        raise ConfigError(f"[suite] needs count >= 8 and seed >= 0, "
+                          f"got count = {count}, seed = {seed}")
     lines = []
     ok = True
     mom = berger.sphere_moments(2, count, seed)

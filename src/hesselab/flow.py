@@ -1,18 +1,18 @@
-"""Potential-level flow d(psi)/dt = 2 log det Hess(psi) - lambda * psi on grids.
+"""Potential-level flow d(psi)/dt = 2 log det Hess(psi) on 2-D grids.
 
 Periodic mode evolves the periodic part of psi = (1/2) x.A.x + u(x) on the
-unit torus (the quadratic matrix evolves by dA/dt = -lambda A; for the
-unnormalized flow it is constant).  Frozen-window mode evolves interior
-nodes of a box window; the boundary ring of width 2 (the monitor stencil
-radius) follows the linearly extrapolated interior update rather than the
-PDE.  Holding the ring at its initial values instead is unconditionally
-unstable whenever det Hess deviates from 1 (the interior drifts relative
-to the ring by 2 log det per unit time, so the interface Hessian loses
-positivity at a rate independent of the step size) and would break the
-fixed-point property of det-constant potentials; the extrapolated ring is
-the stable surrogate.  Because no boundary treatment is exact, the
-monitored set retreats inward by the stencil radius per monitor epoch plus
-a diffusive-front margin (see monitor_offset).
+unit torus; the quadratic matrix A is constant under the flow.
+Frozen-window mode evolves interior nodes of a box window; the boundary
+ring of width 2 (the monitor stencil radius) follows the linearly
+extrapolated interior update rather than the PDE.  Holding the ring at its
+initial values instead is unconditionally unstable whenever det Hess
+deviates from 1 (the interior drifts relative to the ring by 2 log det per
+unit time, so the interface Hessian loses positivity at a rate independent
+of the step size) and would break the fixed-point property of det-constant
+potentials; the extrapolated ring is the stable surrogate.  Because no
+boundary treatment is exact, the monitored set retreats inward by the
+stencil radius per monitor epoch plus a diffusive-front margin (see
+monitor_offset).
 
 Spatial discretization is second-order central differences; time stepping
 is the classical four-stage explicit scheme with the adaptive step
@@ -21,9 +21,9 @@ is the classical four-stage explicit scheme with the adaptive step
 
 the linearization being a heat equation with diffusion tensor 2 Hess^-1.
 
-Every stage evaluates the Hessian with one kernel (_hessian) for n = 1 and
-n = 2: u is copied once into a buffer padded by one wrapped node per side,
-and each Hessian field is a sum of slices of that buffer.  The sums keep the
+Every stage evaluates the Hessian with one 2-D kernel (_hessian): u is
+copied once into a buffer padded by one wrapped node per side, and each
+Hessian field is a sum of slices of that buffer.  The sums keep the
 operation order of the jets._STENCILS rows, so the fields equal the
 roll-based grid_derivative ones bit for bit; window mode discards the
 wrapped values on its ring.  The checked nodes are fixed once per step (all
@@ -38,8 +38,6 @@ A single writer owns the state during a run; monitors act on snapshots.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +75,6 @@ class FlowState:
     origin: np.ndarray
     quad: np.ndarray | None = None         # torus quadratic matrix
     t: float = 0.0
-    lam: float = 0.0
 
     @property
     def n(self) -> int:
@@ -115,63 +112,42 @@ def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndar
     return out
 
 
-@functools.cache
-def _pad_plan(n: int):
-    """Index tuples _hessian uses on an n-D grid padded by one node per side:
-    the unpadded nodes, the wrap copies per axis, the -1/+1 shifts per axis,
-    and the shifts of each mixed pair i < j (along i, then along j)."""
-    def at(axis, off, full=()):  # nodes shifted by off along axis
-        return tuple(slice(1 + off, -1 + off or None) if a == axis else
-                     slice(None) if a in full else slice(1, -1) for a in range(n))
-
-    lead = [(slice(None),) * a for a in range(n)]
-    wrap = [(s + (0,), s + (-2,), s + (-1,), s + (1,)) for s in lead]
-    second = [(at(i, -1), at(i, 1)) for i in range(n)]
-    every = tuple(range(n))
-    mixed = [(i, j, at(i, -1, (j,)), at(i, 1, (j,)), at(j, -1, every), at(j, 1, every))
-             for i, j in itertools.combinations(range(n), 2)]
-    return at(0, 0), wrap, second, mixed
-
-
 def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
-    """Total Hessian fields of (1/2) x.quad.x + u with periodic wrap.
+    """Total Hessian fields [hxx, hyy, hxy] of (1/2) x.quad.x + u on a 2-D
+    grid with periodic wrap.
 
     u is copied once into a buffer padded by one wrapped node per side, and
     each field is a sum of slices of that buffer.  The sums keep the order of
     the _STENCILS rows, so the fields equal grid_derivative's bit for bit.
-    Returns the diagonal fields in axis order, then hij for i < j.
     """
-    n = u.ndim
-    inner, wrap, second, mixed = _pad_plan(n)
-    p = np.empty(tuple(m + 2 for m in u.shape))
-    p[inner] = u
-    for lo, lo_src, hi, hi_src in wrap:  # later axes copy whole planes: corners wrap
-        p[lo] = p[lo_src]
-        p[hi] = p[hi_src]
-    a = np.zeros((n, n)) if quad is None else quad
+    p = np.empty((u.shape[0] + 2, u.shape[1] + 2))
+    p[1:-1, 1:-1] = u
+    p[0], p[-1] = p[-2], p[1]  # rows first, then whole columns: corners wrap
+    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    a = np.zeros((2, 2)) if quad is None else quad
     m2 = -2.0 * u
     h2 = h**2
     fields = []
-    for i, (minus, plus) in enumerate(second):  # ((u[i-1] + -2 u[i]) + u[i+1]) / h^2
-        d = p[minus] + m2
-        d += p[plus]
+    for i, (minus, plus) in enumerate(((p[:-2, 1:-1], p[2:, 1:-1]),
+                                       (p[1:-1, :-2], p[1:-1, 2:]))):
+        d = minus + m2  # ((u[i-1] + -2 u[i]) + u[i+1]) / h^2 along axis i
+        d += plus
         d /= h2
         d += a[i, i]
         fields.append(d)
-    for i, j, minus_i, plus_i, minus_j, plus_j in mixed:
-        di = -0.5 * p[minus_i]  # (-u[i-1]/2 + u[i+1]/2) / h along i, then along j
-        di += 0.5 * p[plus_i]
-        di /= h
-        d = -0.5 * di[minus_j]
-        d += 0.5 * di[plus_j]
-        d /= h
-        d += a[i, j]
-        fields.append(d)
+    dx = -0.5 * p[:-2]  # (-u[i-1]/2 + u[i+1]/2) / h along x, then along y
+    dx += 0.5 * p[2:]
+    dx /= h
+    d = -0.5 * dx[:, :-2]
+    d += 0.5 * dx[:, 2:]
+    d /= h
+    d += a[0, 1]
+    fields.append(d)
     return fields
 
 
 def _hessian_fields(state: FlowState) -> list:
-    """Total Hessian entry fields on the grid: (hxx,) or (hxx, hyy, hxy)."""
+    """Total Hessian entry fields [hxx, hyy, hxy] on the grid."""
     quad = state.quad if state.mode == "periodic" else None
     return _hessian(state.u, state.spacing, quad)
 
@@ -189,35 +165,31 @@ def _checked_det(fields, inner: tuple, t: float) -> np.ndarray:
     Raises StabilityFailure at the first of those nodes where the Hessian is
     not positive definite or det is not finite (a NaN entry included).
     """
-    hxx = fields[0][inner]
-    if len(fields) == 1:
-        det = hxx
-        message = "Hessian lost positivity"
-    else:
-        hyy, hxy = (f[inner] for f in fields[1:])
-        det = hxx * hyy - hxy * hxy
-        message = "Hessian lost positive-definiteness"
+    hxx, hyy, hxy = (f[inner] for f in fields)
+    det = hxx * hyy - hxy * hxy
     if not det.size or (det.min() > 0.0 and hxx.min() > 0.0 and det.max() < np.inf):
         return det
     first = np.argwhere((det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det))[0]
     node = tuple(int(v) + (s.start or 0) for v, s in zip(first, inner))
-    raise StabilityFailure(message, node=node, time=t)
+    raise StabilityFailure("Hessian lost positive-definiteness", node=node, time=t)
 
 
 # -- operations -----------------------------------------------------------------
 
-def init(handle: PotentialHandle, grid: GridSpec, mode: str,
-         lam: float = 0.0) -> FlowState:
-    """Sample the potential on the grid and verify convexity everywhere."""
+def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
+    """Sample the potential on the grid and verify convexity everywhere.
+
+    Both the grid and the potential must be 2-D.
+    """
     if mode not in ("periodic", "frozen-window"):
         raise BadParams(f"unknown boundary mode {mode!r}")
+    if mode == "periodic" and not isinstance(handle, QuadraticPlusPeriodic):
+        raise IncompatibleMode("periodic mode needs a quadratic-plus-periodic potential")
+    if len(grid.shape) != 2 or handle.n != 2:
+        kind = "torus" if mode == "periodic" else "window"
+        raise BadParams(f"a {len(grid.shape)}-D {kind} grid for a potential in "
+                        f"n = {handle.n}: the flow runs on 2-D grids in n = 2")
     if mode == "periodic":
-        if not isinstance(handle, QuadraticPlusPeriodic):
-            raise IncompatibleMode(
-                "periodic mode needs a quadratic-plus-periodic potential")
-        if len(grid.shape) != handle.n:
-            raise BadParams(f"a {len(grid.shape)}-D torus grid for a potential "
-                            f"in n = {handle.n}")
         m = grid.shape[0]
         if any(s != m for s in grid.shape):
             raise BadParams("torus grids must be square")
@@ -235,7 +207,7 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
     u = (handle.values_at(pts) if quad is None
          else np.array([handle.periodic_value(p) for p in pts]))
     state = FlowState(mode=mode, u=u.reshape(grid.shape), spacing=spacing,
-                      origin=origin, quad=quad, lam=lam)
+                      origin=origin, quad=quad)
     _checked_det(_hessian_fields(state), _interior(state), state.t)
     return state
 
@@ -243,10 +215,7 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str,
 def _lambda_min(state: FlowState) -> float:
     """Smallest Hessian eigenvalue over the checked nodes."""
     inner = _interior(state)
-    fields = [f[inner] for f in _hessian_fields(state)]
-    if state.n == 1:
-        return float(fields[0].min())
-    hxx, hyy, hxy = fields
+    hxx, hyy, hxy = (f[inner] for f in _hessian_fields(state))
     tr = hxx + hyy
     det = hxx * hyy - hxy * hxy
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
@@ -283,37 +252,33 @@ def step(state: FlowState, dt: float | None = None,
     if dt is None:
         dt = adaptive_dt(state)
     carry = [None] if carry is None else carry
-    h, lam, t = state.spacing, state.lam, state.t
+    h, t = state.spacing, state.t
     periodic = state.mode == "periodic"
+    quad = state.quad if periodic else None
     inner = _interior(state)
 
-    def rhs(u, quad, det=None):
+    def rhs(u, det=None):
         if det is None:
-            det = _checked_det(_hessian(u, h, quad if periodic else None), inner, t)
+            det = _checked_det(_hessian(u, h, quad), inner, t)
         logdet = np.log(det)
         if periodic:
-            du = 2.0 * logdet - lam * u
-        else:
-            du = np.zeros_like(u)
-            du[inner] = 2.0 * logdet - lam * u[inner]
-            _extend_ring(du)
-        return du, None if quad is None else -lam * quad
+            return 2.0 * logdet
+        du = np.zeros_like(u)
+        du[inner] = 2.0 * logdet
+        _extend_ring(du)
+        return du
 
-    def adv(field, k, frac):
-        return None if field is None else field + frac * dt * k
-
-    u, q = state.u, state.quad
-    k1u, k1q = rhs(u, q, carry[0])
-    k2u, k2q = rhs(adv(u, k1u, 0.5), adv(q, k1q, 0.5))
-    k3u, k3q = rhs(adv(u, k2u, 0.5), adv(q, k2q, 0.5))
-    k4u, k4q = rhs(adv(u, k3u, 1.0), adv(q, k3q, 1.0))
-    new_u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-    new_q = None if q is None else q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    u = state.u
+    k1 = rhs(u, carry[0])
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    new_u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(new_u)):
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
         raise StabilityFailure("non-finite values", node=node, time=t)
     out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
-                    quad=new_q, t=t + dt, lam=lam)
+                    quad=state.quad, t=t + dt)
     carry[0] = _checked_det(_hessian_fields(out), inner, out.t)
     return out
 
@@ -504,14 +469,15 @@ class KrVerdict:
 
 
 def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
-             mode: str = "frozen-window", monitor_epochs: int = 8) -> KrVerdict:
-    """Run the flow to time eps and test the orthogonal-pair minimum.
+             monitor_epochs: int = 8) -> KrVerdict:
+    """Run the frozen-window flow to time eps and test the orthogonal-pair
+    minimum.
 
     The monitor samples KR_SAMPLE_PER_AXIS nodes per axis.  Verdict is
     weakly regular when ORTH_ABC_min >= -KR_TOL at every recorded positive
     time; otherwise the first violating time is reported.
     """
-    state = init(handle, grid, mode)
+    state = init(handle, grid, "frozen-window")
     _, series = run(state, eps, sample_per_axis=KR_SAMPLE_PER_AXIS,
                     monitor_epochs=monitor_epochs)
     times = np.asarray(series.times)

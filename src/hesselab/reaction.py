@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _extrema
-from .curvature import (CURVATURE_GROUP, CurvatureSample, mirror_symmetrize,
-                        symmetry_defect)
+from .curvature import CURVATURE_GROUP, mirror_symmetrize, symmetry_defect
 from .errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC, NotPSD,
                      StabilityFailure)
 from .jets import orbit_table
@@ -73,10 +72,6 @@ class AlgCurvTensor:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(n,) * 4) * scale
         return cls(mirror_symmetrize(raw))
-
-    @classmethod
-    def from_sample(cls, sample: CurvatureSample) -> "AlgCurvTensor":
-        return cls(sample.E_frame.copy())
 
     # -- canonical text serialization ----------------------------------------
 

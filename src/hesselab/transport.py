@@ -1,19 +1,18 @@
 """Exact discrete optimal transport for difference costs c(x,y) = psi(x-y).
 
-Two uniform measures of one size m are solved as an assignment: the
-vertices of their coupling polytope are the permutation matrices divided
-by m (Birkhoff-von Neumann), so a minimum-cost assignment (Jonker-Volgenant,
-scipy's linear_sum_assignment) is an exact optimum of the LP.  Its duals
-are shortest-path potentials of the column graph.  All other instances
-solve the exact LP over couplings (marginal-constrained, HiGHS dual
-simplex, which terminates at an optimal vertex).  Either way a plan
-carries dual potentials and is certified at 1e-9 by primal feasibility (its
+The solver takes two uniform measures of one size m, the instances every
+experiment builds.  They are solved as an assignment: the vertices of their
+coupling polytope are the permutation matrices divided by m (Birkhoff-von
+Neumann), so a minimum-cost assignment (Jonker-Volgenant, scipy's
+linear_sum_assignment) is an exact optimum of the LP over couplings.  Its
+duals are shortest-path potentials of the column graph.  A plan carries
+these dual potentials and is certified at 1e-9 by primal feasibility (its
 marginals and no negative entry), complementary slackness and dual
 feasibility, computed here from the weights, C, the plan and the duals
-alone, so the certificate does not rest on either solver being right.
-Instances solve independently; each solve is single-threaded.  A cost
-matrix is one batched evaluation of psi over all m * k differences, with
-the errors the pointwise evaluation raises.
+alone, so the certificate does not rest on the assignment solver being
+right.  Instances solve independently; each solve is single-threaded.  A
+cost matrix is one batched evaluation of psi over all m * k differences,
+with the errors the pointwise evaluation raises.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .errors import BadParams, Infeasible, NotDeterministic
 
@@ -99,15 +98,16 @@ class TransportPlan:
 
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
                 C: np.ndarray) -> TransportPlan:
-    """Exact optimal coupling with dual certificate.
+    """Exact optimal coupling of two uniform measures of one size m, with
+    dual certificate.
 
-    Uniform measures of equal size solve as an assignment, exact there
-    because some optimal coupling is a permutation matrix divided by m; the
-    duals are shortest-path potentials (``_assignment_duals``).  Other
-    instances solve the LP over couplings with the HiGHS dual simplex.  The returned
-    residuals are computed from the weights, C, the plan and the duals,
-    whichever solver ran.  Raises Infeasible on size/weight mismatch and BadParams on a
-    non-finite cost.  Suitable for supports up to about a thousand points.
+    The coupling is an assignment, exact because some optimal coupling is a
+    permutation matrix divided by m; the duals are shortest-path potentials
+    (``_assignment_duals``).  The returned residuals are computed from the
+    weights, C, the plan and the duals.  Raises Infeasible when C does not
+    have the measures' shape, and BadParams on a non-finite cost, on sizes
+    that differ or on weights that are not uniform.  Suitable for supports
+    up to about a thousand points.
     """
     C = np.asarray(C, dtype=float)
     m, k = mu.size, nu.size
@@ -115,16 +115,14 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise Infeasible(f"cost matrix shape {C.shape} != ({m}, {k})")
     if not np.isfinite(C).all():
         raise BadParams("cost matrix has a NaN or infinite entry")
-    if abs(mu.weights.sum() - nu.weights.sum()) > 1e-10:
-        raise Infeasible("marginal masses differ")
-    if m == k and all(np.abs(w - 1.0 / m).max() <= 1e-12
-                      for w in (mu.weights, nu.weights)):
-        rows, cols = linear_sum_assignment(C)
-        P = np.zeros((m, k))
-        P[rows, cols] = mu.weights
-        u, v = _assignment_duals(C, cols)
-    else:
-        P, u, v = _lp_plan(mu, nu, C)
+    if m != k or any(np.abs(w - 1.0 / m).max() > 1e-12
+                     for w in (mu.weights, nu.weights)):
+        raise BadParams(f"exact OT needs two uniform measures of one size, "
+                        f"got sizes {m} and {k}")
+    rows, cols = linear_sum_assignment(C)
+    P = np.zeros((m, k))
+    P[rows, cols] = mu.weights
+    u, v = _assignment_duals(C, cols)
     return _residual_plan(mu, nu, C, P, u, v)
 
 
@@ -171,27 +169,6 @@ def _assignment_duals(C: np.ndarray, sigma: np.ndarray):
         v = nxt
     raise Infeasible("assignment duals found a negative cycle: the "
                      "assignment is not optimal")
-
-
-def _lp_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray):
-    """Coupling and marginal duals (P, u, v) of the LP over couplings."""
-    m, k = C.shape
-    from scipy.sparse import coo_matrix
-    # rows a < m sum P[a, :], rows m + b sum P[:, b]; entries in the order of
-    # a loop over (a, b) for the first block and over (b, a) for the second
-    b_major, a_minor = np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
-    rows = np.concatenate([np.repeat(np.arange(m), k), m + b_major])
-    cols = np.concatenate([np.arange(m * k), a_minor * k + b_major])
-    A_eq = coo_matrix((np.ones(2 * m * k), (rows, cols)), shape=(m + k, m * k))
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise Infeasible(f"LP solve failed: {res.message}")
-    y = np.asarray(res.eqlin.marginals)
-    return res.x.reshape(m, k), y[:m], y[m:]
 
 
 def barycentric_map(plan: TransportPlan, mu: DiscreteMeasure,

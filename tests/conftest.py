@@ -37,6 +37,11 @@ def exact_polarized_average(sample: CurvatureSample) -> float:
     return (2.0 * scalar(sample) + full_abc_trace(sample)) / (n * (n + 2))
 
 
+def trig_coefficients(fit) -> np.ndarray:
+    """(a0, .., a4) of a berger.TrigFit."""
+    return np.array([fit.a0, fit.a1, fit.a2, fit.a3, fit.a4])
+
+
 def write_grid_file(path, origin, spacing, values, t: float | None = None):
     """Write the grid potential text format that read_grid_file reads."""
     values = np.asarray(values, dtype=float)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import exact_polarized_average, quadratic
+from conftest import exact_polarized_average, quadratic, trig_coefficients
 from hesselab import _extrema, berger
 from hesselab.curvature import core_form, full_abc_trace, ricci, scalar
 from hesselab.errors import BadFrame, BadParams, NotNegativeHSC
@@ -21,7 +21,7 @@ def test_sphere_moments_n2():
     assert mom.exact_m22 == pytest.approx(1.0 / 8.0)
     assert abs(mom.m4 - mom.exact_m4) <= 3 * mom.se4
     assert abs(mom.m22 - mom.exact_m22) <= 3 * mom.se22
-    assert mom.exact_ratio == pytest.approx(3.0)
+    assert mom.exact_m4 / mom.exact_m22 == pytest.approx(3.0)
 
 
 def test_sphere_moments_n3():
@@ -95,7 +95,7 @@ def test_plane_fit_flat():
     sample = core_form(quadratic(2).jet(np.array([0.4, 0.6])))
     X, Xp = frame_pair(sample)
     fit = berger.plane_fit(sample, X, Xp)
-    assert np.allclose(fit.coefficients, 0.0, atol=1e-15)
+    assert np.allclose(trig_coefficients(fit), 0.0, atol=1e-15)
     assert fit.residual < 1e-15
 
 
@@ -112,7 +112,7 @@ def test_plane_fit_band_limited_everywhere(ball2, cone, radial):
         for sample in samples_on(handle, 2, 31, extent=extent):
             X, Xp = frame_pair(sample, theta=0.37)
             fit = berger.plane_fit(sample, X, Xp)
-            scale = 1.0 + np.abs(fit.coefficients).max()
+            scale = 1.0 + np.abs(trig_coefficients(fit)).max()
             assert fit.residual < 1e-8 * scale
 
 
@@ -140,7 +140,7 @@ def test_minimizer_constraints(name, extent):
     handle = catalog(name) if name != "calabi_ball" else catalog(name, n=2)
     for sample in samples_on(handle, 4, 37, extent=extent):
         fit = minimizer_plane_fit(sample)
-        scale = 1.0 + np.abs(fit.coefficients).max()
+        scale = 1.0 + np.abs(trig_coefficients(fit)).max()
         assert abs(fit.a2 + 2 * fit.a4) < 1e-8 * scale
         assert fit.a1 + 4 * fit.a3 <= 1e-8 * scale
         assert fit.a1 <= 1e-8 * scale

@@ -306,14 +306,28 @@ nodes = 8
     ("flow-run", "quadratic_plus_periodic", "flow", "epochs", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "sample_per_axis", "0"),
     ("kr-probe", "radial_sym", "probe", "epochs", "0"),
-    ("kr-probe", "radial_sym", "probe", "expect_regular", "ture")])
+    ("kr-probe", "radial_sym", "probe", "expect_regular", "ture"),
+    ("trace-suite", "cone2d", "suite", "trials", "-5"),
+    ("trace-suite", "cone2d", "suite", "seed", "-2"),
+    ("null-vector-suite", "cone2d", "suite", "seed", "-1"),
+    ("null-vector-suite", "cone2d", "suite", "trials", "0"),
+    ("null-vector-suite", "cone2d", "suite", "probe_trials", "0"),
+    ("berger-suite", "cone2d", "suite", "seed", "-4"),
+    ("berger-suite", "cone2d", "suite", "count", "0"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "time", "0"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "lambda", "0.3"),
+    ("kr-probe", "radial_sym", "probe", "spacing", "0"),
+    ("kr-probe", "radial_sym", "probe", "epsilon", "0")])
 def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
                                                 kind, potential, section, key, value):
     """A value an experiment cannot use is a config error, reported without
-    a traceback; a boolean is one of 1/true/yes/on or 0/false/no/off."""
+    a traceback; a boolean is one of 1/true/yes/on or 0/false/no/off.  The
+    flow is the unnormalized one, so [flow] lambda is refused."""
     monkeypatch.chdir(tmp_path)
-    required = {"certify": "quantity = ABC", "flow": "nodes = 8",
-                "probe": "origin_x = 0.35\norigin_y = -0.55\nspacing = 0.028\nnodes = 8"}
+    required = {"certify": {"quantity": "ABC"}, "flow": {"nodes": "8"},
+                "probe": {"origin_x": "0.35", "origin_y": "-0.55", "spacing": "0.028",
+                          "nodes": "8"}}
+    keys = {**required.get(section, {}), key: value}
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"""
 [experiment]
@@ -323,11 +337,38 @@ kind = {kind}
 name = {potential}
 
 [{section}]
-{required.get(section, "")}
-{key} = {value}
-""")
+""" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error: " in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, section", [("flow-run", "flow"), ("kr-probe", "probe")])
+def test_one_dimensional_potential_on_a_flow_window_exits_2(tmp_path, capsys, monkeypatch,
+                                                            kind, section):
+    """flow-run and kr-probe build 2-D windows; a 1-D potential on one is a
+    config error, reported without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text(f"""
+[experiment]
+kind = {kind}
+
+[potential]
+name = log_barrier
+
+[{section}]
+mode = frozen-window
+nodes = 8
+origin_x = 0.5
+origin_y = 0.5
+spacing = 0.01
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: bad [{section}] grid: a 2-D window grid for a potential "
+            f"in n = 1") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
                              StabilityFailure)
-from hesselab.potentials import LogBarrier, catalog
+from hesselab.potentials import CalabiBall, LogBarrier, catalog
 
 
 def torus(m=32):
@@ -50,7 +50,8 @@ def test_init_window_rejects_bad_spacing(ball2, spacing):
         flow.init(ball2, grid, "frozen-window")
 
 
-@pytest.mark.parametrize("n, shape", [(3, (8, 8)), (2, (8,)), (2, (8, 8, 8))])
+@pytest.mark.parametrize("n, shape", [(3, (8, 8)), (2, (8,)), (2, (8, 8, 8)),
+                                      (1, (8,)), (3, (8, 8, 8))])
 def test_init_torus_rejects_a_grid_of_another_dimension(n, shape):
     handle = catalog("quadratic_plus_periodic", n=n, amplitude=0.05)
     with pytest.raises(BadParams, match="torus grid"):
@@ -62,6 +63,17 @@ def test_incompatible_mode(ball2):
         flow.init(ball2, torus(16), "periodic")
     with pytest.raises(BadParams):
         flow.init(quadratic(2), torus(16), "no-such-mode")
+
+
+@pytest.mark.parametrize("handle, shape", [
+    (LogBarrier(), (32,)), (LogBarrier(), (32, 32)),
+    (CalabiBall(n=2), (32,)), (CalabiBall(n=3), (8, 8, 8))])
+def test_init_window_rejects_a_grid_or_potential_that_is_not_2d(handle, shape):
+    """The flow runs on 2-D grids in n = 2 only; a window of another grid or
+    potential dimension is refused before the potential is sampled."""
+    grid = flow.GridSpec(shape=shape, spacing=0.01, origin=np.full(len(shape), 0.5))
+    with pytest.raises(BadParams, match="window grid for a potential in n = "):
+        flow.init(handle, grid, "frozen-window")
 
 
 def test_adaptive_dt_formula():
@@ -77,21 +89,15 @@ def _hessian_states():
     bumpy = catalog("quadratic_plus_periodic", quad=quad, amplitude=0.05, wave=(1, 2))
     torus_state = flow.init(bumpy, torus(24), "periodic")
     window = flow.init(ball, ball_window(), "frozen-window")
-    line = flow.init(catalog("log_barrier"),
-                     flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5]),
-                     "frozen-window")
-    return {"periodic-2d": torus_state, "window-2d": window, "window-1d": line}
+    return {"periodic-2d": torus_state, "window-2d": window}
 
 
-@pytest.mark.parametrize("which", ["periodic-2d", "window-2d", "window-1d"])
+@pytest.mark.parametrize("which", ["periodic-2d", "window-2d"])
 def test_hessian_fields_match_grid_derivative(which):
     """The padded-buffer kernel equals the per-axis roll stencils bit for bit."""
     state = _hessian_states()[which]
-    a = state.quad if state.mode == "periodic" else np.zeros((state.n, state.n))
-    if state.n == 1:
-        orders = [((2,), a[0, 0])]
-    else:
-        orders = [((2, 0), a[0, 0]), ((0, 2), a[1, 1]), ((1, 1), a[0, 1])]
+    a = state.quad if state.mode == "periodic" else np.zeros((2, 2))
+    orders = [((2, 0), a[0, 0]), ((0, 2), a[1, 1]), ((1, 1), a[0, 1])]
     fields = flow._hessian_fields(state)
     assert len(fields) == len(orders)
     for got, (o, base) in zip(fields, orders):
@@ -103,7 +109,6 @@ def test_hessian_fields_match_grid_derivative(which):
 @pytest.mark.parametrize("which,node,message", [
     ("periodic-2d", (7, 7), "positive-definiteness"),
     ("window-2d", (13, 13), "positive-definiteness"),
-    ("window-1d", (10,), "positivity"),
 ])
 def test_nonconvex_bump_fails_at_its_node(which, node, message):
     """A spike that breaks convexity fails the first stage at a fixed node,
@@ -111,7 +116,7 @@ def test_nonconvex_bump_fails_at_its_node(which, node, message):
     state = _hessian_states()[which]
     state.t = 0.25
     idx = tuple(m // 3 for m in state.shape)
-    state.u[idx] += 0.5 * state.spacing**2 * (8.0 if state.n == 2 else 40.0)
+    state.u[idx] += 0.5 * state.spacing**2 * 8.0
     with pytest.raises(StabilityFailure, match=message) as err:
         flow.step(state, 1e-6)
     assert err.value.node == node
@@ -127,25 +132,28 @@ def test_oversized_window_step_fails_after_the_step(ball2):
     assert err.value.time == dt
 
 
-def test_checked_det_rejects_a_nan_entry_in_1d():
-    with pytest.raises(StabilityFailure, match="positivity") as err:
-        flow._checked_det([np.array([1.0, np.nan, 1.0])], (slice(None),), 0.0)
-    assert err.value.node == (1,)
+def test_checked_det_rejects_a_nan_entry():
+    """A NaN in hxy alone leaves hxx positive; the det check catches it."""
+    ones, hxy = np.ones((3, 3)), np.zeros((3, 3))
+    hxy[1, 2] = np.nan
+    with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
+        flow._checked_det([ones, ones, hxy], (slice(None), slice(None)), 0.0)
+    assert err.value.node == (1, 2)
 
 
-class NanSampleBarrier(LogBarrier):
-    """-log x with a NaN value at x = 0.6."""
+class NanSampleBall(CalabiBall):
+    """-log(1 - |x|^2) with a NaN value at the origin."""
 
     def _value(self, x):
-        return np.nan if x[0] == 0.6 else super()._value(x)
+        return np.nan if not x.any() else super()._value(x)
 
 
-def test_one_dimensional_init_rejects_a_nan_sample():
-    """u[10] is NaN, so the first checked node with a NaN Hessian is 9."""
-    grid = flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5])
-    with pytest.raises(StabilityFailure, match="positivity") as err:
-        flow.init(NanSampleBarrier(), grid, "frozen-window")
-    assert err.value.node == (9,)
+def test_window_init_rejects_a_nan_sample():
+    """u[20, 20] (the origin) is NaN, so the first checked node with a NaN
+    Hessian is its diagonal neighbour (19, 19), through hxy."""
+    with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
+        flow.init(NanSampleBall(), ball_window(), "frozen-window")
+    assert err.value.node == (19, 19)
 
 
 def test_adaptive_dt_singular():
@@ -202,19 +210,6 @@ def test_linearized_decay_rates(wave, k2):
     a1 = amplitude(out)
     rate = np.log(a0 / a1) / out.t
     assert rate == pytest.approx(8 * np.pi**2 * k2, rel=0.05)
-
-
-def test_one_dimensional_window_step():
-    handle = catalog("log_barrier")
-    grid = flow.GridSpec(shape=(32,), spacing=0.01, origin=[0.5])
-    state = flow.init(handle, grid, "frozen-window")
-    dt = flow.adaptive_dt(state)
-    new = flow.step(state, dt)
-    x = 0.5 + 0.01 * np.arange(32)
-    inner = slice(flow.RING, 32 - flow.RING)
-    rate = (new.u - state.u)[inner] / dt
-    # d(psi)/dt = 2 log det Hess(-log x) = -4 log x
-    assert np.abs(rate + 4.0 * np.log(x[inner])).max() <= 1e-3
 
 
 def test_step_counts_time():
@@ -325,8 +320,8 @@ def test_kr_probe_detects_negative_orthogonal_curvature(ball2):
 
 
 def test_kr_probe_quadratic_degenerate_is_regular():
-    verdict = flow.kr_probe(quadratic(2), 0.002, torus(16), mode="periodic",
-                            monitor_epochs=2)
+    window = flow.GridSpec(shape=(24, 24), spacing=1.0 / 24, origin=np.zeros(2))
+    verdict = flow.kr_probe(quadratic(2), 0.002, window, monitor_epochs=2)
     assert verdict.regular
 
 

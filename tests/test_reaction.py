@@ -154,11 +154,11 @@ def test_extremal_pair_modes(bidisk, ball2):
     # product of negative one-dimensional factors: the mixed block vanishes,
     # so the pair maximum is exactly zero (attained at disjoint directions)
     sample = core_form(bidisk.jet(np.array([0.8, 1.2])))
-    A = AlgCurvTensor.from_sample(sample)
+    A = AlgCurvTensor(sample.E_frame.copy())
     v, w, val = extremal_pair(A, MAX_ABC)
     assert val == pytest.approx(0.0, abs=1e-12)
     # the ball potential is strictly negative on every interior pair
-    strict = AlgCurvTensor.from_sample(core_form(ball2.jet(np.array([0.2, 0.3]))))
+    strict = AlgCurvTensor(core_form(ball2.jet(np.array([0.2, 0.3]))).E_frame.copy())
     _, _, val2 = extremal_pair(strict, MAX_ABC)
     assert val2 < -1e-3
     flat = AlgCurvTensor(np.zeros((2,) * 4))
@@ -198,7 +198,7 @@ def test_shift_preserves_witness_and_lands_on_zero():
 
 def test_null_vector_check_on_engine_boundary_tensor(ball2):
     sample = core_form(ball2.jet(np.array([0.35, 0.1])))
-    A = AlgCurvTensor.from_sample(sample)
+    A = AlgCurvTensor(sample.E_frame.copy())
     B, _, _ = shift_to_boundary(A, MAX_ABC)
     rep = null_vector_check_negative(B)
     assert rep.passed
@@ -272,7 +272,7 @@ def test_polarization_bounds_flat_and_engine(ball2):
     from hesselab import _extrema
     for point in (np.array([0.3, 0.0]), np.array([0.1, 0.45])):
         sample = core_form(ball2.jet(point))
-        A = AlgCurvTensor.from_sample(sample)
+        A = AlgCurvTensor(sample.E_frame.copy())
         _, hmn = _extrema.quartic_extrema(A.A)
         _, omn = _extrema.pair_extrema(A.A, orth=True)
         omx, _ = _extrema.pair_extrema(A.A, orth=True)

@@ -236,67 +236,58 @@ def seeded_weights(m, seed):
     return w
 
 
-def spied_linprog(monkeypatch):
-    """Replace transport.linprog by a pass-through that records each call."""
-    from scipy.optimize import linprog
+def spied_assignment(monkeypatch):
+    """Replace transport.linear_sum_assignment by a pass-through that records
+    the shape of each cost matrix it solves."""
     calls = []
+    solve = transport.linear_sum_assignment
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return linprog(*args, **kwargs)
+    def spy(C):
+        calls.append(C.shape)
+        return solve(C)
 
-    monkeypatch.setattr(transport, "linprog", spy)
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
     return calls
 
 
-def test_solver_pins_dual_simplex_and_keeps_the_looped_plan(monkeypatch):
-    """On non-uniform measures solve_exact calls the HiGHS dual simplex; its
-    plan is byte-identical to the LP whose marginal rows are built by Python
-    loops and solved with the default HiGHS choice."""
+def lp_path_plan(mu, nu, C):
+    """Oracle: the LP over couplings, its marginal rows built by Python loops
+    and solved by the HiGHS dual simplex, with the residuals solve_exact
+    computes from its plan and marginal duals."""
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
-    m = 32
-    X, Y = random_instance(m, 3)
-    mu, nu = DiscreteMeasure(X, seeded_weights(m, 4)), DiscreteMeasure(Y, seeded_weights(m, 5))
-    C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
-    methods = spied_linprog(monkeypatch)
-    plan = solve_exact(mu, nu, C)
-    assert methods == ["highs-ds"]
-    assert plan.certified
+    m, k = C.shape
     rows, cols = [], []
     for a in range(m):
-        for b in range(m):
+        for b in range(k):
             rows.append(a)
-            cols.append(a * m + b)
-    for b in range(m):
+            cols.append(a * k + b)
+    for b in range(k):
         for a in range(m):
             rows.append(m + b)
-            cols.append(a * m + b)
-    A_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * m, m * m))
-    ref = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
-                  bounds=(0, None), method="highs",
+            cols.append(a * k + b)
+    A_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(m + k, m * k))
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
-    assert plan.coupling.tobytes() == ref.x.reshape(m, m).tobytes()
-
-
-def lp_path_plan(mu, nu, C):
-    """The plan the LP path gives, with the residuals solve_exact computes."""
-    return transport._residual_plan(mu, nu, C, *transport._lp_plan(mu, nu, C))
+    assert res.success
+    y = np.asarray(res.eqlin.marginals)
+    return transport._residual_plan(mu, nu, C, res.x.reshape(m, k), y[:m], y[m:])
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 32, 96])
 def test_assignment_path_matches_lp_path(monkeypatch, m):
-    """Uniform equal-size instances take the assignment path; its plan has
-    the LP path's support and cost, and both carry certified duals."""
-    calls = spied_linprog(monkeypatch)
+    """solve_exact's plan is an assignment with the support and cost of the
+    LP over couplings, and both carry certified duals."""
+    calls = spied_assignment(monkeypatch)
     for seed in (0, 1, 2):
         X, Y = window_instance(m, 100 * m + seed)
         mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
         C = np.sqrt(((X[:, None] - Y[None]) ** 2).sum(axis=2))
         C = C - np.log(C + 1.0)          # the radial_sym cost at t = 0
         fast = solve_exact(mu, nu, C)
-        assert calls == [], "the assignment path called linprog"
+        assert calls == [(m, m)], "the plan did not come from one assignment"
         slow = lp_path_plan(mu, nu, C)
         calls.clear()
         assert np.array_equal(fast.coupling > 1e-12, slow.coupling > 1e-12)
@@ -367,24 +358,27 @@ def test_infeasible_plan_is_not_certified():
     assert not plan.certified
 
 
-def test_unequal_or_non_uniform_measures_take_the_lp_path(monkeypatch):
-    calls = spied_linprog(monkeypatch)
+def test_unequal_or_non_uniform_measures_are_refused(monkeypatch):
+    """Sizes that differ or weights that are not uniform raise BadParams
+    before any assignment is solved."""
+    calls = spied_assignment(monkeypatch)
     X, Y = random_instance(6, 8)
     C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
     mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
     for a, b, Cab in ((DiscreteMeasure.uniform(X[:4]), nu, C[:4]),
                       (DiscreteMeasure(X, seeded_weights(6, 1)), nu, C),
                       (mu, DiscreteMeasure(Y, seeded_weights(6, 2)), C)):
-        before = len(calls)
-        plan = solve_exact(a, b, Cab)
-        assert calls[before:] == ["highs-ds"]
-        assert plan.certified
-        assert plan.marginal_residual < 1e-10
+        with pytest.raises(BadParams, match="two uniform measures of one size"):
+            solve_exact(a, b, Cab)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cost_raises_bad_params_on_both_paths(monkeypatch, bad):
-    calls = spied_linprog(monkeypatch)
+    """A NaN or infinite cost is refused before anything else, on uniform
+    measures (which would be solved) and on weighted ones (which would be
+    refused as non-uniform), and no assignment is solved."""
+    calls = spied_assignment(monkeypatch)
     X, Y = random_instance(5, 6)
     C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
     C[2, 3] = bad
