@@ -170,8 +170,7 @@ def _check_pair_orthonormal(sample: CurvatureSample, X, Xp):
         raise BadFrame("plane vectors are not h-orthonormal within 1e-10")
 
 
-def plane_fit(sample: CurvatureSample, X: np.ndarray, Xp: np.ndarray,
-              n_angles: int = 360) -> TrigFit:
+def plane_fit(sample: CurvatureSample, X: np.ndarray, Xp: np.ndarray) -> TrigFit:
     """Discrete Fourier projection of f(t) = E(X_t, X_t, X_t, X_t) on the
     5-term even-harmonic model, X_t = cos(t) X + sin(t) Xp.
 
@@ -181,7 +180,7 @@ def plane_fit(sample: CurvatureSample, X: np.ndarray, Xp: np.ndarray,
     X = np.asarray(X, float)
     Xp = np.asarray(Xp, float)
     _check_pair_orthonormal(sample, X, Xp)
-    th = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
     V = np.cos(th)[:, None] * X[None, :] + np.sin(th)[:, None] * Xp[None, :]
     vals = np.einsum("ijkl,ai,aj,ak,al->a", sample.E, V, V, V, V)
     a0 = float(vals.mean())
@@ -204,15 +203,14 @@ class WedgeReport:
     passed: bool
 
 
-def fifth_and_wedge_checks(sample: CurvatureSample, n_perp: int = 16,
-                           seed: int = 0) -> WedgeReport:
+def fifth_and_wedge_checks(sample: CurvatureSample) -> WedgeReport:
     """At the polarized sectional minimizer X: in every (X, Xp) plane the
     plane average satisfies a0 <= H(X)/5 and the sectional value stays
     below H(X)/5 on the wedge |t| <= pi/12.
 
     Requires strictly negative polarized sectional values (NotNegativeHSC
-    otherwise).  For n = 2 there is a single plane; for n >= 3 a seeded set
-    of n_perp orthonormal completions is scanned.
+    otherwise).  For n = 2 there is a single plane; for n >= 3 a set of 16
+    orthonormal completions, drawn with seed 0, is scanned.
     """
     Ef = sample.E_frame
     n = sample.n
@@ -227,9 +225,9 @@ def fifth_and_wedge_checks(sample: CurvatureSample, n_perp: int = 16,
     if n == 2:
         perps = [np.array([-Xf[1], Xf[0]])]
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         perps = []
-        for _ in range(n_perp):
+        for _ in range(16):
             u = rng.normal(size=n)
             u -= (u @ Xf) * Xf
             perps.append(u / np.linalg.norm(u))

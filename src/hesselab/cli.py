@@ -61,9 +61,12 @@ class Config:
             return default
         raw = self._p.get(section, key)
         try:
-            return self._p.getboolean(section, key) if cast is bool else cast(raw)
+            value = self._p.getboolean(section, key) if cast is bool else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+        if cast is float and not np.isfinite(value):  # no key takes nan or inf
+            raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        return value
 
     def section(self, name: str) -> dict:
         return dict(self._p[name]) if self._p.has_section(name) else {}
@@ -130,11 +133,11 @@ def _exp_curvature_scan(cfg: Config, outdir: Path):
     handle = _potential_from(cfg)
     count = cfg.get("scan", "count", int, 25)
     seed = cfg.get("scan", "seed", int, 7)
-    extent = cfg.get("scan", "extent", float, -1.0)
-    if count < 1 or seed < 0:
-        raise ConfigError(f"[scan] needs count >= 1 and seed >= 0, "
-                          f"got count = {count}, seed = {seed}")
-    pts = handle.domain.sample(count, seed, extent=None if extent < 0 else extent)
+    extent = cfg.get("scan", "extent", float) if "extent" in cfg.section("scan") else None
+    if count < 1 or seed < 0 or not (extent is None or extent > 0.0):
+        raise ConfigError(f"[scan] needs count >= 1, seed >= 0 and extent > 0, got "
+                          f"count = {count}, seed = {seed}, extent = {extent}")
+    pts = handle.domain.sample(count, seed, extent=extent)
     rows = scan_csv_rows(handle, pts)
     cols = ([f"x{i+1}" for i in range(handle.n)]
             + ["S", "O", "Hmin_pol", "ABC_min", "ABC_max"]
@@ -149,12 +152,12 @@ def _exp_certify(cfg: Config, outdir: Path):
     quantity = cfg.get("certify", "quantity")
     count = cfg.get("certify", "count", int, 25)
     seed = cfg.get("certify", "seed", int, 7)
-    extent = cfg.get("certify", "extent", float, -1.0)
+    extent = (cfg.get("certify", "extent", float) if "extent" in cfg.section("certify")
+              else None)
     expect = cfg.get("certify", "expect", str, "")
     try:
         cert = certify_sign(handle, quantity,
-                            RegionSpec(count=count, seed=seed,
-                                       extent=None if extent < 0 else extent))
+                            RegionSpec(count=count, seed=seed, extent=extent))
     except BadParams as exc:
         raise ConfigError(f"bad [certify] parameters: {exc}") from exc
     _out(outdir, f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
@@ -178,6 +181,8 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     if not 0.0 < T < np.inf or epochs < 1 or per_axis < 1:
         raise ConfigError(f"[flow] needs time > 0, epochs >= 1 and sample_per_axis >= 1, "
                           f"got time = {T}, epochs = {epochs}, sample_per_axis = {per_axis}")
+    bounds = {key: cfg.get("flow", key, float) for key in cfg.section("flow")
+              if key.startswith("assert_")}
     if mode == "periodic":
         grid = flow.GridSpec(shape=(m, m))
     else:
@@ -202,8 +207,8 @@ def _exp_flow_run(cfg: Config, outdir: Path):
             ("assert_chen_above", "chen_residual worst", ">=",
              series.channel("chen_residual")[1:].min),
             ("assert_stationary_below", "potential drift", "<=", np.abs(final.u - state.u).max)):
-        bound = cfg.get("flow", key, float, np.nan)
-        if np.isnan(bound):
+        bound = bounds.get(key)
+        if bound is None:
             continue
         worst = float(statistic())
         good = worst <= bound if op == "<=" else worst >= bound
@@ -238,9 +243,9 @@ def _exp_ode_run(cfg: Config, outdir: Path):
     a0 = cfg.get("ode", "a0", float, -1.0)
     T = cfg.get("ode", "time", float, 0.5)
     dt = cfg.get("ode", "dt", float, 1e-3)
-    if not (np.isfinite(a0) and 0.0 < T < np.inf and 0.0 < dt < np.inf):
-        raise ConfigError(f"[ode] needs finite a0, time > 0 and dt > 0, "
-                          f"got a0 = {a0}, time = {T}, dt = {dt}")
+    tol = cfg.get("ode", "tolerance", float, 1e-8)
+    if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
+        raise ConfigError(f"[ode] needs time > 0 and dt > 0, got time = {T}, dt = {dt}")
     A = reaction.AlgCurvTensor(np.full((1, 1, 1, 1), a0))
     traj = reaction.integrate_ode(A, T, dt, record_every=max(1, int(T / dt / 50)))
     rows = [{"t": t, "value": float(tensor.A.ravel()[0]),
@@ -248,7 +253,6 @@ def _exp_ode_run(cfg: Config, outdir: Path):
             for t, tensor in zip(traj.times, traj.tensors)]
     _write_csv(_out(outdir, "ode_run.csv"), rows, ["t", "value", "closed_form"])
     err = max(abs(r["value"] - r["closed_form"]) for r in rows)
-    tol = cfg.get("ode", "tolerance", float, 1e-8)
     return err <= tol, [f"ode n=1 a0={a0:g}: max closed-form error {err!r}"]
 
 

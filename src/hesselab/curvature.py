@@ -22,8 +22,7 @@ import numpy as np
 
 from . import _extrema
 from .certificates import SignCertificate, verdict_from_extrema
-from .errors import (BadFrame, BadParams, SingularHessian,
-                     SingularMixedHessian, ZeroVector)
+from .errors import BadParams, SingularHessian, SingularMixedHessian, ZeroVector
 from .jets import PotentialJet, symmetrize
 from .potentials import PotentialHandle
 
@@ -149,20 +148,12 @@ def full_abc_trace(sample: CurvatureSample) -> float:
     return float(np.einsum("abab->", sample.E_frame))
 
 
-def oab_trace(sample: CurvatureSample, frame: np.ndarray | None = None) -> float:
+def oab_trace(sample: CurvatureSample) -> float:
     """Orthogonal anti-bisectional trace: sum over frame pairs a != b.
 
-    The value depends on the frame; the default is the Cholesky frame of h.
-    A supplied frame must have h-orthonormal rows.
+    The value depends on the frame; this is the Cholesky frame of h.
     """
-    if frame is None:
-        Ef = sample.E_frame
-    else:
-        R = np.asarray(frame, float)
-        gram = R @ sample.h @ R.T
-        if np.abs(gram - np.eye(sample.n)).max() > 1e-10:
-            raise BadFrame("rows are not h-orthonormal within 1e-10")
-        Ef = np.einsum("ijkl,ai,bj,ck,dl->abcd", sample.E, R, R, R, R)
+    Ef = sample.E_frame
     tot = float(np.einsum("abab->", Ef))
     diag = float(np.einsum("aaaa->", Ef))
     return tot - diag
@@ -233,9 +224,10 @@ def certify_sign(handle: PotentialHandle, quantity: str,
     region = region or RegionSpec()
     if quantity not in QUANTITIES:
         raise BadParams(f"quantity must be one of {QUANTITIES}")
-    if region.count < 1 or region.seed < 0:
-        raise BadParams("region count must be >= 1 and seed >= 0")
-    pts = handle.domain.sample(region.count, region.seed, extent=region.extent)
+    extent = region.extent
+    if region.count < 1 or region.seed < 0 or not (extent is None or extent > 0.0):
+        raise BadParams("region count must be >= 1, seed >= 0 and extent None or > 0")
+    pts = handle.domain.sample(region.count, region.seed, extent=extent)
     gmax = gmin = None
     for p in pts:
         sample = core_form(handle.jet(p))

@@ -2,17 +2,17 @@
 
 Periodic mode evolves the periodic part of psi = (1/2) x.A.x + u(x) on the
 unit torus; the quadratic matrix A is constant under the flow.
-Frozen-window mode evolves interior nodes of a box window; the boundary
-ring of width 2 (the monitor stencil radius) follows the linearly
-extrapolated interior update rather than the PDE.  Holding the ring at its
-initial values instead is unconditionally unstable whenever det Hess
-deviates from 1 (the interior drifts relative to the ring by 2 log det per
-unit time, so the interface Hessian loses positivity at a rate independent
-of the step size) and would break the fixed-point property of det-constant
-potentials; the extrapolated ring is the stable surrogate.  Because no
-boundary treatment is exact, the monitored set retreats inward by the
-stencil radius per monitor epoch plus a diffusive-front margin (see
-monitor_offset).
+Frozen-window mode evolves psi = u on interior nodes of a box window, so
+its A is 0; the boundary ring of width 2 (the monitor stencil radius)
+follows the linearly extrapolated interior update rather than the PDE.
+Holding the ring at its initial values instead is unconditionally unstable
+whenever det Hess deviates from 1 (the interior drifts relative to the
+ring by 2 log det per unit time, so the interface Hessian loses positivity
+at a rate independent of the step size) and would break the fixed-point
+property of det-constant potentials; the extrapolated ring is the stable
+surrogate.  Because no boundary treatment is exact, the monitored set
+retreats inward by the stencil radius per monitor epoch plus a
+diffusive-front margin (see monitor_offset).
 
 Spatial discretization is second-order central differences; time stepping
 is the classical four-stage explicit scheme with the adaptive step
@@ -73,7 +73,7 @@ class FlowState:
     u: np.ndarray                          # periodic part / window values
     spacing: float
     origin: np.ndarray
-    quad: np.ndarray | None = None         # torus quadratic matrix
+    quad: np.ndarray                       # torus quadratic matrix; 0 on a window
     t: float = 0.0
 
     @property
@@ -112,7 +112,7 @@ def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndar
     return out
 
 
-def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
+def _hessian(u: np.ndarray, h: float, quad: np.ndarray) -> list:
     """Total Hessian fields [hxx, hyy, hxy] of (1/2) x.quad.x + u on a 2-D
     grid with periodic wrap.
 
@@ -124,7 +124,6 @@ def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
     p[1:-1, 1:-1] = u
     p[0], p[-1] = p[-2], p[1]  # rows first, then whole columns: corners wrap
     p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
-    a = np.zeros((2, 2)) if quad is None else quad
     m2 = -2.0 * u
     h2 = h**2
     fields = []
@@ -133,7 +132,7 @@ def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
         d = minus + m2  # ((u[i-1] + -2 u[i]) + u[i+1]) / h^2 along axis i
         d += plus
         d /= h2
-        d += a[i, i]
+        d += quad[i, i]
         fields.append(d)
     dx = -0.5 * p[:-2]  # (-u[i-1]/2 + u[i+1]/2) / h along x, then along y
     dx += 0.5 * p[2:]
@@ -141,15 +140,9 @@ def _hessian(u: np.ndarray, h: float, quad: np.ndarray | None) -> list:
     d = -0.5 * dx[:, :-2]
     d += 0.5 * dx[:, 2:]
     d /= h
-    d += a[0, 1]
+    d += quad[0, 1]
     fields.append(d)
     return fields
-
-
-def _hessian_fields(state: FlowState) -> list:
-    """Total Hessian entry fields [hxx, hyy, hxy] on the grid."""
-    quad = state.quad if state.mode == "periodic" else None
-    return _hessian(state.u, state.spacing, quad)
 
 
 def _interior(state: FlowState) -> tuple:
@@ -191,31 +184,34 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
                         f"n = {handle.n}: the flow runs on 2-D grids in n = 2")
     if mode == "periodic":
         m = grid.shape[0]
-        if any(s != m for s in grid.shape):
-            raise BadParams("torus grids must be square")
+        if m < 1 or any(s != m for s in grid.shape):
+            raise BadParams(f"a torus grid needs m x m nodes, m >= 1, got {grid.shape}")
         spacing, origin, quad = 1.0 / m, np.zeros(handle.n), handle.quad.copy()
     else:
         if grid.spacing is None or grid.origin is None:
             raise BadParams("frozen-window mode needs spacing and origin")
         if not 0.0 < grid.spacing < np.inf:
             raise BadParams(f"window spacing must be finite and > 0, got {grid.spacing}")
-        spacing, quad = float(grid.spacing), None
+        if min(grid.shape) < 2 * RING + 1:  # a node inside the ring to check
+            raise BadParams(f"window grids need >= {2 * RING + 1} nodes per axis, "
+                            f"got {grid.shape}")
+        spacing, quad = float(grid.spacing), np.zeros((2, 2))
         origin = np.asarray(grid.origin, dtype=float)
     axes = [origin[i] + np.arange(s) * spacing for i, s in enumerate(grid.shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    u = (handle.values_at(pts) if quad is None
-         else np.array([handle.periodic_value(p) for p in pts]))
+    u = (np.array([handle.periodic_value(p) for p in pts]) if mode == "periodic"
+         else handle.values_at(pts))
     state = FlowState(mode=mode, u=u.reshape(grid.shape), spacing=spacing,
                       origin=origin, quad=quad)
-    _checked_det(_hessian_fields(state), _interior(state), state.t)
+    _checked_det(_hessian(state.u, spacing, quad), _interior(state), state.t)
     return state
 
 
 def _lambda_min(state: FlowState) -> float:
     """Smallest Hessian eigenvalue over the checked nodes."""
     inner = _interior(state)
-    hxx, hyy, hxy = (f[inner] for f in _hessian_fields(state))
+    hxx, hyy, hxy = (f[inner] for f in _hessian(state.u, state.spacing, state.quad))
     tr = hxx + hyy
     det = hxx * hyy - hxy * hxy
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
@@ -233,28 +229,23 @@ def adaptive_dt(state: FlowState) -> float:
 def _extend_ring(du: np.ndarray) -> None:
     """Fill the boundary ring of du in place by linear extrapolation of the
     interior update."""
-    for axis in range(du.ndim):
-        v = np.moveaxis(du, axis, 0)  # a view: writes land in du
+    for v in (du, du.T):  # rows, then columns; du.T is a view, so writes land in du
         m = v.shape[0]
         for r in range(RING - 1, -1, -1):
             v[r] = 2.0 * v[r + 1] - v[r + 2]
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
 
 
-def step(state: FlowState, dt: float | None = None,
-         carry: list | None = None) -> FlowState:
+def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
     """One four-stage explicit step; the window ring follows the interior.
 
     carry is run's one-item list: det Hess of state on its checked nodes, or
     None.  It stands in for the first stage's and is replaced by the new
     state's, which the step checks anyway.
     """
-    if dt is None:
-        dt = adaptive_dt(state)
     carry = [None] if carry is None else carry
-    h, t = state.spacing, state.t
+    h, t, quad = state.spacing, state.t, state.quad
     periodic = state.mode == "periodic"
-    quad = state.quad if periodic else None
     inner = _interior(state)
 
     def rhs(u, det=None):
@@ -278,8 +269,8 @@ def step(state: FlowState, dt: float | None = None,
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
         raise StabilityFailure("non-finite values", node=node, time=t)
     out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
-                    quad=state.quad, t=t + dt)
-    carry[0] = _checked_det(_hessian_fields(out), inner, out.t)
+                    quad=quad, t=t + dt)
+    carry[0] = _checked_det(_hessian(new_u, h, quad), inner, out.t)
     return out
 
 
@@ -295,8 +286,6 @@ _JET_ORDERS_2D = {
 
 def grid_jets(state: FlowState) -> dict:
     """All derivative fields needed for curvature monitoring (n = 2)."""
-    if state.n != 2:
-        raise BadParams("curvature monitoring is implemented for n = 2 grids")
     h = state.spacing
     u = state.u
     fields = {}
@@ -307,21 +296,16 @@ def grid_jets(state: FlowState) -> dict:
 
 
 def jet_at_node(state: FlowState, fields: dict, idx: tuple[int, int]) -> PotentialJet:
-    a = state.quad if (state.quad is not None and state.mode == "periodic") \
-        else np.zeros((2, 2))
+    a = state.quad
     x = state.node_coords(idx)
-    grad = np.array([fields[(1, 0)][idx], fields[(0, 1)][idx]])
-    if state.quad is not None and state.mode == "periodic":
-        grad = grad + a @ x
+    grad = np.array([fields[(1, 0)][idx], fields[(0, 1)][idx]]) + a @ x
     hess = np.array([
         [a[0, 0] + fields[(2, 0)][idx], a[0, 1] + fields[(1, 1)][idx]],
         [a[0, 1] + fields[(1, 1)][idx], a[1, 1] + fields[(0, 2)][idx]],
     ])
     third, fourth = (symmetric_from_orders(2, k, lambda o: fields[o][idx])
                      for k in (3, 4))
-    value = float(state.u[idx])
-    if state.quad is not None and state.mode == "periodic":
-        value += 0.5 * float(x @ a @ x)
+    value = float(state.u[idx]) + 0.5 * float(x @ a @ x)
     ok, lo, hi = pd_check(hess)
     if not ok:
         raise StabilityFailure(
@@ -397,8 +381,8 @@ def _channel_values(state: FlowState, nodes) -> dict:
     }
 
 
-def run(state: FlowState, T: float, sample_per_axis: int = 5, monitor_epochs: int = 10,
-        dt: float | None = None) -> tuple[FlowState, MonitorSeries]:
+def run(state: FlowState, T: float, sample_per_axis: int = 5,
+        monitor_epochs: int = 10) -> tuple[FlowState, MonitorSeries]:
     """Advance to time T, recording the CHANNELS every few steps.
 
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
@@ -407,8 +391,7 @@ def run(state: FlowState, T: float, sample_per_axis: int = 5, monitor_epochs: in
     """
     if T <= state.t:
         raise BadParams("run needs T > current time")
-    if dt is None:
-        dt = adaptive_dt(state)
+    dt = adaptive_dt(state)
     steps = max(1, int(np.ceil((T - state.t) / dt)))
     dt = (T - state.t) / steps
     every = max(1, steps // monitor_epochs)
@@ -427,11 +410,7 @@ def run(state: FlowState, T: float, sample_per_axis: int = 5, monitor_epochs: in
             K = -s0 if s0 < -1e-12 else np.inf
             series.labels["K"] = K
         shift = n / K if np.isfinite(K) else 0.0
-        t_rel = st.t - series.labels.get("t0", st.t)
-        if not series.times:
-            series.labels["t0"] = st.t
-            t_rel = 0.0
-        denom = t_rel + shift
+        denom = (st.t - state0.t) + shift
         vals["chen_residual"] = vals["S_min"] + (n / denom if denom > 0 else np.inf)
         bound = (n / denom if denom > 0 else np.inf) + 2.0 * max(vals["O_max"], 0.0)
         vals["hpol_bound_residual"] = (vals["H_pol_min"] / bound

@@ -215,6 +215,9 @@ class QuadraticPlusPeriodic(PotentialHandle):
         if len(wave) != n:
             raise BadParams("wave vector length must match dimension")
         A = np.eye(n) if quad is None else np.asarray(quad, dtype=float)
+        if A.shape != (n, n) or not np.isfinite(A).all():
+            raise BadParams(f"quadratic part must be a finite {n}x{n} matrix, "
+                            f"got {quad!r}")
         ok, lo, _ = pd_check(A)
         if not ok:
             raise BadParams("quadratic part must be positive definite")
@@ -327,18 +330,16 @@ class GridPotential(PotentialHandle):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GridPotential":
-        origin, spacing, values, _ = read_grid_file(path)
+        origin, spacing, values = read_grid_file(path)
         return cls(origin, spacing, values)
 
 
 # -- grid potential text format ----------------------------------------------
 # header line: n h x0_1 .. x0_n m_1 .. m_n   (dims then origin then shape)
-# optional line: t = <float>                  (read and returned, never written)
 # then the values in row-major order, whitespace/comma separated.
 
 def read_grid_file(path: str | Path):
     toks: list[str] = []
-    t = None
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -351,12 +352,6 @@ def read_grid_file(path: str | Path):
         origin = np.array([float(v) for v in header[2:2 + n]])
         shape = tuple(int(v) for v in header[2 + n:2 + 2 * n])
         for line in lines[1:]:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("t"):
-                t = float(line.split("=")[1])
-                continue
             toks.extend(line.replace(",", " ").split())
         values = np.array([float(v) for v in toks])
     except (IndexError, ValueError) as exc:
@@ -364,7 +359,7 @@ def read_grid_file(path: str | Path):
     if len(origin) != n or len(shape) != n or values.size != math.prod(shape):
         raise BadGridFile(f"grid file {path} holds {values.size} values, "
                           f"its header announces shape {shape}")
-    return origin, spacing, values.reshape(shape), t
+    return origin, spacing, values.reshape(shape)
 
 
 # -- catalog ------------------------------------------------------------------

@@ -68,9 +68,9 @@ class AlgCurvTensor:
         return _extrema.pair_value(self.A, v, w)
 
     @classmethod
-    def random(cls, n: int, seed: int, scale: float = 1.0) -> "AlgCurvTensor":
+    def random(cls, n: int, seed: int) -> "AlgCurvTensor":
         rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(n,) * 4) * scale
+        raw = rng.normal(size=(n,) * 4)
         return cls(mirror_symmetrize(raw))
 
     # -- canonical text serialization ----------------------------------------
@@ -179,32 +179,18 @@ def integrate_ode(A0: AlgCurvTensor, T: float, dt: float,
     return traj
 
 
-# -- extremal pairs and boundary construction -----------------------------------
+# -- boundary construction --------------------------------------------------------
 
-MAX_ABC = "MAX_ABC"
-MIN_ORTH_ABC = "MIN_ORTH_ABC"
-
-
-def extremal_pair(A: AlgCurvTensor, mode: str):
-    """Extremize A(v, w, v, w) over unit pairs; returns (v, w, value)."""
-    if mode == MAX_ABC:
-        mx, _ = _extrema.pair_extrema(A.A)
-        return mx.v, mx.w, mx.value
-    if mode == MIN_ORTH_ABC:
-        _, mn = _extrema.pair_extrema(A.A, orth=True)
-        return mn.v, mn.w, mn.value
-    raise BadParams(f"unknown extremal mode {mode!r}")
-
-
-def shift_to_boundary(A: AlgCurvTensor, mode: str = MAX_ABC):
-    """Shift A along I x I so the selected extremum lands exactly at zero.
+def shift_to_boundary(A: AlgCurvTensor):
+    """Shift A along I x I so the pair maximum of A(v,w,v,w) lands exactly
+    at zero.
 
     Returns (boundary tensor, v, w).  The shift changes every pair value by
     the same amount on unit pairs, so the witness pair is preserved.
     """
-    v, w, val = extremal_pair(A, mode)
-    shifted = AlgCurvTensor(A.A - val * identity_shift_tensor(A.n))
-    return shifted, v, w
+    mx, _ = _extrema.pair_extrema(A.A)
+    shifted = AlgCurvTensor(A.A - mx.value * identity_shift_tensor(A.n))
+    return shifted, mx.v, mx.w
 
 
 # -- null-vector verification ----------------------------------------------------
@@ -264,11 +250,12 @@ def null_vector_check_negative(A: AlgCurvTensor) -> NullVectorReport:
     witness, and the sharper inequality Q + <M1, M2> <= 0.
     """
     scale = A.norm
-    v, w, val = extremal_pair(A, MAX_ABC)
+    mx, _ = _extrema.pair_extrema(A.A)
+    v, w = mx.v, mx.w
     band = 1e-9 * (1.0 + scale)
-    if abs(val) > band:
+    if abs(mx.value) > band:
         raise NotExtremal(
-            f"pair maximum {val:.3e} is not inside the degenerate band {band:.3e}")
+            f"pair maximum {mx.value:.3e} is not inside the degenerate band {band:.3e}")
     T = A.A
     c = np.einsum("ijkl,i,k,l->j", T, v, v, w)
     d = np.einsum("ijkl,j,k,l->i", T, w, v, w)
@@ -401,9 +388,9 @@ def polarization_bounds(A: AlgCurvTensor, H_bound: float, O_bound: float,
     if H_bound < 0 or O_bound < 0:
         raise BadParams("bounds must be nonnegative")
     if check_sign:
-        _, _, vmax = extremal_pair(A, MAX_ABC)
-        if vmax > 1e-9 * (1.0 + A.norm):
-            raise NotNegativeABC(f"pair maximum {vmax:.3e} is positive")
+        mx, _ = _extrema.pair_extrema(A.A)
+        if mx.value > 1e-9 * (1.0 + A.norm):
+            raise NotNegativeABC(f"pair maximum {mx.value:.3e} is positive")
     H, O = float(H_bound), float(O_bound)
     root = np.sqrt(H * O)
     b_ho = root

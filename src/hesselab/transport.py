@@ -171,9 +171,8 @@ def _assignment_duals(C: np.ndarray, sigma: np.ndarray):
                      "assignment is not optimal")
 
 
-def barycentric_map(plan: TransportPlan, mu: DiscreteMeasure,
-                    Y: np.ndarray) -> np.ndarray:
-    """T(x_a) = sum_b coupling[a,b] y_b / mu_a.
+def barycentric_map(plan: TransportPlan, Y: np.ndarray) -> np.ndarray:
+    """T(x_a) = sum_b coupling[a,b] y_b / mu_a, mu_a the coupling's row mass.
 
     Refuses (NotDeterministic) when any row's largest entry carries less
     than DOMINANCE_FLOOR of the row mass: such a coupling is too diffuse to
@@ -192,7 +191,7 @@ def barycentric_map(plan: TransportPlan, mu: DiscreteMeasure,
 def holder_modulus(plan: TransportPlan, mu: DiscreteMeasure, Y: np.ndarray,
                    alpha: float) -> float:
     """max over pairs a != b of |T(x_a)-T(x_b)| / |x_a-x_b|^alpha."""
-    T = barycentric_map(plan, mu, Y)
+    T = barycentric_map(plan, Y)
     X = mu.points
     worst = 0.0
     for a in range(X.shape[0]):

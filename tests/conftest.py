@@ -42,7 +42,7 @@ def trig_coefficients(fit) -> np.ndarray:
     return np.array([fit.a0, fit.a1, fit.a2, fit.a3, fit.a4])
 
 
-def write_grid_file(path, origin, spacing, values, t: float | None = None):
+def write_grid_file(path, origin, spacing, values):
     """Write the grid potential text format that read_grid_file reads."""
     values = np.asarray(values, dtype=float)
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
@@ -52,8 +52,6 @@ def write_grid_file(path, origin, spacing, values, t: float | None = None):
         head += [repr(float(v)) for v in origin]
         head += [str(m) for m in values.shape]
         fh.write(" ".join(head) + "\n")
-        if t is not None:
-            fh.write(f"t = {t!r}\n")
         flat = values.ravel()
         for start in range(0, flat.size, 8):
             fh.write(" ".join(repr(float(v)) for v in flat[start:start + 8]) + "\n")

@@ -166,9 +166,9 @@ def test_fifth_and_wedge_calabi(ball2):
 def test_fifth_and_wedge_calabi_3d():
     handle = catalog("calabi_ball", n=3)
     sample = core_form(handle.jet(np.array([0.3, 0.1, -0.2])))
-    rep = berger.fifth_and_wedge_checks(sample, n_perp=12, seed=3)
+    rep = berger.fifth_and_wedge_checks(sample)
     assert rep.passed
-    assert rep.planes_checked == 12
+    assert rep.planes_checked == 16
 
 
 def test_fifth_and_wedge_rejects_flat():

@@ -317,27 +317,32 @@ nodes = 8
     ("flow-run", "quadratic_plus_periodic", "flow", "time", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "lambda", "0.3"),
     ("kr-probe", "radial_sym", "probe", "spacing", "0"),
-    ("kr-probe", "radial_sym", "probe", "epsilon", "0")])
+    ("kr-probe", "radial_sym", "probe", "epsilon", "0"),
+    ("flow-run", "quadratic_plus_periodic", "potential", "quad", "2"),
+    ("curvature-scan", "cone2d", "scan", "extent", "-1"),
+    ("certify", "cone2d", "certify", "extent", "0"),
+    ("ot-experiment", "radial_sym", "ot", "alpha", "inf"),
+    ("ode-run", "cone2d", "ode", "tolerance", "inf"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "assert_chen_above", "nan"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "assert_abc_max_below", "inf"),
+    ("flow-run", "quadratic_plus_periodic", "flow", "nodes", "0"),
+    ("kr-probe", "radial_sym", "probe", "nodes", "4")])
 def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
                                                 kind, potential, section, key, value):
     """A value an experiment cannot use is a config error, reported without
     a traceback; a boolean is one of 1/true/yes/on or 0/false/no/off.  The
-    flow is the unnormalized one, so [flow] lambda is refused."""
+    flow is the unnormalized one, so [flow] lambda is refused.  No float key
+    takes nan or inf, a given extent is > 0, a window needs 5 nodes per axis
+    (a node inside its ring of 2) and a torus at least 1."""
     monkeypatch.chdir(tmp_path)
     required = {"certify": {"quantity": "ABC"}, "flow": {"nodes": "8"},
                 "probe": {"origin_x": "0.35", "origin_y": "-0.55", "spacing": "0.028",
                           "nodes": "8"}}
-    keys = {**required.get(section, {}), key: value}
+    sections = {"experiment": {"kind": kind}, "potential": {"name": potential}}
+    sections.setdefault(section, {}).update({**required.get(section, {}), key: value})
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"""
-[experiment]
-kind = {kind}
-
-[potential]
-name = {potential}
-
-[{section}]
-""" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items()))
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error: " in err and key in err
@@ -372,3 +377,63 @@ spacing = 0.01
             f"in n = 1") in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# the smallest config of each kind that exits 0, and the numeric keys the kind
+# reads from it, by section: the section's keys and its potential's
+SMALLEST = {
+    "curvature-scan": ({"potential": {"name": "calabi_ball"}, "scan": {"count": 1}},
+                       {"scan": ("count", "seed", "extent"),
+                        "potential": ("n", "margin")}),
+    "certify": ({"potential": {"name": "cone2d"},
+                 "certify": {"quantity": "ABC", "count": 1}},
+                {"certify": ("count", "seed", "extent"), "potential": ("margin",)}),
+    "flow-run": ({"potential": {"name": "quadratic_plus_periodic"},
+                  "flow": {"nodes": 8, "time": 1e-3, "epochs": 1, "sample_per_axis": 1}},
+                 {"flow": ("nodes", "time", "epochs", "sample_per_axis",
+                           "assert_abc_max_below", "assert_orth_min_above",
+                           "assert_chen_above", "assert_stationary_below"),
+                  "potential": ("n", "amplitude", "wave", "quad")}),
+    "kr-probe": ({"potential": {"name": "radial_sym"},
+                  "probe": {"epsilon": 1e-5, "nodes": 12, "origin_x": 0.35,
+                            "origin_y": -0.55, "spacing": 0.028, "epochs": 1}},
+                 {"probe": ("epsilon", "nodes", "origin_x", "origin_y", "spacing",
+                            "epochs"),
+                  "potential": ("n", "C", "margin")}),
+    "ode-run": ({"ode": {"time": 0.01}}, {"ode": ("a0", "time", "dt", "tolerance")}),
+    "null-vector-suite": ({"suite": {"trials": 1, "seed": 0, "probe_trials": 2}},
+                          {"suite": ("trials", "seed", "dims", "probe_trials")}),
+    "trace-suite": ({"suite": {"trials": 1}}, {"suite": ("trials", "seed", "max_dim")}),
+    "berger-suite": ({"suite": {"count": 200}}, {"suite": ("seed", "count")}),
+    "ot-experiment": ({"potential": {"name": "radial_sym"},
+                       "ot": {"points": 2, "times": "0"}},
+                      {"ot": ("seed", "points", "alpha", "times", "nodes", "origin_x",
+                              "origin_y", "spacing"),
+                       "potential": ("n", "C", "margin")}),
+}
+
+
+def _sweep_cases():
+    for kind, (_, keys) in SMALLEST.items():
+        yield kind, None, None, None
+        for section, names in keys.items():
+            for key in names:
+                for value in ("nan", "inf"):
+                    yield kind, section, key, value
+
+
+@pytest.mark.parametrize("kind, section, key, value", list(_sweep_cases()))
+def test_nan_or_inf_in_a_numeric_key_never_passes(tmp_path, capsys, kind, section, key,
+                                                  value):
+    """Each numeric key of the smallest config of each kind, set to nan and
+    then to inf one at a time, makes the run exit 1 or 2, never 0, and never
+    with a traceback.  The config as it stands exits 0 (key None), so no
+    case passes for want of a usable config."""
+    base, _ = SMALLEST[kind]
+    data = {"experiment": {"kind": kind}}
+    data.update((name, dict(keys)) for name, keys in base.items())
+    if key is not None:
+        data.setdefault(section, {})[key] = value
+    code = run_config(Config.from_dict(data), tmp_path)
+    assert code == 0 if key is None else code in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err

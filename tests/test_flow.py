@@ -27,7 +27,7 @@ def radial_window():
 
 def test_init_quadratic_torus_unit_det():
     state = flow.init(quadratic(2), torus(64), "periodic")
-    hxx, hyy, hxy = flow._hessian_fields(state)
+    hxx, hyy, hxy = flow._hessian(state.u, state.spacing, state.quad)
     det = hxx * hyy - hxy * hxy
     assert np.allclose(det, 1.0, atol=1e-12)
 
@@ -98,7 +98,7 @@ def test_hessian_fields_match_grid_derivative(which):
     state = _hessian_states()[which]
     a = state.quad if state.mode == "periodic" else np.zeros((2, 2))
     orders = [((2, 0), a[0, 0]), ((0, 2), a[1, 1]), ((1, 1), a[0, 1])]
-    fields = flow._hessian_fields(state)
+    fields = flow._hessian(state.u, state.spacing, state.quad)
     assert len(fields) == len(orders)
     for got, (o, base) in zip(fields, orders):
         want = base + flow.grid_derivative(state.u, o, state.spacing)
@@ -158,7 +158,7 @@ def test_window_init_rejects_a_nan_sample():
 
 def test_adaptive_dt_singular():
     degenerate = flow.FlowState(mode="frozen-window", u=np.zeros((12, 12)),
-                                spacing=0.1, origin=np.zeros(2))
+                                spacing=0.1, origin=np.zeros(2), quad=np.zeros((2, 2)))
     with pytest.raises(SingularHessian):
         flow.adaptive_dt(degenerate)
 
@@ -169,7 +169,7 @@ def test_quadratic_exactly_stationary():
     state = flow.init(quadratic(2), torus(64), "periodic")
     out = state
     for _ in range(20):
-        out = flow.step(out)
+        out = flow.step(out, flow.adaptive_dt(out))
     assert np.abs(out.u - state.u).max() == 0.0
 
 
@@ -225,18 +225,16 @@ def test_run_matches_a_loop_of_steps(which):
     final state equals a loop of public step calls bit for bit."""
     state = _hessian_states()[which]
     T = 8.5 * flow.adaptive_dt(state)
-    out, _ = flow.run(state, T, monitor_epochs=2, sample_per_axis=2,
-                      dt=0.5 * flow.adaptive_dt(state))
-    steps = 17  # ceil(T / dt), and run then takes dt = T / steps
+    out, _ = flow.run(state, T, monitor_epochs=2, sample_per_axis=2)
+    steps = 9  # ceil(T / adaptive_dt), and run then takes dt = T / steps
     ref = state
     for _ in range(steps):
         ref = flow.step(ref, T / steps)
     assert out.t == ref.t
     assert out.u.tobytes() == ref.u.tobytes()
-    if which == "periodic-2d":
-        assert out.quad.tobytes() == ref.quad.tobytes()
-    else:
-        assert out.quad is None and ref.quad is None
+    assert out.quad.tobytes() == ref.quad.tobytes()
+    if which == "window-2d":
+        assert np.array_equal(out.quad, np.zeros((2, 2)))
 
 
 # -- runs and monitors ------------------------------------------------------------------
@@ -275,11 +273,12 @@ def test_window_run_abc_stays_nonpositive(ball2):
     assert series.channel("H_pol_min").max() <= 1e-6  # diagonal restriction
 
 
-def test_window_run_reports_partial_series_on_failure(ball2):
+def test_window_run_reports_partial_series_on_failure(ball2, monkeypatch):
     state = flow.init(ball2, ball_window(), "frozen-window")
+    # huge fixed step destroys positive-definiteness immediately
+    monkeypatch.setattr(flow, "adaptive_dt", lambda st: 5e-3)
     with pytest.raises(StabilityFailure) as err:
-        # huge fixed step destroys positive-definiteness immediately
-        flow.run(state, 0.01, monitor_epochs=2, dt=5e-3)
+        flow.run(state, 0.01, monitor_epochs=2)
     assert hasattr(err.value, "partial_series")
 
 

@@ -180,14 +180,24 @@ def test_truncated_grid_file_raises(tmp_path):
         read_grid_file(tmp_path / "missing.grid")
 
 
+def test_grid_file_with_a_time_line_is_malformed(tmp_path):
+    """The format has no t = <time> line: a file that holds one is refused."""
+    path = tmp_path / "timed.grid"
+    write_grid_file(path, np.array([0.0, 0.0]), 0.1, np.arange(36.0).reshape(6, 6))
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{head}\nt = 0.25\n{rest}")
+    with pytest.raises(BadGridFile, match="malformed"):
+        read_grid_file(path)
+
+
 def test_grid_file_roundtrip(tmp_path):
     handle = catalog("calabi_ball", n=2)
     axes = np.linspace(-0.4, 0.4, 41)
     vals = np.array([[handle._value(np.array([a, b])) for b in axes] for a in axes])
     path = tmp_path / "ball.grid"
-    write_grid_file(path, np.array([-0.4, -0.4]), axes[1] - axes[0], vals, t=0.25)
-    origin, spacing, values, t = read_grid_file(path)
-    assert t == 0.25
+    write_grid_file(path, np.array([-0.4, -0.4]), axes[1] - axes[0], vals)
+    origin, spacing, values = read_grid_file(path)
+    assert spacing == axes[1] - axes[0] and np.array_equal(origin, [-0.4, -0.4])
     assert np.array_equal(values, vals)
     grid = GridPotential(origin, spacing, values)
     x = np.array([0.05, -0.1])

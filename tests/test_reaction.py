@@ -4,13 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hesselab import reaction
+from hesselab import _extrema, reaction
 from hesselab.curvature import core_form, mirror_symmetrize
 from hesselab.errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC,
                              NotPSD, StabilityFailure)
-from hesselab.reaction import (MAX_ABC, MIN_ORTH_ABC, AlgCurvTensor,
-                               BlockMatrixInstance, canonical_indices,
-                               extremal_pair, identity_shift_tensor,
+from hesselab.reaction import (AlgCurvTensor, BlockMatrixInstance,
+                               canonical_indices, identity_shift_tensor,
                                integrate_ode, noab_probe,
                                null_vector_check_negative,
                                polarization_bounds, q_quadratic,
@@ -131,10 +130,17 @@ def spoil_q(monkeypatch, at_call, value, idx=(0, 1, 0, 1)):
     monkeypatch.setattr(reaction, "_q_contraction", q)
 
 
+def small_tensor():
+    """The draw of AlgCurvTensor.random(2, 5), scaled by 0.1 before it is
+    symmetrized."""
+    raw = np.random.default_rng(5).normal(size=(2,) * 4) * 0.1
+    return AlgCurvTensor(mirror_symmetrize(raw))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e16])
 def test_ode_blowup_on_a_bad_entry(monkeypatch, value):
     """A NaN, an inf or an above-cap entry ends the step that made it."""
-    A0 = AlgCurvTensor.random(2, 5, scale=0.1)
+    A0 = small_tensor()
     clean = integrate_ode(A0, 0.01, 1e-3)
     spoil_q(monkeypatch, 4 * 5 + 2, value)  # k2 of step 6
     with pytest.raises(BlowUp) as err:
@@ -146,7 +152,7 @@ def test_ode_blowup_on_a_bad_entry(monkeypatch, value):
 def test_ode_asymmetric_q_is_a_stability_failure(monkeypatch):
     spoil_q(monkeypatch, 1, 1.0, idx=(0, 0, 0, 1))  # its orbit mates keep theirs
     with pytest.raises(StabilityFailure) as err:
-        integrate_ode(AlgCurvTensor.random(2, 5, scale=0.1), 0.01, 1e-3)
+        integrate_ode(small_tensor(), 0.01, 1e-3)
     assert err.value.time == 1e-3
 
 
@@ -155,22 +161,22 @@ def test_extremal_pair_modes(bidisk, ball2):
     # so the pair maximum is exactly zero (attained at disjoint directions)
     sample = core_form(bidisk.jet(np.array([0.8, 1.2])))
     A = AlgCurvTensor(sample.E_frame.copy())
-    v, w, val = extremal_pair(A, MAX_ABC)
-    assert val == pytest.approx(0.0, abs=1e-12)
+    mx, _ = _extrema.pair_extrema(A.A)
+    assert mx.value == pytest.approx(0.0, abs=1e-12)
     # the ball potential is strictly negative on every interior pair
     strict = AlgCurvTensor(core_form(ball2.jet(np.array([0.2, 0.3]))).E_frame.copy())
-    _, _, val2 = extremal_pair(strict, MAX_ABC)
-    assert val2 < -1e-3
+    mx2, _ = _extrema.pair_extrema(strict.A)
+    assert mx2.value < -1e-3
     flat = AlgCurvTensor(np.zeros((2,) * 4))
-    _, _, v0 = extremal_pair(flat, MAX_ABC)
-    assert v0 == 0.0
-    with pytest.raises(BadParams):
-        extremal_pair(A, "NO_SUCH_MODE")
+    mx0, _ = _extrema.pair_extrema(flat.A)
+    assert mx0.value == 0.0
 
 
 def test_constructed_noab_boundary_has_zero_witness():
     A = AlgCurvTensor.random(2, 19)
-    B, v, w = shift_to_boundary(A, MIN_ORTH_ABC)
+    _, mn = _extrema.pair_extrema(A.A, orth=True)
+    B = AlgCurvTensor(A.A - mn.value * identity_shift_tensor(2))
+    v, w = mn.v, mn.w
     assert B.pair_value(v, w) == pytest.approx(0.0, abs=1e-12)
     assert abs(v @ w) < 1e-9
 
@@ -182,15 +188,15 @@ def test_explicit_noab_boundary_tensor_witness_at_axes():
     for idx in [(0, 1, 0, 1), (1, 0, 1, 0)]:
         T[idx] = 0.0
     A = AlgCurvTensor(T)
-    v, w, val = extremal_pair(A, MIN_ORTH_ABC)
-    assert val == pytest.approx(0.0, abs=1e-12)
-    angle = abs(np.arctan2(abs(v[1]), abs(v[0])))
+    _, mn = _extrema.pair_extrema(A.A, orth=True)
+    assert mn.value == pytest.approx(0.0, abs=1e-12)
+    angle = abs(np.arctan2(abs(mn.v[1]), abs(mn.v[0])))
     assert min(angle, abs(angle - np.pi / 2)) < 1e-6  # axis pair (e1, e2)
 
 
 def test_shift_preserves_witness_and_lands_on_zero():
     A = AlgCurvTensor.random(3, 11)
-    B, v, w = shift_to_boundary(A, MAX_ABC)
+    B, v, w = shift_to_boundary(A)
     assert B.pair_value(v, w) == pytest.approx(0.0, abs=1e-11)
     T = identity_shift_tensor(3)
     assert np.array_equal(T, T.transpose(2, 1, 0, 3))
@@ -199,7 +205,7 @@ def test_shift_preserves_witness_and_lands_on_zero():
 def test_null_vector_check_on_engine_boundary_tensor(ball2):
     sample = core_form(ball2.jet(np.array([0.35, 0.1])))
     A = AlgCurvTensor(sample.E_frame.copy())
-    B, _, _ = shift_to_boundary(A, MAX_ABC)
+    B, _, _ = shift_to_boundary(A)
     rep = null_vector_check_negative(B)
     assert rep.passed
     assert rep.first_derivative_residual < rep.identity_tol
@@ -222,7 +228,7 @@ def test_null_vector_randomized_suite_small():
     for trial in range(30):
         n = 2 + trial % 2
         A = AlgCurvTensor.random(n, int(rng.integers(0, 2**62)))
-        B, _, _ = shift_to_boundary(A, MAX_ABC)
+        B, _, _ = shift_to_boundary(A)
         assert null_vector_check_negative(B).passed
 
 
@@ -269,7 +275,6 @@ def test_polarization_bounds_flat_and_engine(ball2):
     flat = AlgCurvTensor(np.zeros((2,) * 4))
     rep = polarization_bounds(flat, 0.0, 0.0)
     assert rep.passed and rep.worst_margin <= 0.0
-    from hesselab import _extrema
     for point in (np.array([0.3, 0.0]), np.array([0.1, 0.45])):
         sample = core_form(ball2.jet(point))
         A = AlgCurvTensor(sample.E_frame.copy())
@@ -283,12 +288,11 @@ def test_polarization_bounds_flat_and_engine(ball2):
 
 
 def test_polarization_bounds_randomized_negative_tensors():
-    from hesselab import _extrema
     rng = np.random.default_rng(17)
     for trial in range(60):
         n = 2 + trial % 2
         A = AlgCurvTensor.random(n, int(rng.integers(0, 2**62)))
-        B, _, _ = shift_to_boundary(A, MAX_ABC)
+        B, _, _ = shift_to_boundary(A)
         _, hmn = _extrema.quartic_extrema(B.A, restarts=24)
         omx, omn = _extrema.pair_extrema(B.A, orth=True, restarts=32)
         H_bound = abs(hmn.value)

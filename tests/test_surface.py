@@ -13,6 +13,16 @@ tests reach, each with the reason it stays.
 A field of a ``src/hesselab`` dataclass counts as read when an
 ``ast.Attribute`` load names it in ``src/hesselab``, ``perfbench/*.py`` or
 ``tests``; a field that is only ever written is caught.
+
+A defaulted parameter of a public function or method of ``src/hesselab``
+(``__init__`` aside) counts as passed when a call in ``src/hesselab`` or
+``perfbench/*.py`` passes it, by keyword or by position.
+``KEPT_PARAMETERS`` lists the parameters that only tests pass, each with
+the reason it stays.  Calls are matched by the callee's name alone, and a
+``**mapping`` or ``*sequence`` argument counts as passing every keyword or
+later positional parameter, so a call of another function of the same name
+can hide a parameter: any defaulted parameter of a function named ``run``
+counts as passed through ``perfbench/selftest.py``'s ``run(**orth)``.
 """
 
 import ast
@@ -31,6 +41,27 @@ KEPT = {
     "AlgCurvTensor.from_text": "reads a serialized tensor back, as the checks "
                                "of noab_counterexample.txt need",
 }
+
+KEPT_PARAMETERS = {
+    "quartic_extrema.restarts": "the polarization test searches with 24 restarts "
+                                "until the n >= 3 extremizer is replaced",
+    "quartic_extrema.seed": "the extremizer tests vary the seed until the n >= 3 "
+                            "extremizer is replaced",
+    "ricci_average.direction": "criterion 11 averages along given directions",
+    "hsc_full.normalized": "hsc_full is kept, and its tests read both values",
+    "polarization_bounds.check_sign": "polarization_bounds is kept, and its tests "
+                                      "read both values",
+    "run_config.outdir": "an entry point: a caller names the output directory",
+    "main.argv": "an entry point: a caller passes the command line",
+}
+
+
+def _trees() -> dict:
+    """Path -> parsed module of src/hesselab (its __init__ re-exports aside)
+    and perfbench/*.py."""
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((ROOT / "perfbench").glob("*.py"))
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
 
 
 def _public_definitions(tree: ast.Module):
@@ -73,14 +104,12 @@ def _unreached(definitions, kinds: tuple) -> set[str]:
     """Keys of the package's definitions (the generator definitions(tree)
     yields (key, name, first line, last line)) whose name has no load by a
     node of the given kinds outside the definition's own lines."""
-    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
+    trees = _trees()
     loads = defaultdict(list)  # name -> (file, line) of each load
     for path, tree in trees.items():
         for name, line in _loads(tree, kinds):
             loads[name].append((path, line))
-    return {key for path in sources if path.parent == PACKAGE
+    return {key for path in trees if path.parent == PACKAGE
             for key, name, first, last in definitions(trees[path])
             if all(p == path and first <= line <= last for p, line in loads[name])}
 
@@ -132,3 +161,55 @@ def unread_fields() -> set[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == set(), "dataclass fields nothing reads"
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function.parameter, function name, parameter, position) of each
+    defaulted parameter of a public top-level function or public method
+    (keyed Class.method.parameter); position counts the arguments a call
+    passes before it (None for keyword-only parameters)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):  # a call passes no self or cls
+            functions = [(f"{node.name}.{item.name}", item, 1) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        else:
+            continue
+        for key, fn, bound in functions:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield f"{key}.{arg.arg}", fn.name, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{key}.{arg.arg}", fn.name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(k.arg in (None, parameter) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_parameters() -> set[str]:
+    trees = _trees()
+    calls = defaultdict(list)  # callee name -> calls
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    return {key for path, tree in trees.items() if path.parent == PACKAGE
+            for key, name, parameter, position in _defaulted_parameters(tree)
+            if not any(_passes(call, parameter, position) for call in calls[name])}
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
+    unpassed, kept = unpassed_parameters(), set(KEPT_PARAMETERS)
+    assert unpassed - kept == set(), "defaulted parameters only tests pass"
+    assert kept - unpassed == set(), "kept parameters the program now passes"

@@ -465,7 +465,7 @@ def test_translation_map_is_lipschitz_one():
     mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
     C = np.array([[np.sum((x - y) ** 2) / 2 for y in Y] for x in X])
     plan = solve_exact(mu, nu, C)
-    T = barycentric_map(plan, mu, Y)
+    T = barycentric_map(plan, Y)
     assert np.allclose(T, X + shift, atol=1e-10)
     assert holder_modulus(plan, mu, Y, alpha=1.0) == pytest.approx(1.0, abs=1e-9)
 
@@ -480,7 +480,7 @@ def test_not_deterministic_refused():
                          dual_v=np.zeros(3), slack_residual=0.0,
                          feasibility_residual=0.0, marginal_residual=0.0)
     with pytest.raises(NotDeterministic):
-        barycentric_map(plan, mu, pts3)
+        barycentric_map(plan, pts3)
 
 
 def test_plan_tv():
