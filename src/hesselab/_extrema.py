@@ -12,15 +12,19 @@ eliminated in closed form.  The angle is scanned on a grid, and the best
 node is refined by Newton's method on f'(theta) = 0 with exact derivatives,
 kept inside the bracket of the node's two neighbours (bisection otherwise).
 The scan picks the basin; nothing yet bounds what lies between its nodes.
-Returned values are recomputed from the returned unit vectors.  n >= 3 uses
-seeded multi-restart alternating eigensolves for the pair objective (each
-half-step is exact, the value is monotone) and great-circle line searches
-for the quartic.
+Returned values are recomputed from the returned unit vectors.
+
+n >= 3 uses seeded multi-restart alternating eigensolves for the pair
+objective (each half-step is exact, the value is monotone).  The quartic
+scans a fixed node set of the upper hemisphere (it is even) and refines the
+best node of each end by Riemannian Newton steps on the sphere; here too
+the scan picks the basin.
 
 The search settings live here and nowhere else: ``n_angles`` scan nodes
-(read at n = 2 only), and ``restarts`` start points drawn from ``seed``
-(read at n >= 3 only), by default 720, 64 and 0.  Two callers override
-them: ``flow._channel_values`` scans MONITOR_ANGLES nodes, and
+(read at n = 2 only), and ``restarts`` pair start points drawn from
+``seed`` (read at n >= 3 only), by default 720, 64 and 0; the quartic's
+n >= 3 node sets are constants.  Two callers override them:
+``flow._channel_values`` scans MONITOR_ANGLES nodes, and
 ``reaction.noab_probe`` passes its own restarts and a seed per trial.
 """
 
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroVector
+from .jets import symmetrize
 
 
 @dataclass
@@ -180,32 +185,7 @@ def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extr
     return tuple(out)
 
 
-def _refine_1d(fun, t0, maximize, span, iters=60):
-    sgn = 1.0 if maximize else -1.0
-    h = span * 0.25
-    t, best = t0, fun(t0)
-    for _ in range(iters):
-        fm, fp = fun(t - h), fun(t + h)
-        d1 = (fp - fm) / (2 * h)
-        d2 = (fp - 2 * best + fm) / h**2
-        if abs(d2) > 1e-300:
-            step = -d1 / d2
-        else:
-            step = sgn * d1
-        step = min(max(step, -span), span)
-        cand_t = t + step
-        cand = fun(cand_t)
-        if sgn * (cand - best) >= 0 and abs(step) > 0:
-            t, best = cand_t, cand
-            h = max(abs(step) * 0.5, 1e-9)
-        else:
-            h *= 0.5
-            if h < 1e-12:
-                break
-    return t, best
-
-
-# -- n >= 3: alternating eigensolves / geodesic search --------------------------
+# -- n >= 3: alternating eigensolves (pair), sphere scan and Newton (quartic) --
 
 def _constrained_eigvec(Q: np.ndarray, avoid: np.ndarray | None, pick: int) -> np.ndarray:
     """Extremal unit eigenvector of Q, restricted to avoid^perp when given.
@@ -257,37 +237,52 @@ def _alternating_pair(T, v, w, maximize, orth, iters=200, tol=1e-14):
     return Extremum(f, v, w)
 
 
-_CIRC_GRID = np.linspace(0.0, np.pi, 64, endpoint=False)
-_CIRC_COS = np.cos(_CIRC_GRID)
-_CIRC_SIN = np.sin(_CIRC_GRID)
+_FIBONACCI_NODES = 4000  # hemisphere nodes at n = 3
+_GAUSSIAN_NODES = 32000  # hemisphere nodes at n >= 4, drawn with _GAUSSIAN_SEED
+_GAUSSIAN_SEED = 0
+_NEWTON_STEPS = 32
 
 
-def _geodesic_quartic(T, v, maximize, iters=60, tol=1e-14):
-    """Great-circle line search: along any geodesic the quartic restricts to a
-    degree-4 trigonometric polynomial, extremized by a dense grid + Newton."""
-    sgn = 1.0 if maximize else -1.0
-    v = _unit(v)
-    f = quartic_value(T, v)
-    for _ in range(iters):
-        g = 4.0 * np.einsum("ijkl,j,k,l->i", T, v, v, v)
-        g = g - (g @ v) * v
-        gn = np.linalg.norm(g)
-        if gn < tol * (1.0 + abs(f)):
+@functools.cache
+def _sphere(n: int):
+    """Unit nodes v of the upper hemisphere of S^{n-1} and their rows
+    vec(v v^T), read-only: the spherical Fibonacci set at n = 3, a seeded
+    Gaussian draw at n >= 4."""
+    if n == 3:
+        z = (np.arange(_FIBONACCI_NODES) + 0.5) / _FIBONACCI_NODES
+        phi = np.arange(_FIBONACCI_NODES) * (np.pi * (3.0 - math.sqrt(5.0)))
+        r = np.sqrt(1.0 - z * z)
+        V = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    else:
+        V = np.random.default_rng(_GAUSSIAN_SEED).normal(size=(_GAUSSIAN_NODES, n))
+        V *= np.copysign(1.0, V[:, -1:]) / np.linalg.norm(V, axis=1, keepdims=True)
+    VV = np.einsum("ni,nj->nij", V, V).reshape(len(V), n * n)
+    V.flags.writeable = VV.flags.writeable = False
+    return V, VV
+
+
+def _newton_quartic(S2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Riemannian Newton steps for the fully symmetric quartic S(v,v,v,v) on
+    the unit sphere from v, S2 = S.reshape(n^2, n^2).  With g = 4 S(v,v,v,.)
+    and H = 12 S(v,v,.,.), the step solves [H - (g.v) I, v; v^T, 0] (d, mu) =
+    ((g.v) v - g, 0), dropping the flat directions of a degenerate extremum.
+    Steps are taken while they shrink; the first that does not is rounding."""
+    n = len(v)
+    K = np.zeros((n + 1, n + 1))
+    rhs = np.zeros(n + 1)
+    last = np.inf
+    for _ in range(_NEWTON_STEPS):
+        M = (S2 @ np.outer(v, v).ravel()).reshape(n, n)  # S(., ., v, v)
+        g = 4.0 * M @ v
+        K[:n, :n] = 12.0 * M - (g @ v) * np.eye(n)
+        K[:n, n] = K[n, :n] = v
+        rhs[:n] = (g @ v) * v - g
+        d = np.linalg.lstsq(K, rhs, rcond=1e-12)[0][:n]
+        step = np.linalg.norm(d)
+        if not step < last:
             break
-        d = g / gn
-
-        def circ(s):
-            return quartic_value(T, np.cos(s) * v + np.sin(s) * d)
-
-        V = _CIRC_COS[:, None] * v[None, :] + _CIRC_SIN[:, None] * d[None, :]
-        vals = np.einsum("ijkl,ai,aj,ak,al->a", T, V, V, V, V)
-        s0 = _CIRC_GRID[int(np.argmax(sgn * vals))]
-        s_star, f_star = _refine_1d(circ, s0, maximize, np.pi / 64)
-        if sgn * (f_star - f) <= tol * (1.0 + abs(f)):
-            break
-        v = _unit(np.cos(s_star) * v + np.sin(s_star) * d)
-        f = f_star
-    return Extremum(f, v)
+        v, last = _unit(v + d), step
+    return v
 
 
 # -- public entry points ------------------------------------------------------
@@ -318,8 +313,7 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
     return best_max, best_min
 
 
-def quartic_extrema(T: np.ndarray, n_angles: int = 720, restarts: int = 64,
-                    seed: int = 0) -> tuple[Extremum, Extremum]:
+def quartic_extrema(T: np.ndarray, n_angles: int = 720) -> tuple[Extremum, Extremum]:
     """(max, min) of T(v,v,v,v) over unit vectors."""
     n = T.shape[0]
     if n == 1:
@@ -328,14 +322,12 @@ def quartic_extrema(T: np.ndarray, n_angles: int = 720, restarts: int = 64,
         return Extremum(val, v), Extremum(val, v)
     if n == 2:
         return _extrema_2d(T, n_angles, "quartic")
-    rng = np.random.default_rng(seed)
-    best_max = best_min = None
-    for _ in range(restarts):
-        v0 = rng.normal(size=n)
-        mx = _geodesic_quartic(T, v0, True)
-        mn = _geodesic_quartic(T, v0.copy(), False)
-        if best_max is None or mx.value > best_max.value:
-            best_max = mx
-        if best_min is None or mn.value < best_min.value:
-            best_min = mn
-    return best_max, best_min
+    S2 = symmetrize(T).reshape(n * n, n * n)
+    V, VV = _sphere(n)
+    vals = np.einsum("na,na->n", VV @ S2, VV)
+    out = []
+    for maximize in (True, False):
+        v0 = _unit(V[np.argmax(vals) if maximize else np.argmin(vals)])
+        v = _newton_quartic(S2, v0)
+        out.append(Extremum(quartic_value(T, v), v))
+    return tuple(out)

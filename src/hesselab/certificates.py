@@ -18,8 +18,9 @@ class SignCertificate:
 
     The witness is stored exactly as the configuration (point, vector pair)
     at which the extremum was located.  It reproduces ``extremal_value`` at
-    n = 2 but need not at n >= 3, where the extremizer can keep a value it
-    took at a vector pair off the unit sphere.
+    n = 2, and for HSC_POL at every n, whose value is recomputed from the
+    returned unit vector; an n >= 3 pair value comes from the alternating
+    search and can differ from its witness's in the last digits.
     """
 
     verdict: str

@@ -89,7 +89,7 @@ def _potential_from(cfg: Config):
             elif key in ("path",):
                 kwargs[key] = raw
             else:
-                kwargs[key] = float(raw)
+                kwargs[key] = cfg.get("potential", key, float)
     except ValueError as exc:
         raise ConfigError(f"bad [potential] value: {exc}") from exc
     try:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.optimize import minimize_scalar
 
 from hesselab.curvature import CurvatureSample, full_abc_trace, scalar
 from hesselab.domains import DomainSpec
@@ -21,6 +22,13 @@ settings.load_profile("deterministic")
 def quadratic(n: int = 2, quad: np.ndarray | None = None) -> QuadraticPlusPeriodic:
     """Pure quadratic potential (periodic amplitude zero)."""
     return QuadraticPlusPeriodic(n=n, amplitude=0.0, quad=quad)
+
+
+def argmax_near(fun, t: float, span: float) -> float:
+    """Maximizer of the scalar function fun on [t - span, t + span]."""
+    res = minimize_scalar(lambda a: -fun(a), bounds=(t - span, t + span),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(res.x)
 
 
 def is_fully_symmetric(T: np.ndarray) -> bool:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quadratic, trig_coefficients
+from conftest import argmax_near, quadratic, trig_coefficients
 from hesselab import _extrema, berger, flow, reaction, transport
 from hesselab.certificates import NONPOSITIVE
 from hesselab.cli import verify_all
@@ -132,10 +132,9 @@ def test_criterion_03_cone_closed_form():
     vals = np.array([[family(t, p) for p in grid[::40]] for t in grid[::40]])
     it, ip = np.unravel_index(np.argmax(vals), vals.shape)
     t, p = grid[::40][it], grid[::40][ip]
-    from hesselab._extrema import _refine_1d
     for _ in range(4):
-        t, _ = _refine_1d(lambda a: family(a, p), t, True, 0.02)
-        p, _ = _refine_1d(lambda a: family(t, a), p, True, 0.02)
+        t = argmax_near(lambda a: family(a, p), t, 0.02)
+        p = argmax_near(lambda a: family(t, a), p, 0.02)
     witness_ok = (abs(t - np.pi / 4) < 1e-6 and abs(p - np.pi / 4) < 1e-6
                   and abs(family(t, p)) < 1e-9)
     report(3, shape_ok and witness_ok,

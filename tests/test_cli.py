@@ -426,14 +426,14 @@ def _sweep_cases():
 def test_nan_or_inf_in_a_numeric_key_never_passes(tmp_path, capsys, kind, section, key,
                                                   value):
     """Each numeric key of the smallest config of each kind, set to nan and
-    then to inf one at a time, makes the run exit 1 or 2, never 0, and never
-    with a traceback.  The config as it stands exits 0 (key None), so no
-    case passes for want of a usable config."""
+    then to inf one at a time, is a config error (exit 2), never a run that
+    passes or fails later, and never a traceback.  The config as it stands
+    exits 0 (key None), so no case passes for want of a usable config."""
     base, _ = SMALLEST[kind]
     data = {"experiment": {"kind": kind}}
     data.update((name, dict(keys)) for name, keys in base.items())
     if key is not None:
         data.setdefault(section, {})[key] = value
     code = run_config(Config.from_dict(data), tmp_path)
-    assert code == 0 if key is None else code in (1, 2)
+    assert code == (0 if key is None else 2)
     assert "Traceback" not in capsys.readouterr().err

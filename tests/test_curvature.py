@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import AffineImage, ScaledHandle, quadratic
+from conftest import AffineImage, ScaledHandle, argmax_near, quadratic
 from hesselab import _extrema
 from hesselab.certificates import DEGENERATE, NONPOSITIVE
 from hesselab.curvature import (RegionSpec, anti_bisectional,
@@ -352,10 +352,9 @@ def test_certify_cone_nonpositive_with_quarter_pi_witness(cone):
     vals = np.array([[family(t, p) for p in grid] for t in grid])
     it, ip = np.unravel_index(np.argmax(vals), vals.shape)
     t, p = grid[it], grid[ip]
-    from hesselab._extrema import _refine_1d
     for _ in range(3):
-        t, _ = _refine_1d(lambda a: family(a, p), t, True, np.pi / 360)
-        p, _ = _refine_1d(lambda a: family(t, a), p, True, np.pi / 360)
+        t = argmax_near(lambda a: family(a, p), t, np.pi / 360)
+        p = argmax_near(lambda a: family(t, a), p, np.pi / 360)
     assert family(t, p) == pytest.approx(0.0, abs=1e-9)
     assert t == pytest.approx(p, abs=1e-6)
     assert min(abs(t - np.pi / 4), abs(t - 3 * np.pi / 4)) < 1e-6

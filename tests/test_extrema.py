@@ -1,12 +1,17 @@
-"""The n = 2 extremizer against a dense brute force.
+"""The extremizer against dense brute forces.
 
-The brute force does not use the angle reduction of _extrema: the pair ends
-come from the eigenvalues of T(v, ., v, .) at each of 4001 directions v, the
-ORTH and quartic ends from direct contractions there.  Each end must reach
-the brute force within 1e-12 (1 + max |T|), return the value of its own
-witness, and sit where the derivatives along the witness angles vanish to
-rounding.  Hypothesis draws its examples under the derandomized profile
-registered in conftest.py.
+At n = 2 the brute force does not use the angle reduction of _extrema: the
+pair ends come from the eigenvalues of T(v, ., v, .) at each of 4001
+directions v, the ORTH and quartic ends from direct contractions there.
+Each end must reach the brute force within 1e-12 (1 + max |T|), return the
+value of its own witness, and sit where the derivatives along the witness
+angles vanish to rounding.  Hypothesis draws its examples under the
+derandomized profile registered in conftest.py.
+
+At n >= 3 the quartic ends meet the same conditions against a brute force
+that scans seeded Gaussian directions and polishes the best of them with
+BFGS; certificates of the polarized sectional curvature on the same
+regions reproduce their value at their witness.
 """
 
 import numpy as np
@@ -14,10 +19,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from hesselab import _extrema
-from hesselab.curvature import core_form, mirror_symmetrize
+from hesselab.curvature import (RegionSpec, certify_sign, core_form,
+                                mirror_symmetrize, reevaluate_witness)
 from hesselab.potentials import catalog
+from hesselab.reaction import AlgCurvTensor
 
 NODES = 4001
 
@@ -105,3 +113,66 @@ def test_n2_ends_fixed_cases(case, n_angles):
        st.sampled_from([240, 720]))
 def test_n2_ends_random_tensors(X, n_angles):
     check_n2_ends(mirror_symmetrize(X), n_angles)
+
+
+# -- n >= 3: the quartic ---------------------------------------------------------
+
+SPHERE_NODES = 20000
+POLISHED = 8
+
+
+def quartic_brute_force(T) -> tuple[float, float]:
+    """(max, min) of T(v,v,v,v): seeded Gaussian directions, the best
+    POLISHED of them for each end polished by BFGS on v / |v|."""
+    n = T.shape[0]
+    X = np.random.default_rng(1).normal(size=(SPHERE_NODES, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    vals = np.einsum("ijkl,ni,nj,nk,nl->n", T, X, X, X, X)
+    ends = []
+    for sgn in (1.0, -1.0):
+        def neg(x):
+            u = x / np.linalg.norm(x)
+            return -sgn * _form(T, u, u, u, u)
+        polished = [-sgn * minimize(neg, X[i], method="BFGS", options={"gtol": 1e-13}).fun
+                    for i in np.argsort(-sgn * vals)[:POLISHED]]
+        ends.append(max(polished) if sgn > 0 else min(polished))
+    return ends[0], ends[1]
+
+
+# the calabi_ball and radial_sym regions of the n = 3 HSC_POL certificates
+REGIONS = {"calabi_ball": RegionSpec(count=2, seed=7, extent=0.9),
+           "radial_sym": RegionSpec(count=1, seed=15)}
+
+
+def _region_frames(name):
+    handle = catalog(name, n=3)
+    region = REGIONS[name]
+    return [core_form(handle.jet(p)).E_frame
+            for p in handle.domain.sample(region.count, region.seed, extent=region.extent)]
+
+
+HIGHER = {f"random-n{n}-seed{seed}": [AlgCurvTensor.random(n, seed).A]
+          for n in (3, 4) for seed in range(10)}
+HIGHER.update((name, _region_frames(name)) for name in REGIONS)
+
+
+@pytest.mark.parametrize("case", sorted(HIGHER))
+def test_quartic_ends_match_brute_force_at_n_3_and_4(case):
+    for T in HIGHER[case]:
+        scale = 1.0 + float(np.abs(T).max())
+        best = quartic_brute_force(T)
+        for ext, end, sgn in zip(_extrema.quartic_extrema(T), best, (1.0, -1.0)):
+            v = ext.v
+            assert sgn * (ext.value - end) >= -1e-12 * scale, (sgn, ext.value, end)
+            assert ext.value == _extrema.quartic_value(T, v)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+            g = 4.0 * np.einsum("ijkl,j,k,l->i", T, v, v, v)
+            assert np.linalg.norm(g - (g @ v) * v) <= 1e-13 * scale, sgn
+
+
+@pytest.mark.parametrize("name", sorted(REGIONS))
+def test_hsc_witness_reproduces_in_3d(name):
+    handle = catalog(name, n=3)
+    cert = certify_sign(handle, "HSC_POL", REGIONS[name])
+    again = reevaluate_witness(handle, cert)
+    assert abs(again - cert.extremal_value) <= cert.tolerance, (again, cert.extremal_value)

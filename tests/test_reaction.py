@@ -293,7 +293,7 @@ def test_polarization_bounds_randomized_negative_tensors():
         n = 2 + trial % 2
         A = AlgCurvTensor.random(n, int(rng.integers(0, 2**62)))
         B, _, _ = shift_to_boundary(A)
-        _, hmn = _extrema.quartic_extrema(B.A, restarts=24)
+        _, hmn = _extrema.quartic_extrema(B.A)
         omx, omn = _extrema.pair_extrema(B.A, orth=True, restarts=32)
         H_bound = abs(hmn.value)
         O_bound = max(abs(omn.value), abs(omx.value))

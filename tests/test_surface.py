@@ -34,8 +34,8 @@ PACKAGE = ROOT / "src" / "hesselab"
 
 KEPT = {
     "polarization_bounds": "the only check of the componentwise lemma",
-    "reevaluate_witness": "re-evaluates a certificate's witness on the unit "
-                          "sphere, the measure of the n >= 3 extremizer fault",
+    "reevaluate_witness": "re-evaluates a certificate's witness, as the tests "
+                          "that HSC_POL witnesses reproduce their value need",
     "hsc_full": "checks the README's constant-2 calibration of the "
                 "polarized sectional",
     "AlgCurvTensor.from_text": "reads a serialized tensor back, as the checks "
@@ -43,10 +43,6 @@ KEPT = {
 }
 
 KEPT_PARAMETERS = {
-    "quartic_extrema.restarts": "the polarization test searches with 24 restarts "
-                                "until the n >= 3 extremizer is replaced",
-    "quartic_extrema.seed": "the extremizer tests vary the seed until the n >= 3 "
-                            "extremizer is replaced",
     "ricci_average.direction": "criterion 11 averages along given directions",
     "hsc_full.normalized": "hsc_full is kept, and its tests read both values",
     "polarization_bounds.check_sign": "polarization_bounds is kept, and its tests "
