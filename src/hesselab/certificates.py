@@ -10,6 +10,7 @@ NONPOSITIVE = "NONPOSITIVE"
 NONNEGATIVE = "NONNEGATIVE"
 MIXED = "MIXED"
 DEGENERATE = "DEGENERATE"
+VERDICTS = (NONPOSITIVE, NONNEGATIVE, MIXED, DEGENERATE)
 
 
 @dataclass

@@ -9,95 +9,204 @@ Commands:
     hesselab verify-all      run the built-in verification suite (deterministic
                              seeded experiments, byte-stable CSV outputs)
 
-Every experiment is seeded; identical configs produce byte-identical CSV
-files.  Timestamps never enter CSV outputs.
+``_KEYS`` declares every key of every experiment kind, and the whole config
+is checked against it before the experiment starts: an unknown section or
+key (the nearest known one is named), a missing, unparsable, non-finite or
+out-of-range value is a config error.  Every experiment is seeded; identical
+configs produce byte-identical CSV files.  Timestamps never enter CSV outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import berger, flow, reaction, transport
-from .curvature import (RegionSpec, anti_bisectional, certify_sign, core_form,
-                        mtw_tensor, scan_csv_rows)
+from .certificates import VERDICTS
+from .curvature import (QUANTITIES, RegionSpec, anti_bisectional, certify_sign,
+                        core_form, mtw_tensor, scan_csv_rows)
 from .errors import BadGridFile, BadParams, ConfigError, HesselabError
-from .potentials import CATALOG_NAMES, catalog, catalog_entries
+from .potentials import CATALOG_NAMES, catalog, catalog_entries, catalog_parameters
 from .transport import DiscreteMeasure
 
 # -- config plumbing -------------------------------------------------------------
 
 class Config:
-    """Typed access to a flat key-value config with section headers."""
+    """The text of a config: {section: {key: raw value}}."""
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self._p = parser
+    def __init__(self, sections: dict[str, dict[str, str]]):
+        self.sections = sections
 
     @classmethod
     def from_file(cls, path) -> "Config":
-        parser = configparser.ConfigParser()
+        # "%" is an ordinary character, and a [DEFAULT] section is a section
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         parser.optionxform = str  # keep key case (potential parameters)
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        return cls(parser)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}") from exc
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        return cls({name: dict(parser[name]) for name in parser.sections()})
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        for section, values in data.items():
-            parser[section] = {k: str(v) for k, v in values.items()}
-        return cls(parser)
+        return cls({section: {k: str(v) for k, v in values.items()}
+                    for section, values in data.items()})
 
-    def get(self, section: str, key: str, cast=str, default=None):
-        if not self._p.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key}")
-            return default
-        raw = self._p.get(section, key)
-        try:
-            value = self._p.getboolean(section, key) if cast is bool else cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        if cast is float and not np.isfinite(value):  # no key takes nan or inf
+
+REQUIRED = object()  # the default of a key that a config must set
+
+
+def _bool(raw: str) -> bool:
+    """1, yes, true or on; 0, no, false or off; in any case."""
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(v) for v in raw.split()]
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(v) for v in raw.split()]
+
+
+# _KEYS[kind][section][key] = (parse, default, rule).  A default of None
+# leaves the key unset; a rule is a bound ">= b" or "> b" that each value
+# (each element of a list, which must not be empty) meets, or a tuple of the
+# allowed values.  Every float must be finite.  The [potential] keys past
+# name are the named constructor's parameters (_potential_keys).
+_POTENTIAL = {"name": (str, REQUIRED, CATALOG_NAMES)}
+_ASSERTS = {key: (float, None, None) for key in (
+    "assert_abc_max_below", "assert_orth_min_above", "assert_chen_above",
+    "assert_stationary_below")}
+_WINDOW = ("origin_x", "origin_y", "spacing")
+_KEYS = {kind: {"experiment": {"kind": (str, REQUIRED, None)},  # read first: picks the table
+                "output": {"dir": (str, "out", None)}, **sections}
+         for kind, sections in {
+    "curvature-scan": {"potential": _POTENTIAL, "scan": {
+        "count": (int, 25, ">= 1"), "seed": (int, 7, ">= 0"), "extent": (float, None, "> 0")}},
+    "certify": {"potential": _POTENTIAL, "certify": {
+        "quantity": (str, REQUIRED, QUANTITIES), "count": (int, 25, ">= 1"),
+        "seed": (int, 7, ">= 0"), "extent": (float, None, "> 0"),
+        "expect": (str, "", ("",) + VERDICTS)}},
+    "flow-run": {"potential": _POTENTIAL, "flow": {
+        "mode": (str, "periodic", ("periodic", "frozen-window")), "nodes": (int, 32, ">= 1"),
+        "time": (float, 0.05, "> 0"), "epochs": (int, 8, ">= 1"),
+        "sample_per_axis": (int, 4, ">= 1"), **_ASSERTS,
+        # the window keys: frozen-window mode only (_exp_flow_run)
+        "origin_x": (float, None, None), "origin_y": (float, None, None),
+        "spacing": (float, None, "> 0")}},
+    "kr-probe": {"potential": _POTENTIAL, "probe": {
+        "epsilon": (float, 0.01, "> 0"), "epochs": (int, 5, ">= 1"),
+        "nodes": (int, 40, f">= {2 * flow.RING + 1}"),  # a node inside the window's ring
+        "origin_x": (float, REQUIRED, None), "origin_y": (float, REQUIRED, None),
+        "spacing": (float, REQUIRED, "> 0"), "expect_regular": (_bool, True, None)}},
+    "ode-run": {"ode": {
+        "a0": (float, -1.0, None), "time": (float, 0.5, "> 0"), "dt": (float, 1e-3, "> 0"),
+        "tolerance": (float, 1e-8, None)}},
+    "null-vector-suite": {"suite": {
+        "trials": (int, 50, ">= 1"), "seed": (int, 3, ">= 0"), "dims": (_ints, (2, 3), ">= 1"),
+        "probe_trials": (int, 2000, ">= 1")}},
+    "trace-suite": {"suite": {
+        "trials": (int, 2000, ">= 1"), "seed": (int, 5, ">= 0"), "max_dim": (int, 6, ">= 1")}},
+    "berger-suite": {"suite": {  # the fits average count // 4 >= 2 points per sample
+        "seed": (int, 9, ">= 0"), "count": (int, 20000, ">= 8")}},
+    "ot-experiment": {"potential": _POTENTIAL, "ot": {
+        "seed": (int, 13, ">= 0"), "points": (int, 9, ">= 1"), "alpha": (float, 0.5, None),
+        "times": (_floats, (0.0, 0.005, 0.01), ">= 0"),
+        "nodes": (int, 36, ">= 6"),  # the quintic spline needs 6 nodes
+        "origin_x": (float, 0.55, None), "origin_y": (float, -0.65, None),
+        "spacing": (float, 0.036, "> 0")}},
+}.items()}
+
+# parsers of the catalog parameters that are not floats; quad has no text form
+_PARAMETER_PARSE = {"n": int, "wave": _ints, "path": str, "quad": None}
+
+
+def _potential_keys(name) -> dict:
+    """The [potential] table of catalog(name): name, then the constructor's
+    parameters with a text form, defaulted as the constructor defaults them."""
+    keys = dict(_POTENTIAL)
+    for param in catalog_parameters(name) if name in CATALOG_NAMES else ():
+        parse = _PARAMETER_PARSE.get(param.name, float)
+        if parse is not None:
+            keys[param.name] = (parse, REQUIRED if param.default is param.empty
+                                else param.default, None)
+    return keys
+
+
+def _nearest(word: str, known, form: str = "{}") -> str:
+    match = difflib.get_close_matches(word, list(known), n=1)
+    names = [form.format(name) for name in match or known]
+    return f" (did you mean {names[0]}?)" if match else f" (known: {', '.join(names)})"
+
+
+def _value(section: str, key: str, parse, rule, raw: str):
+    try:
+        value = parse(raw)
+        if value == []:
+            raise ValueError(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
-        return value
+        if isinstance(rule, tuple) and v not in rule:
+            raise ConfigError(f"[{section}] {key} must be one of "
+                              f"{', '.join(map(repr, rule))}, got {raw!r}")
+        if isinstance(rule, str):
+            op, bound = rule.split()
+            if not (v >= float(bound) if op == ">=" else v > float(bound)):
+                raise ConfigError(f"[{section}] {key} must be {rule}, got {raw!r}")
+    return value
 
-    def section(self, name: str) -> dict:
-        return dict(self._p[name]) if self._p.has_section(name) else {}
+
+def _checked(cfg: Config) -> dict:
+    """{section: {key: value}} of every key the experiment reads, parsed and
+    checked against _KEYS, with the defaults filled in.  Raises one
+    ConfigError that names every unknown, missing or bad section and key."""
+    kind = cfg.sections.get("experiment", {}).get("kind")
+    if kind not in _KEYS:
+        raise ConfigError("missing [experiment] kind" if kind is None else
+                          f"unknown experiment kind {kind!r}{_nearest(kind, _KEYS)}")
+    table = dict(_KEYS[kind])
+    if "potential" in table:
+        table["potential"] = _potential_keys(cfg.sections.get("potential", {}).get("name"))
+    errors = [f"unknown section [{name}]{_nearest(name, table, '[{}]')}"
+              for name in cfg.sections if name not in table]
+    checked = {}
+    for section, keys in table.items():
+        given = cfg.sections.get(section, {})
+        errors += [f"unknown key [{section}] {key}{_nearest(key, keys)}"
+                   for key in given if key not in keys]
+        checked[section] = {}
+        for key, (parse, default, rule) in keys.items():
+            try:
+                if key not in given and default is REQUIRED:
+                    raise ConfigError(f"missing [{section}] {key}")
+                checked[section][key] = (_value(section, key, parse, rule, given[key])
+                                         if key in given else default)
+            except ConfigError as exc:
+                errors.append(str(exc))
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return checked
 
 
-def _potential_from(cfg: Config):
-    sec = cfg.section("potential")
-    if "name" not in sec:
-        raise ConfigError("missing [potential] name")
-    name = sec.pop("name")
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown potential {name!r}")
-    kwargs = {}
+def _potential_from(c: dict):
     try:
-        for key, raw in sec.items():
-            if key in ("n",):
-                kwargs[key] = int(raw)
-            elif key in ("wave",):
-                kwargs[key] = tuple(int(v) for v in raw.split())
-            elif key in ("path",):
-                kwargs[key] = raw
-            else:
-                kwargs[key] = cfg.get("potential", key, float)
-    except ValueError as exc:
-        raise ConfigError(f"bad [potential] value: {exc}") from exc
-    try:
-        return catalog(name, **kwargs)
+        return catalog(**c["potential"])
     except (BadGridFile, BadParams) as exc:
         raise ConfigError(str(exc)) from exc
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {name}: {exc}") from exc
 
 
 def _out(outdir: Path, name: str) -> Path:
@@ -109,7 +218,8 @@ def _out(outdir: Path, name: str) -> Path:
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     """Write rows as a CSV and as its plot-ready .dat twin: the same
     formatted fields, whitespace-delimited, with a '# ' header."""
-    body = [[_fmt(row[c]) for c in columns] for row in rows]
+    body = [[repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
+             for c in columns] for row in rows]
     for suffix, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
         lines = [lead + sep.join(columns)] + [sep.join(fields) for fields in body]
         path.with_suffix(suffix).write_text("\n".join(lines) + "\n")
@@ -121,23 +231,12 @@ def _write_series(path: Path, series: flow.MonitorSeries) -> None:
     _write_csv(path, rows, ["t", *flow.CHANNELS])
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 # -- experiment implementations ---------------------------------------------------
 
-def _exp_curvature_scan(cfg: Config, outdir: Path):
-    handle = _potential_from(cfg)
-    count = cfg.get("scan", "count", int, 25)
-    seed = cfg.get("scan", "seed", int, 7)
-    extent = cfg.get("scan", "extent", float) if "extent" in cfg.section("scan") else None
-    if count < 1 or seed < 0 or not (extent is None or extent > 0.0):
-        raise ConfigError(f"[scan] needs count >= 1, seed >= 0 and extent > 0, got "
-                          f"count = {count}, seed = {seed}, extent = {extent}")
-    pts = handle.domain.sample(count, seed, extent=extent)
+def _exp_curvature_scan(c: dict, outdir: Path):
+    handle = _potential_from(c)
+    count = c["scan"]["count"]
+    pts = handle.domain.sample(count, c["scan"]["seed"], extent=c["scan"]["extent"])
     rows = scan_csv_rows(handle, pts)
     cols = ([f"x{i+1}" for i in range(handle.n)]
             + ["S", "O", "Hmin_pol", "ABC_min", "ABC_max"]
@@ -147,17 +246,13 @@ def _exp_curvature_scan(cfg: Config, outdir: Path):
     return True, [f"scanned {count} points of {handle.name}"]
 
 
-def _exp_certify(cfg: Config, outdir: Path):
-    handle = _potential_from(cfg)
-    quantity = cfg.get("certify", "quantity")
-    count = cfg.get("certify", "count", int, 25)
-    seed = cfg.get("certify", "seed", int, 7)
-    extent = (cfg.get("certify", "extent", float) if "extent" in cfg.section("certify")
-              else None)
-    expect = cfg.get("certify", "expect", str, "")
+def _exp_certify(c: dict, outdir: Path):
+    handle = _potential_from(c)
+    cc = c["certify"]
+    quantity, expect = cc["quantity"], cc["expect"]
     try:
-        cert = certify_sign(handle, quantity,
-                            RegionSpec(count=count, seed=seed, extent=extent))
+        cert = certify_sign(handle, quantity, RegionSpec(count=cc["count"], seed=cc["seed"],
+                                                         extent=cc["extent"]))
     except BadParams as exc:
         raise ConfigError(f"bad [certify] parameters: {exc}") from exc
     _out(outdir, f"certificate_{handle.name}_{quantity}.txt").write_text(cert.to_text())
@@ -169,33 +264,23 @@ def _exp_certify(cfg: Config, outdir: Path):
     return ok, [msg]
 
 
-def _exp_flow_run(cfg: Config, outdir: Path):
-    handle = _potential_from(cfg)
-    mode = cfg.get("flow", "mode", str, "periodic")
-    m = cfg.get("flow", "nodes", int, 32)
-    T = cfg.get("flow", "time", float, 0.05)
-    epochs = cfg.get("flow", "epochs", int, 8)
-    per_axis = cfg.get("flow", "sample_per_axis", int, 4)
-    if "lambda" in cfg.section("flow"):
-        raise ConfigError("[flow] lambda is not supported: the flow is the unnormalized one")
-    if not 0.0 < T < np.inf or epochs < 1 or per_axis < 1:
-        raise ConfigError(f"[flow] needs time > 0, epochs >= 1 and sample_per_axis >= 1, "
-                          f"got time = {T}, epochs = {epochs}, sample_per_axis = {per_axis}")
-    bounds = {key: cfg.get("flow", key, float) for key in cfg.section("flow")
-              if key.startswith("assert_")}
-    if mode == "periodic":
-        grid = flow.GridSpec(shape=(m, m))
-    else:
-        origin = np.array([cfg.get("flow", "origin_x", float),
-                           cfg.get("flow", "origin_y", float)])
-        spacing = cfg.get("flow", "spacing", float)
-        grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
+def _exp_flow_run(c: dict, outdir: Path):
+    handle = _potential_from(c)
+    f = c["flow"]
+    mode, m, T = f["mode"], f["nodes"], f["time"]
+    given = [key for key in _WINDOW if f[key] is not None]
+    if given != (list(_WINDOW) if mode == "frozen-window" else []):
+        raise ConfigError(f"[flow] {', '.join(_WINDOW)} are required in frozen-window mode "
+                          f"and refused in periodic mode; {mode} mode got "
+                          f"{', '.join(given) or 'none'}")
+    grid = flow.GridSpec(shape=(m, m)) if mode == "periodic" else flow.GridSpec(
+        shape=(m, m), spacing=f["spacing"], origin=np.array([f["origin_x"], f["origin_y"]]))
     try:
         state = flow.init(handle, grid, mode)
     except BadParams as exc:
         raise ConfigError(f"bad [flow] grid: {exc}") from exc
-    final, series = flow.run(state, T, sample_per_axis=per_axis,
-                             monitor_epochs=epochs)
+    final, series = flow.run(state, T, sample_per_axis=f["sample_per_axis"],
+                             monitor_epochs=f["epochs"])
     _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)
     lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times)} epochs"]
     ok = True
@@ -207,7 +292,7 @@ def _exp_flow_run(cfg: Config, outdir: Path):
             ("assert_chen_above", "chen_residual worst", ">=",
              series.channel("chen_residual")[1:].min),
             ("assert_stationary_below", "potential drift", "<=", np.abs(final.u - state.u).max)):
-        bound = bounds.get(key)
+        bound = f[key]
         if bound is None:
             continue
         worst = float(statistic())
@@ -217,35 +302,22 @@ def _exp_flow_run(cfg: Config, outdir: Path):
     return ok, lines
 
 
-def _exp_kr_probe(cfg: Config, outdir: Path):
-    handle = _potential_from(cfg)
-    eps = cfg.get("probe", "epsilon", float, 0.01)
-    m = cfg.get("probe", "nodes", int, 40)
-    origin = np.array([cfg.get("probe", "origin_x", float),
-                       cfg.get("probe", "origin_y", float)])
-    spacing = cfg.get("probe", "spacing", float)
-    expect_regular = cfg.get("probe", "expect_regular", bool, True)
-    epochs = cfg.get("probe", "epochs", int, 5)
-    if not 0.0 < eps < np.inf or epochs < 1:
-        raise ConfigError(f"[probe] needs epsilon > 0 and epochs >= 1, "
-                          f"got epsilon = {eps}, epochs = {epochs}")
-    grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
+def _exp_kr_probe(c: dict, outdir: Path):
+    handle = _potential_from(c)
+    p = c["probe"]
+    grid = flow.GridSpec(shape=(p["nodes"], p["nodes"]), spacing=p["spacing"],
+                         origin=np.array([p["origin_x"], p["origin_y"]]))
     try:
-        verdict = flow.kr_probe(handle, eps, grid, monitor_epochs=epochs)
+        verdict = flow.kr_probe(handle, p["epsilon"], grid, monitor_epochs=p["epochs"])
     except BadParams as exc:
         raise ConfigError(f"bad [probe] grid: {exc}") from exc
     _write_series(_out(outdir, f"kr_probe_{handle.name}.csv"), verdict.series)
-    ok = verdict.regular == expect_regular
+    ok = verdict.regular == p["expect_regular"]
     return ok, [f"kr-probe {handle.name}: {verdict.label}"]
 
 
-def _exp_ode_run(cfg: Config, outdir: Path):
-    a0 = cfg.get("ode", "a0", float, -1.0)
-    T = cfg.get("ode", "time", float, 0.5)
-    dt = cfg.get("ode", "dt", float, 1e-3)
-    tol = cfg.get("ode", "tolerance", float, 1e-8)
-    if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
-        raise ConfigError(f"[ode] needs time > 0 and dt > 0, got time = {T}, dt = {dt}")
+def _exp_ode_run(c: dict, outdir: Path):
+    a0, T, dt = c["ode"]["a0"], c["ode"]["time"], c["ode"]["dt"]
     A = reaction.AlgCurvTensor(np.full((1, 1, 1, 1), a0))
     traj = reaction.integrate_ode(A, T, dt, record_every=max(1, int(T / dt / 50)))
     rows = [{"t": t, "value": float(tensor.A.ravel()[0]),
@@ -253,18 +325,11 @@ def _exp_ode_run(cfg: Config, outdir: Path):
             for t, tensor in zip(traj.times, traj.tensors)]
     _write_csv(_out(outdir, "ode_run.csv"), rows, ["t", "value", "closed_form"])
     err = max(abs(r["value"] - r["closed_form"]) for r in rows)
-    return err <= tol, [f"ode n=1 a0={a0:g}: max closed-form error {err!r}"]
+    return err <= c["ode"]["tolerance"], [f"ode n=1 a0={a0:g}: max closed-form error {err!r}"]
 
 
-def _exp_null_vector_suite(cfg: Config, outdir: Path):
-    trials = cfg.get("suite", "trials", int, 50)
-    seed = cfg.get("suite", "seed", int, 3)
-    dims = cfg.get("suite", "dims", lambda raw: [int(v) for v in raw.split()], [2, 3])
-    probe_trials = cfg.get("suite", "probe_trials", int, 2000)
-    if trials < 1 or probe_trials < 1 or seed < 0 or not dims or min(dims) < 1:
-        raise ConfigError(f"[suite] needs trials >= 1, probe_trials >= 1, seed >= 0 and "
-                          f"dims >= 1, got trials = {trials}, probe_trials = "
-                          f"{probe_trials}, seed = {seed}, dims = {dims}")
+def _exp_null_vector_suite(c: dict, outdir: Path):
+    trials, seed, dims = c["suite"]["trials"], c["suite"]["seed"], c["suite"]["dims"]
     rng = np.random.default_rng(seed)
     rows = []
     failures = 0
@@ -284,7 +349,7 @@ def _exp_null_vector_suite(cfg: Config, outdir: Path):
                ["trial", "n", "first_derivative_residual", "hform_min_eig",
                 "q_value", "sharper_value", "passed"])
     lines = [f"null-vector suite: {trials} boundary tensors, {failures} failures"]
-    cx = reaction.noab_probe(3, seed=seed + 1, trials=probe_trials)
+    cx = reaction.noab_probe(3, seed=seed + 1, trials=c["suite"]["probe_trials"])
     probe_ok = cx is not None
     if probe_ok:
         _out(outdir, "noab_counterexample.txt").write_text(cx.tensor.to_text())
@@ -295,13 +360,8 @@ def _exp_null_vector_suite(cfg: Config, outdir: Path):
     return failures == 0 and probe_ok, lines
 
 
-def _exp_trace_suite(cfg: Config, outdir: Path):
-    trials = cfg.get("suite", "trials", int, 2000)
-    seed = cfg.get("suite", "seed", int, 5)
-    max_n = cfg.get("suite", "max_dim", int, 6)
-    if trials < 1 or seed < 0 or max_n < 1:
-        raise ConfigError(f"[suite] needs trials >= 1, seed >= 0 and max_dim >= 1, "
-                          f"got trials = {trials}, seed = {seed}, max_dim = {max_n}")
+def _exp_trace_suite(c: dict, outdir: Path):
+    trials, seed, max_n = c["suite"]["trials"], c["suite"]["seed"], c["suite"]["max_dim"]
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -316,12 +376,8 @@ def _exp_trace_suite(cfg: Config, outdir: Path):
     return ok, [f"trace suite: min value {worst!r} over {trials} instances"]
 
 
-def _exp_berger_suite(cfg: Config, outdir: Path):
-    seed = cfg.get("suite", "seed", int, 9)
-    count = cfg.get("suite", "count", int, 20000)
-    if count < 8 or seed < 0:  # the fits average count // 4 >= 2 points per sample
-        raise ConfigError(f"[suite] needs count >= 8 and seed >= 0, "
-                          f"got count = {count}, seed = {seed}")
+def _exp_berger_suite(c: dict, outdir: Path):
+    seed, count = c["suite"]["seed"], c["suite"]["count"]
     lines = []
     ok = True
     mom = berger.sphere_moments(2, count, seed)
@@ -354,10 +410,8 @@ def _exp_berger_suite(cfg: Config, outdir: Path):
     _write_csv(_out(outdir, "plane_restriction.csv"),
                [{"theta": float(t), "f": float(fitp(t))} for t in thetas],
                ["theta", "f"])
-    ratios = []
-    for i, smp in enumerate(samples):
-        ra = berger.ricci_average(smp, count // 4, seed + 3 + i)
-        ratios.append(ra.ratio)
+    ratios = [berger.ricci_average(smp, count // 4, seed + 3 + i).ratio
+              for i, smp in enumerate(samples)]
     spread = float(np.ptp(ratios))
     good = spread <= 0.2
     ok &= good
@@ -366,30 +420,21 @@ def _exp_berger_suite(cfg: Config, outdir: Path):
     return ok, lines
 
 
-def _exp_ot_experiment(cfg: Config, outdir: Path):
-    handle = _potential_from(cfg)
-    seed = cfg.get("ot", "seed", int, 13)
-    npts = cfg.get("ot", "points", int, 9)
-    alpha = cfg.get("ot", "alpha", float, 0.5)
-    t_list = cfg.get("ot", "times", lambda raw: [float(v) for v in raw.split()],
-                     [0.0, 0.005, 0.01])
-    m = cfg.get("ot", "nodes", int, 36)
-    origin = np.array([cfg.get("ot", "origin_x", float, 0.55),
-                       cfg.get("ot", "origin_y", float, -0.65)])
-    spacing = cfg.get("ot", "spacing", float, 0.036)
-    if not (t_list and min(t_list) == 0.0 and np.isfinite(t_list).all()):
-        raise ConfigError(f"[ot] times must be finite, >= 0 and include 0: {t_list}")
-    if npts < 1 or m < 6 or seed < 0 or not spacing > 0:  # quintic spline: 6 nodes
-        raise ConfigError(f"[ot] needs points >= 1, nodes >= 6, seed >= 0 and spacing > 0, "
-                          f"got points = {npts}, nodes = {m}, seed = {seed}, spacing = {spacing}")
-    rng = np.random.default_rng(seed)
+def _exp_ot_experiment(c: dict, outdir: Path):
+    o = c["ot"]
+    if 0.0 not in o["times"]:
+        raise ConfigError(f"[ot] times must include 0, got {o['times']}")
+    handle = _potential_from(c)
+    npts, m = o["points"], o["nodes"]
+    rng = np.random.default_rng(o["seed"])
     X = np.stack([rng.uniform(1.0, 1.35, npts), rng.uniform(-0.18, 0.18, npts)], axis=1)
     Y = np.stack([rng.uniform(-0.12, 0.12, npts), rng.uniform(-0.15, 0.15, npts)], axis=1)
     mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
-    grid = flow.GridSpec(shape=(m, m), spacing=spacing, origin=origin)
+    grid = flow.GridSpec(shape=(m, m), spacing=o["spacing"],
+                         origin=np.array([o["origin_x"], o["origin_y"]]))
     state = flow.init(handle, grid, "frozen-window")
     costs = {}
-    for t in sorted(t_list):
+    for t in sorted(o["times"]):
         if t > state.t:
             dt = flow.adaptive_dt(state)
             nsteps = max(1, int(np.ceil((t - state.t) / dt)))
@@ -398,7 +443,7 @@ def _exp_ot_experiment(cfg: Config, outdir: Path):
                 state = flow.step(state, dt_sub)
         chk = flow.to_grid_potential(state)
         costs[t] = transport.cost_matrix(chk, X, Y)
-    rows = transport.weak_continuity_rows(costs, mu, nu, alpha)
+    rows = transport.weak_continuity_rows(costs, mu, nu, o["alpha"])
     _write_csv(_out(outdir, f"ot_weak_continuity_{handle.name}.csv"), rows,
                ["t", "cost", "holder_modulus", "plan_tv_to_t0", "slack_residual"])
     tv = [r["plan_tv_to_t0"] for r in rows]
@@ -409,27 +454,16 @@ def _exp_ot_experiment(cfg: Config, outdir: Path):
                 f"monotone-toward-0 {monotone}"]
 
 
-_EXPERIMENTS = {
-    "curvature-scan": _exp_curvature_scan,
-    "certify": _exp_certify,
-    "flow-run": _exp_flow_run,
-    "kr-probe": _exp_kr_probe,
-    "ode-run": _exp_ode_run,
-    "null-vector-suite": _exp_null_vector_suite,
-    "trace-suite": _exp_trace_suite,
-    "berger-suite": _exp_berger_suite,
-    "ot-experiment": _exp_ot_experiment,
-}
+# each kind of _KEYS runs _exp_<kind>, with "-" read as "_"
+_EXPERIMENTS = {kind: globals()["_exp_" + kind.replace("-", "_")] for kind in _KEYS}
 
 
 def run_config(cfg: Config, outdir: Path | None = None) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
-        kind = cfg.get("experiment", "kind")
-        if kind not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
-        out = Path(cfg.get("output", "dir", str, "out")) if outdir is None else outdir
-        ok, lines = _EXPERIMENTS[kind](cfg, out)
+        c = _checked(cfg)
+        out = Path(c["output"]["dir"]) if outdir is None else outdir
+        ok, lines = _EXPERIMENTS[c["experiment"]["kind"]](c, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -454,8 +488,7 @@ def _mtw_ratio_check(outdir: Path):
         pts = handle.domain.sample(60, 17)
         ratios = []
         for p in pts:
-            xi = rng.normal(size=2)
-            eta = rng.normal(size=2)
+            xi, eta = rng.normal(size=2), rng.normal(size=2)
             val = mtw_tensor(handle, p, np.zeros(2), xi, eta)
             sample = core_form(handle.jet(p))
             ref = anti_bisectional(sample, xi, np.linalg.solve(sample.h, eta))
@@ -473,94 +506,63 @@ def _mtw_ratio_check(outdir: Path):
 def _verify_all_experiments():
     """(name, config) pairs for the built-in suite; seeds pinned."""
     return [
-        ("certify-cone", {
-            "experiment": {"kind": "certify"},
-            "potential": {"name": "cone2d"},
-            "certify": {"quantity": "ABC", "count": 20, "seed": 11,
-                        "expect": "NONPOSITIVE"},
-        }),
-        ("certify-ball", {
-            "experiment": {"kind": "certify"},
-            "potential": {"name": "calabi_ball", "n": 2},
-            "certify": {"quantity": "ABC", "count": 20, "seed": 11,
-                        "extent": 0.95, "expect": "NONPOSITIVE"},
-        }),
-        ("scan-ball", {
-            "experiment": {"kind": "curvature-scan"},
-            "potential": {"name": "calabi_ball", "n": 2},
-            "scan": {"count": 16, "seed": 4, "extent": 0.9},
-        }),
-        ("trace-suite", {
-            "experiment": {"kind": "trace-suite"},
-            "suite": {"trials": 2000, "seed": 5, "max_dim": 6},
-        }),
-        ("null-vector-suite", {
-            "experiment": {"kind": "null-vector-suite"},
-            "suite": {"trials": 40, "seed": 3, "dims": "2 3"},
-        }),
-        ("ode-negative", {
-            "experiment": {"kind": "ode-run"},
-            "ode": {"a0": -1.0, "time": 0.5, "dt": 1e-3, "tolerance": 1e-8},
-        }),
-        ("flow-quadratic", {
-            "experiment": {"kind": "flow-run"},
-            "potential": {"name": "quadratic_plus_periodic", "amplitude": 0.0},
-            "flow": {"mode": "periodic", "nodes": 32, "time": 0.02,
-                     "epochs": 4, "assert_stationary_below": 1e-12,
-                     "assert_abc_max_below": 1e-6},
-        }),
-        ("flow-periodic", {
-            "experiment": {"kind": "flow-run"},
-            "potential": {"name": "quadratic_plus_periodic", "amplitude": 0.05},
-            "flow": {"mode": "periodic", "nodes": 32, "time": 0.05,
-                     "epochs": 5, "assert_chen_above": -1e-6},
-        }),
-        ("flow-ball-window", {
-            "experiment": {"kind": "flow-run"},
-            "potential": {"name": "calabi_ball", "n": 2},
-            "flow": {"mode": "frozen-window", "nodes": 40, "time": 0.006,
-                     "origin_x": -0.5, "origin_y": -0.5, "spacing": 0.025,
-                     "epochs": 4, "sample_per_axis": 4,
-                     "assert_abc_max_below": 1e-6},
-        }),
-        ("kr-probe-radial", {
-            "experiment": {"kind": "kr-probe"},
-            "potential": {"name": "radial_sym", "C": 1.0},
-            "probe": {"epsilon": 0.0015, "nodes": 44, "origin_x": 0.35,
-                      "origin_y": -0.55, "spacing": 0.028, "epochs": 3,
-                      "expect_regular": True},
-        }),
-        ("berger-suite", {
-            "experiment": {"kind": "berger-suite"},
-            "suite": {"seed": 9, "count": 20000},
-        }),
-        ("ot-radial", {
-            "experiment": {"kind": "ot-experiment"},
-            "potential": {"name": "radial_sym", "C": 1.0},
-            "ot": {"seed": 13, "points": 9, "alpha": 0.5,
-                   "times": "0 0.01 0.02"},
-        }),
+        ("certify-cone", {"experiment": {"kind": "certify"}, "potential": {"name": "cone2d"},
+                          "certify": {"quantity": "ABC", "count": 20, "seed": 11,
+                                      "expect": "NONPOSITIVE"}}),
+        ("certify-ball", {"experiment": {"kind": "certify"},
+                          "potential": {"name": "calabi_ball", "n": 2},
+                          "certify": {"quantity": "ABC", "count": 20, "seed": 11,
+                                      "extent": 0.95, "expect": "NONPOSITIVE"}}),
+        ("scan-ball", {"experiment": {"kind": "curvature-scan"},
+                       "potential": {"name": "calabi_ball", "n": 2},
+                       "scan": {"count": 16, "seed": 4, "extent": 0.9}}),
+        ("trace-suite", {"experiment": {"kind": "trace-suite"},
+                         "suite": {"trials": 2000, "seed": 5, "max_dim": 6}}),
+        ("null-vector-suite", {"experiment": {"kind": "null-vector-suite"},
+                               "suite": {"trials": 40, "seed": 3, "dims": "2 3"}}),
+        ("ode-negative", {"experiment": {"kind": "ode-run"},
+                          "ode": {"a0": -1.0, "time": 0.5, "dt": 1e-3, "tolerance": 1e-8}}),
+        ("flow-quadratic", {"experiment": {"kind": "flow-run"},
+                            "potential": {"name": "quadratic_plus_periodic", "amplitude": 0.0},
+                            "flow": {"mode": "periodic", "nodes": 32, "time": 0.02,
+                                     "epochs": 4, "assert_stationary_below": 1e-12,
+                                     "assert_abc_max_below": 1e-6}}),
+        ("flow-periodic", {"experiment": {"kind": "flow-run"},
+                           "potential": {"name": "quadratic_plus_periodic", "amplitude": 0.05},
+                           "flow": {"mode": "periodic", "nodes": 32, "time": 0.05,
+                                    "epochs": 5, "assert_chen_above": -1e-6}}),
+        ("flow-ball-window", {"experiment": {"kind": "flow-run"},
+                              "potential": {"name": "calabi_ball", "n": 2},
+                              "flow": {"mode": "frozen-window", "nodes": 40, "time": 0.006,
+                                       "origin_x": -0.5, "origin_y": -0.5, "spacing": 0.025,
+                                       "epochs": 4, "sample_per_axis": 4,
+                                       "assert_abc_max_below": 1e-6}}),
+        ("kr-probe-radial", {"experiment": {"kind": "kr-probe"},
+                             "potential": {"name": "radial_sym", "C": 1.0},
+                             "probe": {"epsilon": 0.0015, "nodes": 44, "origin_x": 0.35,
+                                       "origin_y": -0.55, "spacing": 0.028, "epochs": 3,
+                                       "expect_regular": True}}),
+        ("berger-suite", {"experiment": {"kind": "berger-suite"},
+                          "suite": {"seed": 9, "count": 20000}}),
+        ("ot-radial", {"experiment": {"kind": "ot-experiment"},
+                       "potential": {"name": "radial_sym", "C": 1.0},
+                       "ot": {"seed": 13, "points": 9, "alpha": 0.5, "times": "0 0.01 0.02"}}),
     ]
 
 
 def verify_all(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    results = []
-    ok_all = True
-    ok, lines = _mtw_ratio_check(outdir)
-    results.append(("mtw-ratio", ok, lines))
-    ok_all &= ok
+    results = [("mtw-ratio", *_mtw_ratio_check(outdir))]
     for name, data in _verify_all_experiments():
-        cfg = Config.from_dict(data)
         sub = outdir / name
         sub.mkdir(parents=True, exist_ok=True)
-        kind = cfg.get("experiment", "kind")
         try:
-            ok, lines = _EXPERIMENTS[kind](cfg, sub)
+            c = _checked(Config.from_dict(data))
+            ok, lines = _EXPERIMENTS[c["experiment"]["kind"]](c, sub)
         except HesselabError as exc:
             ok, lines = False, [f"{type(exc).__name__}: {exc}"]
         results.append((name, ok, lines))
-        ok_all &= ok
+    ok_all = all(ok for _, ok, _ in results)
     report = []
     for name, ok, lines in results:
         report.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
@@ -579,11 +581,10 @@ def main(argv=None) -> int:
         description="curvature, transport-regularity and flow experiments "
                     "for convex-potential tube metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run one experiment config")
-    p_run.add_argument("config", type=Path)
+    sub.add_parser("run", help="run one experiment config").add_argument("config", type=Path)
     sub.add_parser("catalog", help="list built-in potentials")
-    p_ver = sub.add_parser("verify-all", help="run the verification suite")
-    p_ver.add_argument("--outdir", type=Path, default=Path("verify_out"))
+    sub.add_parser("verify-all", help="run the verification suite").add_argument(
+        "--outdir", type=Path, default=Path("verify_out"))
     args = parser.parse_args(argv)
     if args.command == "catalog":
         for name, desc in catalog_entries():
@@ -596,9 +597,7 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         return run_config(cfg)
-    if args.command == "verify-all":
-        return verify_all(args.outdir)
-    return 2
+    return verify_all(args.outdir)
 
 
 if __name__ == "__main__":

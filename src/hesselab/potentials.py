@@ -10,6 +10,7 @@ they are safe for unlimited concurrent reads.
 
 from __future__ import annotations
 
+import inspect
 import math
 from pathlib import Path
 
@@ -364,16 +365,6 @@ def read_grid_file(path: str | Path):
 
 # -- catalog ------------------------------------------------------------------
 
-def _grid(**params) -> GridPotential:
-    if "path" in params:
-        path = params.pop("path")
-        if params:
-            raise BadParams(f"a grid potential read from a file takes no other "
-                            f"parameters, got {sorted(params)}")
-        return GridPotential.from_file(path)
-    return GridPotential(**params)
-
-
 _CATALOG = {
     "log_barrier": LogBarrier,
     "bidisk_product": BidiskProduct,
@@ -382,7 +373,7 @@ _CATALOG = {
     "cone2d": Cone2D,
     "radial_sym": RadialSym,
     "quadratic_plus_periodic": QuadraticPlusPeriodic,
-    "grid": _grid,
+    "grid": GridPotential.from_file,
 }
 CATALOG_NAMES = tuple(_CATALOG)
 
@@ -392,6 +383,11 @@ def catalog(name: str, **params) -> PotentialHandle:
     if name not in _CATALOG:
         raise UnknownName(f"no catalog potential named {name!r}")
     return _CATALOG[name](**params)
+
+
+def catalog_parameters(name: str) -> list[inspect.Parameter]:
+    """The parameters that catalog(name, ...) takes, with their defaults."""
+    return list(inspect.signature(_CATALOG[name]).parameters.values())
 
 
 def catalog_entries() -> list[tuple[str, str]]:

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_grid_file
-from hesselab.cli import Config, main, run_config
+from hesselab.cli import (_KEYS, Config, _bool, _checked, _floats, _ints, _potential_keys,
+                          _verify_all_experiments, main, run_config)
 from hesselab.potentials import CATALOG_NAMES, catalog_entries
 
 
@@ -354,8 +362,10 @@ def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
 def test_one_dimensional_potential_on_a_flow_window_exits_2(tmp_path, capsys, monkeypatch,
                                                             kind, section):
     """flow-run and kr-probe build 2-D windows; a 1-D potential on one is a
-    config error, reported without a traceback."""
+    config error, reported without a traceback.  kr-probe has no mode key:
+    its grid is always a window."""
     monkeypatch.chdir(tmp_path)
+    mode = "mode = frozen-window\n" if kind == "flow-run" else ""
     cfg = tmp_path / "flow.ini"
     cfg.write_text(f"""
 [experiment]
@@ -365,8 +375,7 @@ kind = {kind}
 name = log_barrier
 
 [{section}]
-mode = frozen-window
-nodes = 8
+{mode}nodes = 8
 origin_x = 0.5
 origin_y = 0.5
 spacing = 0.01
@@ -392,7 +401,8 @@ SMALLEST = {
                   "flow": {"nodes": 8, "time": 1e-3, "epochs": 1, "sample_per_axis": 1}},
                  {"flow": ("nodes", "time", "epochs", "sample_per_axis",
                            "assert_abc_max_below", "assert_orth_min_above",
-                           "assert_chen_above", "assert_stationary_below"),
+                           "assert_chen_above", "assert_stationary_below", "origin_x",
+                           "origin_y", "spacing"),
                   "potential": ("n", "amplitude", "wave", "quad")}),
     "kr-probe": ({"potential": {"name": "radial_sym"},
                   "probe": {"epsilon": 1e-5, "nodes": 12, "origin_x": 0.35,
@@ -437,3 +447,209 @@ def test_nan_or_inf_in_a_numeric_key_never_passes(tmp_path, capsys, kind, sectio
     code = run_config(Config.from_dict(data), tmp_path)
     assert code == (0 if key is None else 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_smallest_lists_every_numeric_key_of_its_kind():
+    """The nan/inf sweep covers every numeric key that _KEYS declares for a
+    kind, and every numeric parameter of the kind's smallest potential."""
+    for kind, (base, keys) in SMALLEST.items():
+        table = dict(_KEYS[kind])
+        if "potential" in table:
+            table["potential"] = _potential_keys(base["potential"]["name"])
+        for section, specs in table.items():
+            numeric = {key for key, (parse, _, _) in specs.items()
+                       if parse in (int, float, _ints, _floats)}
+            assert numeric <= set(keys.get(section, ())), (kind, section)
+
+
+def test_every_verify_all_config_passes_the_checker():
+    for name, data in _verify_all_experiments():
+        checked = _checked(Config.from_dict(data))
+        assert checked["experiment"]["kind"] == data["experiment"]["kind"], name
+
+
+def _run_file(tmp_path, monkeypatch, capsys, text: bytes):
+    """Exit code and stderr of `hesselab run` on a config file written in
+    tmp_path, the working directory (the default [output] dir is ./out)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(text)
+    code = main(["run", str(cfg)])
+    return code, capsys.readouterr().err
+
+
+# a misspelt or misplaced section, key or value, each once silently ignored or
+# reported without the key: (config, words the message must contain)
+@pytest.mark.parametrize("text, words", [
+    ("[experiment]\nkind = ode-run\n[ode]\ntme = 5.0\n", ("[ode] tme", "time")),
+    ("[experiment]\nkind = ode-run\n[odee]\ntime = 5.0\n", ("[odee]", "[ode]")),
+    ("[experiment]\nkind = trace-suite\n[suite]\ntrials = 1\ndims = 2 3\n",
+     ("[suite] dims",)),
+    ("[experiment]\nkind = certify\n[potential]\nname = cone2d\n[certify]\n"
+     "quantity = ABC\ncount = 1\nexpect = NONPOSTIVE\n",
+     ("[certify] expect", "NONPOSITIVE", "NONNEGATIVE", "MIXED", "DEGENERATE")),
+    ("[experiment]\nkind = flow-run\n[potential]\nname = quadratic_plus_periodic\n"
+     "[flow]\nnodes = 8\nmode = perodic\n",
+     ("[flow] mode", "'periodic'", "'frozen-window'")),
+    ("[experiment]\nkind = certify\n[potential]\nname = cone2d\nmargn = 0.1\n"
+     "[certify]\nquantity = ABC\ncount = 1\n", ("[potential] margn", "margin")),
+])
+def test_unknown_or_misspelt_config_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                           text, words):
+    code, err = _run_file(tmp_path, monkeypatch, capsys, text.encode())
+    assert code == 2
+    assert err.startswith("config error: ")
+    for word in words:
+        assert word in err
+    assert "Traceback" not in err and "TypeError" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b"[experiment]\nkind = ode-run\nkind = trace-suite\n",
+    b"[experiment]\nkind = ode-run\n[experiment]\nkind = ode-run\n",
+    b"kind = ode-run\n[experiment]\nkind = ode-run\n",
+    b"[experiment]\nkind = certify\n[potential]\nname = cone2d\n"
+    b"[certify]\nquantity = ABC\ncount = 1\nseed = 3%x\n",
+    b"[experiment]\nkind = ode-run\n[ode]\ntime = 0.01 \xff\n",
+], ids=["repeated-key", "repeated-section", "no-section-header", "percent", "not-utf-8"])
+def test_malformed_config_file_exits_2(tmp_path, monkeypatch, capsys, text):
+    """A file configparser or UTF-8 cannot read is a config error, without a
+    traceback; "%" is an ordinary character, so a "%" in a number is a bad
+    value."""
+    code, err = _run_file(tmp_path, monkeypatch, capsys, text)
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_a_value_is_read_literally(tmp_path, monkeypatch, capsys):
+    code, err = _run_file(tmp_path, monkeypatch, capsys, b"[experiment]\nkind = ode-run\n"
+                          b"[ode]\ntime = 0.01\n[output]\ndir = out%x\n")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out%x" / "ode_run.csv").exists()
+
+
+@pytest.mark.parametrize("mode, window, message", [
+    ("periodic", {"spacing": "0.1"}, "periodic mode got spacing"),
+    ("frozen-window", {"origin_x": "0.5", "origin_y": "0.5"},
+     "frozen-window mode got origin_x, origin_y")])
+def test_flow_window_keys_follow_the_mode(tmp_path, capsys, mode, window, message):
+    """The window keys are required in frozen-window mode and refused in
+    periodic mode, where they were once dropped silently."""
+    cfg = Config.from_dict({"experiment": {"kind": "flow-run"},
+                            "potential": {"name": "quadratic_plus_periodic"},
+                            "flow": {"mode": mode, "nodes": 8, **window}})
+    assert run_config(cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "[flow] origin_x, origin_y, spacing are required" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# -- config fuzzer -------------------------------------------------------------
+
+# keys a draw leaves as SMALLEST has them: the window keys go with the mode (a
+# check of two keys); [potential] too, whose parameters the constructors check
+HELD = {"flow": ("mode", "origin_x", "origin_y", "spacing")}
+NAMES = st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True)
+
+
+def _text(value) -> str:
+    if isinstance(value, list):
+        return " ".join(map(_text, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _near(parse, rule, base):
+    """Values in range, near the smallest config's value base."""
+    if isinstance(rule, tuple):
+        return st.sampled_from(rule)
+    if parse is _bool:
+        return st.booleans()
+    if parse in (int, _ints):  # every count has a bound ">= b"
+        low = int(rule.split()[1])
+        counts = st.integers(low, low + 2)
+        return counts if parse is int else st.lists(counts, min_size=1, max_size=3)
+    if parse is _floats:  # [ot] times: 0, then a few flow times
+        return st.lists(st.floats(0.0, 1e-3), max_size=2).map(lambda ts: [0.0, *ts])
+    if base is None and rule:  # an optional key with a bound: a value past it
+        base = float(rule.split()[1]) + 1.0
+    if base is None:
+        return st.floats(-1.0, 1.0)
+    return st.floats(min(base / 2, base), max(base / 2, base))
+
+
+def _outside(parse, rule):
+    """Values no config may give the key: out of range, unparsable or not finite."""
+    bad = [st.just("x1")] if parse is not str else []
+    if isinstance(rule, tuple):
+        bad.append(NAMES.filter(lambda v: v not in rule))
+    elif parse in (float, _floats):
+        bad.append(st.sampled_from(["nan", "inf", "-inf"]))
+    if isinstance(rule, str):
+        op, bound = rule.split()
+        if parse in (int, _ints):
+            bad.append(st.integers(int(bound) - 3, int(bound) - (op == ">=")).map(_text))
+        else:
+            bad.append(st.floats(float(bound) - 1.0, float(bound),
+                                 exclude_max=op == ">=").map(_text))
+    return st.one_of(bad)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_config_fuzzer(data):
+    """Configs drawn from _KEYS around the smallest config of each kind: an
+    unknown section or key, or a value out of range, exits 2 and names it;
+    values in range exit 0 or 1; nothing escapes as an exception."""
+    kind = data.draw(st.sampled_from(sorted(SMALLEST)), label="kind")
+    base, _ = SMALLEST[kind]
+    sections = {"experiment": {"kind": kind}}
+    sections.update((name, dict(keys)) for name, keys in base.items())
+    table = {name: specs for name, specs in _KEYS[kind].items()
+             if name not in ("experiment", "output", "potential")}
+    keys = [(name, key) for name, specs in table.items() for key in specs
+            if key not in HELD.get(name, ())]
+    case = data.draw(st.sampled_from(["unknown section", "unknown key", "outside", "near"]),
+                     label="case")
+    if case == "unknown section":
+        name = data.draw(NAMES.filter(lambda n: n not in _KEYS[kind]), label="section")
+        sections[name] = {"count": "1"}
+        words = (f"unknown section [{name}]",)
+    elif case == "unknown key":
+        name = data.draw(st.sampled_from(sorted(sections)), label="section")
+        known = (_potential_keys(sections["potential"]["name"]) if name == "potential"
+                 else _KEYS[kind][name])
+        key = data.draw(NAMES.filter(lambda k: k not in known), label="key")
+        sections[name][key] = "1"
+        words = (f"unknown key [{name}] {key}",)
+    elif case == "outside":
+        name, key = data.draw(st.sampled_from(keys), label="key")
+        parse, _, rule = table[name][key]
+        sections.setdefault(name, {})[key] = data.draw(_outside(parse, rule), label="value")
+        words = (f"[{name}] {key}",)
+    else:
+        for name, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                            unique=True), label="keys"):
+            parse, default, rule = table[name][key]
+            value = data.draw(_near(parse, rule, base.get(name, {}).get(key, default)),
+                              label=key)
+            sections.setdefault(name, {})[key] = _text(value)
+        words = ()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        sections["output"] = {"dir": str(out)}
+        cfg = Path(tmp) / "fuzz.ini"
+        cfg.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                               for name, keys in sections.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+        if case == "near":
+            assert code in (0, 1), err.getvalue()
+        else:
+            assert code == 2 and not out.exists()
+            assert all(word in err.getvalue() for word in words), err.getvalue()
