@@ -31,7 +31,7 @@ from . import berger, flow, reaction, transport
 from .certificates import VERDICTS
 from .curvature import (QUANTITIES, RegionSpec, anti_bisectional, certify_sign,
                         core_form, mtw_tensor, scan_csv_rows)
-from .errors import BadGridFile, BadParams, ConfigError, HesselabError
+from .errors import BadGridFile, BadParams, ConfigError, HesselabError, IncompatibleMode
 from .potentials import CATALOG_NAMES, catalog, catalog_entries, catalog_parameters
 from .transport import DiscreteMeasure
 
@@ -64,11 +64,6 @@ class Config:
 
 
 REQUIRED = object()  # the default of a key that a config must set
-
-
-def _bool(raw: str) -> bool:
-    """1, yes, true or on; 0, no, false or off; in any case."""
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def _ints(raw: str) -> list[int]:
@@ -105,11 +100,6 @@ _KEYS = {kind: {"experiment": {"kind": (str, REQUIRED, None)},  # read first: pi
         # the window keys: frozen-window mode only (_exp_flow_run)
         "origin_x": (float, None, None), "origin_y": (float, None, None),
         "spacing": (float, None, "> 0")}},
-    "kr-probe": {"potential": _POTENTIAL, "probe": {
-        "epsilon": (float, 0.01, "> 0"), "epochs": (int, 5, ">= 1"),
-        "nodes": (int, 40, f">= {2 * flow.RING + 1}"),  # a node inside the window's ring
-        "origin_x": (float, REQUIRED, None), "origin_y": (float, REQUIRED, None),
-        "spacing": (float, REQUIRED, "> 0"), "expect_regular": (_bool, True, None)}},
     "ode-run": {"ode": {
         "a0": (float, -1.0, None), "time": (float, 0.5, "> 0"), "dt": (float, 1e-3, "> 0"),
         "tolerance": (float, 1e-8, None)}},
@@ -155,7 +145,7 @@ def _value(section: str, key: str, parse, rule, raw: str):
         value = parse(raw)
         if value == []:
             raise ValueError(raw)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     for v in value if isinstance(value, list) else [value]:
         if isinstance(v, float) and not math.isfinite(v):
@@ -207,6 +197,20 @@ def _potential_from(c: dict):
         return catalog(**c["potential"])
     except (BadGridFile, BadParams) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _flow_state(handle, c: dict, section: str, mode: str) -> flow.FlowState:
+    """flow.init of handle on the nodes x nodes grid of [section]: the torus,
+    or the window at (origin_x, origin_y) with the given spacing.  A grid or
+    mode the potential cannot take is a config error."""
+    s = c[section]
+    m = s["nodes"]
+    grid = flow.GridSpec(shape=(m, m)) if mode == "periodic" else flow.GridSpec(
+        shape=(m, m), spacing=s["spacing"], origin=np.array([s["origin_x"], s["origin_y"]]))
+    try:
+        return flow.init(handle, grid, mode)
+    except (BadParams, IncompatibleMode) as exc:
+        raise ConfigError(f"bad [{section}] grid: {exc}") from exc
 
 
 def _out(outdir: Path, name: str) -> Path:
@@ -267,18 +271,13 @@ def _exp_certify(c: dict, outdir: Path):
 def _exp_flow_run(c: dict, outdir: Path):
     handle = _potential_from(c)
     f = c["flow"]
-    mode, m, T = f["mode"], f["nodes"], f["time"]
+    mode, T = f["mode"], f["time"]
     given = [key for key in _WINDOW if f[key] is not None]
     if given != (list(_WINDOW) if mode == "frozen-window" else []):
         raise ConfigError(f"[flow] {', '.join(_WINDOW)} are required in frozen-window mode "
                           f"and refused in periodic mode; {mode} mode got "
                           f"{', '.join(given) or 'none'}")
-    grid = flow.GridSpec(shape=(m, m)) if mode == "periodic" else flow.GridSpec(
-        shape=(m, m), spacing=f["spacing"], origin=np.array([f["origin_x"], f["origin_y"]]))
-    try:
-        state = flow.init(handle, grid, mode)
-    except BadParams as exc:
-        raise ConfigError(f"bad [flow] grid: {exc}") from exc
+    state = _flow_state(handle, c, "flow", mode)
     final, series = flow.run(state, T, sample_per_axis=f["sample_per_axis"],
                              monitor_epochs=f["epochs"])
     _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)
@@ -300,20 +299,6 @@ def _exp_flow_run(c: dict, outdir: Path):
         lines.append(f"  {name} {worst!r} {op} {bound!r}: {good}")
         ok = ok and good
     return ok, lines
-
-
-def _exp_kr_probe(c: dict, outdir: Path):
-    handle = _potential_from(c)
-    p = c["probe"]
-    grid = flow.GridSpec(shape=(p["nodes"], p["nodes"]), spacing=p["spacing"],
-                         origin=np.array([p["origin_x"], p["origin_y"]]))
-    try:
-        verdict = flow.kr_probe(handle, p["epsilon"], grid, monitor_epochs=p["epochs"])
-    except BadParams as exc:
-        raise ConfigError(f"bad [probe] grid: {exc}") from exc
-    _write_series(_out(outdir, f"kr_probe_{handle.name}.csv"), verdict.series)
-    ok = verdict.regular == p["expect_regular"]
-    return ok, [f"kr-probe {handle.name}: {verdict.label}"]
 
 
 def _exp_ode_run(c: dict, outdir: Path):
@@ -425,14 +410,12 @@ def _exp_ot_experiment(c: dict, outdir: Path):
     if 0.0 not in o["times"]:
         raise ConfigError(f"[ot] times must include 0, got {o['times']}")
     handle = _potential_from(c)
-    npts, m = o["points"], o["nodes"]
+    npts = o["points"]
     rng = np.random.default_rng(o["seed"])
     X = np.stack([rng.uniform(1.0, 1.35, npts), rng.uniform(-0.18, 0.18, npts)], axis=1)
     Y = np.stack([rng.uniform(-0.12, 0.12, npts), rng.uniform(-0.15, 0.15, npts)], axis=1)
     mu, nu = DiscreteMeasure.uniform(X), DiscreteMeasure.uniform(Y)
-    grid = flow.GridSpec(shape=(m, m), spacing=o["spacing"],
-                         origin=np.array([o["origin_x"], o["origin_y"]]))
-    state = flow.init(handle, grid, "frozen-window")
+    state = _flow_state(handle, c, "ot", "frozen-window")
     costs = {}
     for t in sorted(o["times"]):
         if t > state.t:
@@ -537,11 +520,12 @@ def _verify_all_experiments():
                                        "origin_x": -0.5, "origin_y": -0.5, "spacing": 0.025,
                                        "epochs": 4, "sample_per_axis": 4,
                                        "assert_abc_max_below": 1e-6}}),
-        ("kr-probe-radial", {"experiment": {"kind": "kr-probe"},
-                             "potential": {"name": "radial_sym", "C": 1.0},
-                             "probe": {"epsilon": 0.0015, "nodes": 44, "origin_x": 0.35,
-                                       "origin_y": -0.55, "spacing": 0.028, "epochs": 3,
-                                       "expect_regular": True}}),
+        ("flow-radial-window", {"experiment": {"kind": "flow-run"},
+                                "potential": {"name": "radial_sym", "C": 1.0},
+                                "flow": {"mode": "frozen-window", "nodes": 44, "time": 0.0015,
+                                         "origin_x": 0.35, "origin_y": -0.55,
+                                         "spacing": 0.028, "epochs": 3, "sample_per_axis": 5,
+                                         "assert_orth_min_above": -1e-6}}),
         ("berger-suite", {"experiment": {"kind": "berger-suite"},
                           "suite": {"seed": 9, "count": 20000}}),
         ("ot-radial", {"experiment": {"kind": "ot-experiment"},

@@ -26,7 +26,7 @@ from .errors import BadParams, SingularHessian, SingularMixedHessian, ZeroVector
 from .jets import PotentialJet, symmetrize
 from .potentials import PotentialHandle
 
-QUANTITIES = ("ABC", "ORTH_ABC", "HSC_POL", "MTW_ORTH")
+QUANTITIES = ("ABC", "ORTH_ABC", "HSC_POL")
 
 
 # E[ijkl] = E[kjil] = E[ilkj] = E[jilk] generate the 8 symmetries of a square
@@ -202,7 +202,7 @@ def _sample_extrema(sample: CurvatureSample, quantity: str):
     Ef = sample.E_frame
     if quantity == "HSC_POL":
         return _extrema.quartic_extrema(Ef)
-    # "ABC", "ORTH_ABC" or "MTW_ORTH"; certify_sign has checked the name
+    # "ABC" or "ORTH_ABC"; certify_sign has checked the name
     return _extrema.pair_extrema(Ef, orth=quantity != "ABC")
 
 
@@ -217,9 +217,9 @@ def certify_sign(handle: PotentialHandle, quantity: str,
                  region: RegionSpec | None = None) -> SignCertificate:
     """Extremize a curvature quantity over sampled points and unit vectors.
 
-    Vectors are unit with respect to h at each point; orthogonality (for the
-    ORTH quantities) is h-orthogonality.  The degenerate band is scale-aware:
-    1e-9 * (1 + max |E| at the witness point).
+    Vectors are unit with respect to h at each point; orthogonality (for
+    ORTH_ABC, which needs n >= 2) is h-orthogonality.  The degenerate band is
+    scale-aware: 1e-9 * (1 + max |E| at the witness point).
     """
     region = region or RegionSpec()
     if quantity not in QUANTITIES:
@@ -227,6 +227,8 @@ def certify_sign(handle: PotentialHandle, quantity: str,
     extent = region.extent
     if region.count < 1 or region.seed < 0 or not (extent is None or extent > 0.0):
         raise BadParams("region count must be >= 1, seed >= 0 and extent None or > 0")
+    if quantity == "ORTH_ABC" and handle.n < 2:
+        raise BadParams(f"ORTH_ABC needs orthogonal pairs, so n >= 2; got n = {handle.n}")
     pts = handle.domain.sample(region.count, region.seed, extent=extent)
     gmax = gmin = None
     for p in pts:

@@ -53,8 +53,6 @@ from .potentials import GridPotential, PotentialHandle, QuadraticPlusPeriodic
 RING = 2  # boundary ring width == widest monitor stencil radius
 MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
 MONITOR_ANGLES = 240  # scan angles of each monitor extremization
-KR_TOL = 1e-6  # kr_probe's allowance below zero for ORTH_ABC_min
-KR_SAMPLE_PER_AXIS = 5  # kr_probe's monitor nodes per grid axis
 
 CHANNELS = ("S_min", "S_max", "ABC_max", "ORTH_ABC_min", "H_pol_min",
             "O_max", "chen_residual", "hpol_bound_residual")
@@ -381,8 +379,8 @@ def _channel_values(state: FlowState, nodes) -> dict:
     }
 
 
-def run(state: FlowState, T: float, sample_per_axis: int = 5,
-        monitor_epochs: int = 10) -> tuple[FlowState, MonitorSeries]:
+def run(state: FlowState, T: float, sample_per_axis: int,
+        monitor_epochs: int) -> tuple[FlowState, MonitorSeries]:
     """Advance to time T, recording the CHANNELS every few steps.
 
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
@@ -430,41 +428,6 @@ def run(state: FlowState, T: float, sample_per_axis: int = 5,
         exc.partial_series = series
         raise
     return state, series
-
-
-@dataclass
-class KrVerdict:
-    regular: bool
-    epsilon: float
-    first_violation: tuple | None
-    series: MonitorSeries
-
-    @property
-    def label(self) -> str:
-        if self.regular:
-            return f"KR-WEAKLY-REGULAR({self.epsilon:g})"
-        t, v = self.first_violation
-        return f"VIOLATION(t={t:g}, ORTH_ABC_min={v:.3e})"
-
-
-def kr_probe(handle: PotentialHandle, eps: float, grid: GridSpec,
-             monitor_epochs: int = 8) -> KrVerdict:
-    """Run the frozen-window flow to time eps and test the orthogonal-pair
-    minimum.
-
-    The monitor samples KR_SAMPLE_PER_AXIS nodes per axis.  Verdict is
-    weakly regular when ORTH_ABC_min >= -KR_TOL at every recorded positive
-    time; otherwise the first violating time is reported.
-    """
-    state = init(handle, grid, "frozen-window")
-    _, series = run(state, eps, sample_per_axis=KR_SAMPLE_PER_AXIS,
-                    monitor_epochs=monitor_epochs)
-    times = np.asarray(series.times)
-    vals = series.channel("ORTH_ABC_min")
-    for t, v in zip(times[1:], vals[1:]):  # positive times only
-        if v < -KR_TOL:
-            return KrVerdict(False, eps, (float(t), float(v)), series)
-    return KrVerdict(True, eps, None, series)
 
 
 def to_grid_potential(state: FlowState) -> GridPotential:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_grid_file
-from hesselab.cli import (_KEYS, Config, _bool, _checked, _floats, _ints, _potential_keys,
+from hesselab.cli import (_KEYS, Config, _checked, _floats, _ints, _potential_keys,
                           _verify_all_experiments, main, run_config)
 from hesselab.potentials import CATALOG_NAMES, catalog_entries
 
@@ -305,6 +305,26 @@ nodes = 8
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"[experiment]\nkind = flow-run\n[potential]\nname = cone2d\n"
+     b"[flow]\nmode = periodic\nnodes = 8\n",
+     "bad [flow] grid: periodic mode needs a quadratic-plus-periodic potential"),
+    (b"[experiment]\nkind = certify\n[potential]\nname = log_barrier\n"
+     b"[certify]\nquantity = ORTH_ABC\ncount = 2\n",
+     "bad [certify] parameters: ORTH_ABC needs orthogonal pairs")],
+    ids=["periodic-cone2d", "orth-abc-n1"])
+def test_a_mode_or_quantity_the_potential_cannot_take_exits_2(tmp_path, monkeypatch, capsys,
+                                                              text, message):
+    """Periodic mode evolves the periodic part of quadratic_plus_periodic, and
+    n = 1 has no orthogonal pairs: either asked of another potential is a
+    config error, reported without a traceback."""
+    code, err = _run_file(tmp_path, monkeypatch, capsys, text)
+    assert code == 2
+    assert err.startswith("config error: " + message)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind, potential, section, key, value", [
     ("curvature-scan", "cone2d", "scan", "count", "-1"),
     ("curvature-scan", "cone2d", "scan", "seed", "-1"),
@@ -313,8 +333,9 @@ nodes = 8
     ("trace-suite", "cone2d", "suite", "max_dim", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "epochs", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "sample_per_axis", "0"),
-    ("kr-probe", "radial_sym", "probe", "epochs", "0"),
-    ("kr-probe", "radial_sym", "probe", "expect_regular", "ture"),
+    # the window sign probe, once the kr-probe kind, keeps its case names
+    pytest.param("flow-run", "radial_sym", "flow", "epochs", "0",
+                 id="kr-probe-radial_sym-probe-epochs-0"),
     ("trace-suite", "cone2d", "suite", "trials", "-5"),
     ("trace-suite", "cone2d", "suite", "seed", "-2"),
     ("null-vector-suite", "cone2d", "suite", "seed", "-1"),
@@ -324,8 +345,10 @@ nodes = 8
     ("berger-suite", "cone2d", "suite", "count", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "time", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "lambda", "0.3"),
-    ("kr-probe", "radial_sym", "probe", "spacing", "0"),
-    ("kr-probe", "radial_sym", "probe", "epsilon", "0"),
+    pytest.param("flow-run", "radial_sym", "flow", "spacing", "0",
+                 id="kr-probe-radial_sym-probe-spacing-0"),
+    pytest.param("flow-run", "radial_sym", "flow", "time", "0",
+                 id="kr-probe-radial_sym-probe-epsilon-0"),
     ("flow-run", "quadratic_plus_periodic", "potential", "quad", "2"),
     ("curvature-scan", "cone2d", "scan", "extent", "-1"),
     ("certify", "cone2d", "certify", "extent", "0"),
@@ -334,18 +357,20 @@ nodes = 8
     ("flow-run", "quadratic_plus_periodic", "flow", "assert_chen_above", "nan"),
     ("flow-run", "quadratic_plus_periodic", "flow", "assert_abc_max_below", "inf"),
     ("flow-run", "quadratic_plus_periodic", "flow", "nodes", "0"),
-    ("kr-probe", "radial_sym", "probe", "nodes", "4")])
+    pytest.param("flow-run", "radial_sym", "flow", "nodes", "4",
+                 id="kr-probe-radial_sym-probe-nodes-4")])
 def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
                                                 kind, potential, section, key, value):
     """A value an experiment cannot use is a config error, reported without
-    a traceback; a boolean is one of 1/true/yes/on or 0/false/no/off.  The
-    flow is the unnormalized one, so [flow] lambda is refused.  No float key
-    takes nan or inf, a given extent is > 0, a window needs 5 nodes per axis
-    (a node inside its ring of 2) and a torus at least 1."""
+    a traceback.  The flow is the unnormalized one, so [flow] lambda is
+    refused.  No float key takes nan or inf, a given extent is > 0, a window
+    needs 5 nodes per axis (a node inside its ring of 2) and a torus at
+    least 1.  A flow on radial_sym runs on a frozen window."""
     monkeypatch.chdir(tmp_path)
-    required = {"certify": {"quantity": "ABC"}, "flow": {"nodes": "8"},
-                "probe": {"origin_x": "0.35", "origin_y": "-0.55", "spacing": "0.028",
-                          "nodes": "8"}}
+    required = {"certify": {"quantity": "ABC"}, "flow": {"nodes": "8"}}
+    if potential == "radial_sym":
+        required["flow"].update({"mode": "frozen-window", "origin_x": "0.35",
+                                 "origin_y": "-0.55", "spacing": "0.028"})
     sections = {"experiment": {"kind": kind}, "potential": {"name": potential}}
     sections.setdefault(section, {}).update({**required.get(section, {}), key: value})
     cfg = tmp_path / "bad.ini"
@@ -358,12 +383,12 @@ def test_unusable_counts_seeds_and_flags_exit_2(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind, section", [("flow-run", "flow"), ("kr-probe", "probe")])
+@pytest.mark.parametrize("kind, section", [("flow-run", "flow"), ("ot-experiment", "ot")])
 def test_one_dimensional_potential_on_a_flow_window_exits_2(tmp_path, capsys, monkeypatch,
                                                             kind, section):
-    """flow-run and kr-probe build 2-D windows; a 1-D potential on one is a
-    config error, reported without a traceback.  kr-probe has no mode key:
-    its grid is always a window."""
+    """flow-run and ot-experiment build 2-D windows; a 1-D potential on one
+    is a config error, reported without a traceback.  ot-experiment has no
+    mode key: its grid is always a window."""
     monkeypatch.chdir(tmp_path)
     mode = "mode = frozen-window\n" if kind == "flow-run" else ""
     cfg = tmp_path / "flow.ini"
@@ -404,12 +429,6 @@ SMALLEST = {
                            "assert_chen_above", "assert_stationary_below", "origin_x",
                            "origin_y", "spacing"),
                   "potential": ("n", "amplitude", "wave", "quad")}),
-    "kr-probe": ({"potential": {"name": "radial_sym"},
-                  "probe": {"epsilon": 1e-5, "nodes": 12, "origin_x": 0.35,
-                            "origin_y": -0.55, "spacing": 0.028, "epochs": 1}},
-                 {"probe": ("epsilon", "nodes", "origin_x", "origin_y", "spacing",
-                            "epochs"),
-                  "potential": ("n", "C", "margin")}),
     "ode-run": ({"ode": {"time": 0.01}}, {"ode": ("a0", "time", "dt", "tolerance")}),
     "null-vector-suite": ({"suite": {"trials": 1, "seed": 0, "probe_trials": 2}},
                           {"suite": ("trials", "seed", "dims", "probe_trials")}),
@@ -423,23 +442,43 @@ SMALLEST = {
 }
 
 
+# the window sign probe, once the kr-probe kind: a frozen-window flow-run on
+# radial_sym that asserts ORTH_ABC_min >= -1e-6.  Its sweep cases keep their
+# kr-probe names, [probe] <old key>, for the [flow] key that took its place
+SIGN_PROBE = {"potential": {"name": "radial_sym"},
+              "flow": {"mode": "frozen-window", "nodes": 12, "origin_x": 0.35,
+                       "origin_y": -0.55, "spacing": 0.028, "time": 1e-5, "epochs": 1,
+                       "sample_per_axis": 5, "assert_orth_min_above": -1e-6}}
+PROBE_KEYS = {("probe", "epsilon"): ("flow", "time"), ("probe", "nodes"): ("flow", "nodes"),
+              ("probe", "origin_x"): ("flow", "origin_x"),
+              ("probe", "origin_y"): ("flow", "origin_y"),
+              ("probe", "spacing"): ("flow", "spacing"), ("probe", "epochs"): ("flow", "epochs"),
+              **{("potential", key): ("potential", key) for key in ("n", "C", "margin")}}
+
+
 def _sweep_cases():
-    for kind, (_, keys) in SMALLEST.items():
-        yield kind, None, None, None
+    for kind, (base, keys) in SMALLEST.items():
+        yield pytest.param(kind, base, None, None, None, id=f"{kind}-None-None-None")
         for section, names in keys.items():
             for key in names:
                 for value in ("nan", "inf"):
-                    yield kind, section, key, value
+                    yield pytest.param(kind, base, section, key, value,
+                                       id=f"{kind}-{section}-{key}-{value}")
+    yield pytest.param("flow-run", SIGN_PROBE, None, None, None, id="kr-probe-None-None-None")
+    for (old_section, old_key), (section, key) in PROBE_KEYS.items():
+        for value in ("nan", "inf"):
+            yield pytest.param("flow-run", SIGN_PROBE, section, key, value,
+                               id=f"kr-probe-{old_section}-{old_key}-{value}")
 
 
-@pytest.mark.parametrize("kind, section, key, value", list(_sweep_cases()))
-def test_nan_or_inf_in_a_numeric_key_never_passes(tmp_path, capsys, kind, section, key,
-                                                  value):
-    """Each numeric key of the smallest config of each kind, set to nan and
-    then to inf one at a time, is a config error (exit 2), never a run that
-    passes or fails later, and never a traceback.  The config as it stands
-    exits 0 (key None), so no case passes for want of a usable config."""
-    base, _ = SMALLEST[kind]
+@pytest.mark.parametrize("kind, base, section, key, value", list(_sweep_cases()))
+def test_nan_or_inf_in_a_numeric_key_never_passes(tmp_path, capsys, kind, base, section,
+                                                  key, value):
+    """Each numeric key of the smallest config of each kind, and of the
+    window sign probe, set to nan and then to inf one at a time, is a config
+    error (exit 2), never a run that passes or fails later, and never a
+    traceback.  The config as it stands exits 0 (key None), so no case
+    passes for want of a usable config."""
     data = {"experiment": {"kind": kind}}
     data.update((name, dict(keys)) for name, keys in base.items())
     if key is not None:
@@ -558,8 +597,6 @@ NAMES = st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True)
 def _text(value) -> str:
     if isinstance(value, list):
         return " ".join(map(_text, value))
-    if isinstance(value, bool):
-        return str(value).lower()
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -567,8 +604,6 @@ def _near(parse, rule, base):
     """Values in range, near the smallest config's value base."""
     if isinstance(rule, tuple):
         return st.sampled_from(rule)
-    if parse is _bool:
-        return st.booleans()
     if parse in (int, _ints):  # every count has a bound ">= b"
         low = int(rule.split()[1])
         counts = st.integers(low, low + 2)

@@ -361,7 +361,7 @@ def test_certify_cone_nonpositive_with_quarter_pi_witness(cone):
 
 
 def test_certify_quadratic_degenerate(quad2):
-    for q in ("ABC", "ORTH_ABC", "HSC_POL", "MTW_ORTH"):
+    for q in ("ABC", "ORTH_ABC", "HSC_POL"):
         cert = certify_sign(quad2, q, RegionSpec(count=4, seed=2))
         assert cert.verdict == DEGENERATE
 
@@ -419,10 +419,3 @@ def test_nonpositive_abc_implies_nonpositive_polarized_sectional(ball2):
     assert abc.verdict == NONPOSITIVE
     hsc_cert = certify_sign(ball2, "HSC_POL", region)
     assert hsc_cert.extra["max_value"] <= hsc_cert.tolerance
-
-
-def test_mtw_orth_certificate_matches_orth_abc(radial):
-    c1 = certify_sign(radial, "ORTH_ABC", RegionSpec(count=8, seed=3))
-    c2 = certify_sign(radial, "MTW_ORTH", RegionSpec(count=8, seed=3))
-    assert c1.verdict == c2.verdict
-    assert c1.extremal_value == pytest.approx(c2.extremal_value, rel=1e-12)

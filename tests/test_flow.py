@@ -278,7 +278,7 @@ def test_window_run_reports_partial_series_on_failure(ball2, monkeypatch):
     # huge fixed step destroys positive-definiteness immediately
     monkeypatch.setattr(flow, "adaptive_dt", lambda st: 5e-3)
     with pytest.raises(StabilityFailure) as err:
-        flow.run(state, 0.01, monitor_epochs=2)
+        flow.run(state, 0.01, monitor_epochs=2, sample_per_axis=5)
     assert hasattr(err.value, "partial_series")
 
 
@@ -302,26 +302,29 @@ def test_csv_round_trip(tmp_path):
     assert len(dat) == len(series.times) + 1
 
 
-# -- weak-regularity probe ------------------------------------------------------------------
+# -- orthogonal-pair sign on windows ------------------------------------------------------
 
-def test_kr_probe_radial_regular(radial):
-    verdict = flow.kr_probe(radial, 0.0015, radial_window(), monitor_epochs=3)
-    assert verdict.regular
-    assert verdict.label.startswith("KR-WEAKLY-REGULAR")
-    assert verdict.series.channel("ORTH_ABC_min").min() >= -1e-6
-
-
-def test_kr_probe_detects_negative_orthogonal_curvature(ball2):
-    verdict = flow.kr_probe(ball2, 0.002, ball_window(), monitor_epochs=3)
-    assert not verdict.regular
-    t, v = verdict.first_violation
-    assert t > 0 and v < -1e-6
+def window_orth_min(handle, grid, T, epochs):
+    """(times, ORTH_ABC_min) of a frozen-window run with 5 nodes per axis."""
+    _, series = flow.run(flow.init(handle, grid, "frozen-window"), T,
+                         sample_per_axis=5, monitor_epochs=epochs)
+    return np.asarray(series.times), series.channel("ORTH_ABC_min")
 
 
-def test_kr_probe_quadratic_degenerate_is_regular():
+def test_window_orth_min_radial_nonnegative(radial):
+    _, orth = window_orth_min(radial, radial_window(), 0.0015, 3)
+    assert orth.min() >= -1e-6
+
+
+def test_window_orth_min_ball_goes_negative(ball2):
+    times, orth = window_orth_min(ball2, ball_window(), 0.002, 3)
+    assert ((times > 0) & (orth < -1e-6)).any()
+
+
+def test_window_orth_min_quadratic_degenerate_nonnegative():
     window = flow.GridSpec(shape=(24, 24), spacing=1.0 / 24, origin=np.zeros(2))
-    verdict = flow.kr_probe(quadratic(2), 0.002, window, monitor_epochs=2)
-    assert verdict.regular
+    _, orth = window_orth_min(quadratic(2), window, 0.002, 2)
+    assert orth.min() >= -1e-6
 
 
 # -- grid potentials from window states --------------------------------------------------------
