@@ -14,24 +14,44 @@ surrogate.  Because no boundary treatment is exact, the monitored set
 retreats inward by the stencil radius per monitor epoch plus a
 diffusive-front margin (see monitor_offset).
 
-Spatial discretization is second-order central differences; time stepping
-is the classical four-stage explicit scheme with the adaptive step
+Spatial discretization is second-order central differences.  The
+linearization is a heat equation with diffusion tensor 2 Hess^-1, so an
+explicit step is stable for
 
-    dt = 0.25 * h^2 / (2 * max_nodes lambda_max(Hess^-1)),
+    dt <= 0.25 * h^2 / (2 * max_nodes lambda_max(Hess^-1)).
 
-the linearization being a heat equation with diffusion tensor 2 Hess^-1.
+A window takes the classical four-stage explicit step at that bound.  On
+the torus the step is a stabilized semi-implicit predictor-corrector, which
+takes PERIODIC_DT_FACTOR times the bound.  With R(u) = 2 log det Hess(u),
+Delta_h the 3-point stencil Laplacian and kappa = 2 / lambda_min, the
+largest diffusion coefficient of the step's first state, it solves
 
-Every stage evaluates the Hessian with one 2-D kernel (_hessian): u is
-copied once into a buffer padded by one wrapped node per side, and each
-Hessian field is a sum of slices of that buffer.  The sums keep the
-operation order of the jets._STENCILS rows, so the fields equal the
-roll-based grid_derivative ones bit for bit; window mode discards the
-wrapped values on its ring.  The checked nodes are fixed once per step (all
-of them on the torus, the window minus its ring), and on the torus log det
-is taken without a mask, since every node has just passed the check.
-step checks the new state after its four stages (five Hessian evaluations);
-run carries that det to the next step's first stage (four per step) in its
-loop, not on the state, so a caller's edit of state.u cannot make it stale.
+    (I - dt kappa Delta_h) d* = dt R(u),
+    (I - dt kappa Delta_h / 2) d = dt (R(u) + R(u + d*)) / 2
+                                   - dt kappa Delta_h d* / 2,
+
+and sets u+ = u + d.  The kappa terms cancel to O(dt^3), so the step is
+Heun's second-order method stabilized; on a linear mode whose rate is
+kappa times its stencil symbol it is Crank-Nicolson.  Each solve divides
+by the stencil's symbol 4/h^2 (sin^2 pi k_x h + sin^2 pi k_y h) in the
+real Hartley basis (_helmholtz): four m x m products, O(m^3).  On the
+lab's grids (m <= 64) that takes less time than an rfft2/irfft2 pair, and
+it leaves out the 0.3-0.8 MiB of resident memory that numpy's FFT takes on
+first use.  The window ring is extrapolated, not periodic, so the window
+keeps the explicit step.
+
+Every Hessian evaluation is one 2-D kernel (_hessian): u is copied once
+into a buffer padded by one wrapped node per side, and each Hessian field
+is a sum of slices of that buffer.  The sums keep the operation order of
+the jets._STENCILS rows, so the fields equal the roll-based grid_derivative
+ones bit for bit; window mode discards the wrapped values on its ring.  The
+checked nodes are fixed once per step (all of them on the torus, the window
+minus its ring), and on the torus log det is taken without a mask, since
+every node has just passed the check.  step checks the new state after it
+is built: a torus step evaluates the Hessian three times (state, predictor,
+new state), a window step five times (four stages, new state).  run carries
+the new state's Hessian to the next step's first evaluation, not on the
+state, so a caller's edit of state.u cannot make it stale.
 
 A single writer owns the state during a run; monitors act on snapshots.
 """
@@ -53,6 +73,7 @@ from .potentials import GridPotential, PotentialHandle, QuadraticPlusPeriodic
 RING = 2  # boundary ring width == widest monitor stencil radius
 MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
 MONITOR_ANGLES = 240  # scan angles of each monitor extremization
+PERIODIC_DT_FACTOR = 16  # torus dt over the explicit bound (sweep in CHANGES.md)
 
 CHANNELS = ("S_min", "S_max", "ABC_max", "ORTH_ABC_min", "H_pol_min",
             "O_max", "chen_residual", "hpol_bound_residual")
@@ -165,6 +186,14 @@ def _checked_det(fields, inner: tuple, t: float) -> np.ndarray:
     raise StabilityFailure("Hessian lost positive-definiteness", node=node, time=t)
 
 
+def _checked_hessian(u: np.ndarray, h: float, quad: np.ndarray, inner: tuple,
+                     t: float) -> tuple:
+    """(Hessian fields of u, det Hess on the nodes inner), checked by
+    _checked_det."""
+    fields = _hessian(u, h, quad)
+    return fields, _checked_det(fields, inner, t)
+
+
 # -- operations -----------------------------------------------------------------
 
 def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
@@ -198,30 +227,36 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
     axes = [origin[i] + np.arange(s) * spacing for i, s in enumerate(grid.shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=1)
-    u = (np.array([handle.periodic_value(p) for p in pts]) if mode == "periodic"
-         else handle.values_at(pts))
+    u = handle.periodic_value(pts) if mode == "periodic" else handle.values_at(pts)
     state = FlowState(mode=mode, u=u.reshape(grid.shape), spacing=spacing,
                       origin=origin, quad=quad)
     _checked_det(_hessian(state.u, spacing, quad), _interior(state), state.t)
     return state
 
 
-def _lambda_min(state: FlowState) -> float:
-    """Smallest Hessian eigenvalue over the checked nodes."""
-    inner = _interior(state)
-    hxx, hyy, hxy = (f[inner] for f in _hessian(state.u, state.spacing, state.quad))
+def _lambda_min(fields, inner: tuple) -> float:
+    """Smallest eigenvalue of the Hessian fields over the nodes inner."""
+    hxx, hyy, hxy = (f[inner] for f in fields)
     tr = hxx + hyy
     det = hxx * hyy - hxy * hxy
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return float(((tr - disc) / 2.0).min())
 
 
+def _state_lambda_min(state: FlowState) -> float:
+    """Smallest Hessian eigenvalue of state over its checked nodes."""
+    return _lambda_min(_hessian(state.u, state.spacing, state.quad), _interior(state))
+
+
 def adaptive_dt(state: FlowState) -> float:
-    """0.25 h^2 / (2 max lambda_max(Hess^-1)) over checked nodes."""
-    lam_min = _lambda_min(state)
+    """The explicit bound 0.25 h^2 / (2 max lambda_max(Hess^-1)) over the
+    checked nodes on a window; PERIODIC_DT_FACTOR times it on the torus,
+    whose step is semi-implicit."""
+    lam_min = _state_lambda_min(state)
     if lam_min <= 0.0 or not np.isfinite(lam_min):
         raise SingularHessian("degenerate Hessian: no stable step size")
-    return 0.25 * state.spacing**2 / (2.0 / lam_min)
+    dt = 0.25 * state.spacing**2 / (2.0 / lam_min)
+    return PERIODIC_DT_FACTOR * dt if state.mode == "periodic" else dt
 
 
 def _extend_ring(du: np.ndarray) -> None:
@@ -234,41 +269,77 @@ def _extend_ring(du: np.ndarray) -> None:
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
 
 
-def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
-    """One four-stage explicit step; the window ring follows the interior.
+def _helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
+    """x with (I - c Delta_h) x = rhs on an m x m torus, Delta_h the 3-point
+    stencil Laplacian of spacing h.
 
-    carry is run's one-item list: det Hess of state on its checked nodes, or
-    None.  It stands in for the first stage's and is replaced by the new
-    state's, which the step checks anyway.
+    The Hartley matrix cas(2 pi jk / m) / sqrt(m) is symmetric, orthogonal
+    and an eigenbasis of the ring's second difference, with eigenvalues
+    -4/h^2 sin^2(pi k / m); so the solve is four m x m products.
     """
-    carry = [None] if carry is None else carry
-    h, t, quad = state.spacing, state.t, state.quad
-    periodic = state.mode == "periodic"
-    inner = _interior(state)
+    m = rhs.shape[0]
+    k = np.arange(m)
+    r = (2 * np.pi / m) * k
+    cas = ((np.cos(r) + np.sin(r)) / np.sqrt(m))[np.outer(k, k) % m]
+    symbol = (4.0 / h**2) * np.sin(0.5 * r) ** 2
+    return cas @ ((cas @ rhs @ cas) / (1.0 + c * (symbol[:, None] + symbol))) @ cas
 
+
+def _periodic_update(u, dt, h, quad, fields, det, inner, t) -> np.ndarray:
+    """The torus predictor-corrector of the module docstring, from u's
+    checked Hessian fields and det.  Since the predictor gives
+    -dt kappa Delta_h d* = dt R(u) - d*, the corrector's right side is
+    dt R(u) + dt R(u + d*) / 2 - d* / 2, with no Laplacian to apply."""
+    kappa = 2.0 / _lambda_min(fields, inner)
+    r0 = 2.0 * np.log(det)
+    pred = _helmholtz(dt * r0, dt * kappa, h)
+    r1 = 2.0 * np.log(_checked_det(_hessian(u + pred, h, quad), inner, t))
+    return u + _helmholtz(dt * r0 + 0.5 * dt * r1 - 0.5 * pred, 0.5 * dt * kappa, h)
+
+
+def _window_update(u, dt, h, quad, det, inner, t) -> np.ndarray:
+    """The four-stage explicit step on a window, from u's checked det; the
+    ring follows the interior."""
     def rhs(u, det=None):
         if det is None:
             det = _checked_det(_hessian(u, h, quad), inner, t)
-        logdet = np.log(det)
-        if periodic:
-            return 2.0 * logdet
         du = np.zeros_like(u)
-        du[inner] = 2.0 * logdet
+        du[inner] = 2.0 * np.log(det)
         _extend_ring(du)
         return du
 
-    u = state.u
-    k1 = rhs(u, carry[0])
+    k1 = rhs(u, det)
     k2 = rhs(u + 0.5 * dt * k1)
     k3 = rhs(u + 0.5 * dt * k2)
     k4 = rhs(u + dt * k3)
-    new_u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
+    """One step: the semi-implicit predictor-corrector on the torus, the
+    four-stage explicit step on a window (see the module docstring).
+
+    carry is run's one-item list: the Hessian fields of state and its det on
+    the checked nodes, or None.  It stands in for the step's first Hessian
+    evaluation and is replaced by the new state's, which the step checks
+    anyway.
+    """
+    carry = [None] if carry is None else carry
+    h, t, quad = state.spacing, state.t, state.quad
+    inner = _interior(state)
+    if carry[0] is None:
+        carry[0] = _checked_hessian(state.u, h, quad, inner, t)
+    fields, det = carry[0]
+    if state.mode == "periodic":
+        new_u = _periodic_update(state.u, dt, h, quad, fields, det, inner, t)
+    else:
+        new_u = _window_update(state.u, dt, h, quad, det, inner, t)
     if not np.all(np.isfinite(new_u)):
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
         raise StabilityFailure("non-finite values", node=node, time=t)
     out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
                     quad=quad, t=t + dt)
-    carry[0] = _checked_det(_hessian(new_u, h, quad), inner, out.t)
+    carry[0] = _checked_hessian(new_u, h, quad, inner, out.t)
     return out
 
 
@@ -322,7 +393,7 @@ def monitor_offset(state0: FlowState, epoch: int, elapsed: float) -> int:
     """
     if state0.mode == "periodic":
         return 0
-    lam_min = _lambda_min(state0)
+    lam_min = _state_lambda_min(state0)
     diffusion = 2.0 / lam_min
     spread = MONITOR_KAPPA * np.sqrt(2.0 * diffusion * max(elapsed, 0.0)) / state0.spacing
     return RING * (1 + epoch) + int(np.ceil(spread))

@@ -235,10 +235,12 @@ class QuadraticPlusPeriodic(PotentialHandle):
         k2 = float(self.wave @ self.wave)
         self._scale = self.amplitude / ((2 * np.pi) ** 2 * k2) if k2 > 0 else 0.0
 
-    def periodic_value(self, x: np.ndarray) -> float:
-        if self._scale == 0.0:
-            return 0.0
-        return self._scale * float(np.cos(2 * np.pi * self.wave @ x))
+    def periodic_value(self, x: np.ndarray):
+        """The periodic part at the point x, or at each row of an (m, n) array."""
+        x = np.asarray(x, dtype=float)
+        phase = x @ (2 * np.pi * self.wave)
+        values = self._scale * np.cos(phase) if self._scale else np.zeros_like(phase)
+        return float(values) if x.ndim == 1 else values
 
     def _value(self, x):
         return 0.5 * float(x @ self.quad @ x) + self.periodic_value(x)

@@ -18,11 +18,12 @@ A defaulted parameter of a public function or method of ``src/hesselab``
 (``__init__`` aside) counts as passed when a call in ``src/hesselab`` or
 ``perfbench/*.py`` passes it, by keyword or by position.
 ``KEPT_PARAMETERS`` lists the parameters that only tests pass, each with
-the reason it stays.  Calls are matched by the callee's name alone, and a
-``**mapping`` or ``*sequence`` argument counts as passing every keyword or
-later positional parameter, so a call of another function of the same name
-can hide a parameter: any defaulted parameter of a function named ``run``
-counts as passed through ``perfbench/selftest.py``'s ``run(**orth)``.
+the reason it stays.  A bare-name call in a file that defines a function of
+that name (outside a class body) calls that file's own function, so it
+counts for that function alone: ``perfbench/selftest.py``'s local
+``run(**orth)`` passes nothing to ``flow.run``.  Every other call is matched
+by the callee's name alone, and a ``**mapping`` or ``*sequence`` argument
+counts as passing every keyword or later positional parameter.
 """
 
 import ast
@@ -160,8 +161,8 @@ def test_every_dataclass_field_is_read():
 
 
 def _defaulted_parameters(tree: ast.Module):
-    """(function.parameter, function name, parameter, position) of each
-    defaulted parameter of a public top-level function or public method
+    """(function.parameter, function name, parameter, position, method) of
+    each defaulted parameter of a public top-level function or public method
     (keyed Class.method.parameter); position counts the arguments a call
     passes before it (None for keyword-only parameters)."""
     for node in tree.body:
@@ -179,10 +180,10 @@ def _defaulted_parameters(tree: ast.Module):
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
             for i, arg in enumerate(positional[first:], first):
-                yield f"{key}.{arg.arg}", fn.name, arg.arg, i - bound
+                yield f"{key}.{arg.arg}", fn.name, arg.arg, i - bound, bool(bound)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield f"{key}.{arg.arg}", fn.name, arg.arg, None
+                    yield f"{key}.{arg.arg}", fn.name, arg.arg, None, bool(bound)
 
 
 def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
@@ -192,17 +193,30 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
         len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def _local_functions(tree: ast.Module) -> set[str]:
+    """Names of the functions a file defines outside class bodies."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body}
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and id(node) not in methods}
+
+
 def unpassed_parameters() -> set[str]:
     trees = _trees()
-    calls = defaultdict(list)  # callee name -> calls
-    for tree in trees.values():
+    calls = defaultdict(list)  # (callee name, defining file or None) -> calls
+    for path, tree in trees.items():
+        local = _local_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+                if isinstance(func, ast.Name):
+                    calls[func.id, path if func.id in local else None].append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls[func.attr, None].append(node)
     return {key for path, tree in trees.items() if path.parent == PACKAGE
-            for key, name, parameter, position in _defaulted_parameters(tree)
-            if not any(_passes(call, parameter, position) for call in calls[name])}
+            for key, name, parameter, position, method in _defaulted_parameters(tree)
+            if not any(_passes(call, parameter, position)
+                       for call in calls[name, None] + ([] if method else calls[name, path]))}
 
 
 def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
