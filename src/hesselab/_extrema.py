@@ -11,6 +11,8 @@ polynomial plus the norm of a pair of them once the inner angle is
 eliminated in closed form.  The angle is scanned on a grid, and the best
 node is refined by Newton's method on f'(theta) = 0 with exact derivatives,
 kept inside the bracket of the node's two neighbours (bisection otherwise).
+A Newton step that rounds to no move ends the refinement where it is, even
+on the end of the bracket, so a refinement costs about four evaluations.
 The scan picks the basin; nothing yet bounds what lies between its nodes.
 Returned values are recomputed from the returned unit vectors.
 
@@ -127,7 +129,10 @@ def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
     The bracket starts at the node's two neighbours and shrinks to the side
     where the wanted end rises; a Newton step that leaves it, or is taken
     where f curves the wrong way, is replaced by bisection.  Iteration stops
-    when f' is exactly 0 or the step no longer moves theta.
+    when f' is exactly 0 or the step no longer moves theta.  A Newton step
+    that rounds to no move is tested before the bracket: theta has just
+    become an end of the bracket, and bisecting from there would walk back
+    to it at the cost of some twenty evaluations.
     """
     sgn = 1.0 if maximize else -1.0
     x = 2.0 * float(th[np.argmax(vals) if maximize else np.argmin(vals)])
@@ -143,7 +148,7 @@ def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
         else:
             break
         nx = x - g / g2 if g2 < 0.0 else None
-        if nx is None or not lo < nx < hi:
+        if nx != x and (nx is None or not lo < nx < hi):
             nx = 0.5 * (lo + hi)
         if nx == x:
             break
@@ -209,7 +214,8 @@ def _constrained_eigvec(Q: np.ndarray, avoid: np.ndarray | None, pick: int) -> n
 
 def _alternating_pair(T, v, w, maximize, orth, iters=200, tol=1e-14):
     """For fixed v the objective is a quadratic form in w (and symmetrically),
-    so each half-step is an exact eigensolve; the value is monotone."""
+    so each half-step is an exact eigensolve; the value is monotone up to
+    rounding.  The last iterate is returned with its own value."""
     pick = -1 if maximize else 0
     sgn = 1.0 if maximize else -1.0
     v = _unit(v)
@@ -226,14 +232,10 @@ def _alternating_pair(T, v, w, maximize, orth, iters=200, tol=1e-14):
         Pw = 0.5 * (Pw + Pw.T)
         v = _constrained_eigvec(Pw, w if orth else None, pick)
         f2 = pair_value(T, v, w)
-        if sgn * (f2 - f) <= tol * (1.0 + abs(f2)):
-            stall += 1
-            if stall >= 2:
-                f = max(f, f2) if maximize else min(f, f2)
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if sgn * (f2 - f) <= tol * (1.0 + abs(f2)) else 0
         f = f2
+        if stall >= 2:
+            break
     return Extremum(f, v, w)
 
 

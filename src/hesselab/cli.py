@@ -281,7 +281,7 @@ def _exp_flow_run(c: dict, outdir: Path):
     final, series = flow.run(state, T, sample_per_axis=f["sample_per_axis"],
                              monitor_epochs=f["epochs"])
     _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)
-    lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times)} epochs"]
+    lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times) - 1} epochs"]
     ok = True
     # config key, printed name, upper ("<=") or lower (">=") bound, statistic
     for key, name, op, statistic in (

@@ -43,8 +43,9 @@ keeps the explicit step.
 Every Hessian evaluation is one 2-D kernel (_hessian): u is copied once
 into a buffer padded by one wrapped node per side, and each Hessian field
 is a sum of slices of that buffer.  The sums keep the operation order of
-the jets._STENCILS rows, so the fields equal the roll-based grid_derivative
-ones bit for bit; window mode discards the wrapped values on its ring.  The
+the jets._STENCILS rows, so the fields equal whole-grid roll stencils bit
+for bit (the tests keep those stencils, grid_derivative in conftest.py, as
+the oracle); window mode discards the wrapped values on its ring.  The
 checked nodes are fixed once per step (all of them on the torus, the window
 minus its ring), and on the torus log det is taken without a mask, since
 every node has just passed the check.  step checks the new state after it
@@ -52,6 +53,13 @@ is built: a torus step evaluates the Hessian three times (state, predictor,
 new state), a window step five times (four stages, new state).  run carries
 the new state's Hessian to the next step's first evaluation, not on the
 state, so a caller's edit of state.u cannot make it stale.
+
+The monitors evaluate the stencils at the monitored nodes only (grid_jets),
+on each node's 5 x 5 wrapped patch in the roll stencils' order, so the
+values equal the whole-grid ones bit for bit on the torus and at window
+depth >= RING.  run takes max(E, ceil((T - t) / adaptive_dt)) steps for E
+monitor epochs and records t, then after step k whenever k E // steps grows:
+epoch j ends at step ceil(j steps / E), the last at T.
 
 A single writer owns the state during a run; monitors act on snapshots.
 """
@@ -107,29 +115,7 @@ class FlowState:
         return self.origin + self.spacing * np.asarray(idx, dtype=float)
 
 
-# -- stencil application over whole grids --------------------------------------
-
-def _axis_derivative(u: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
-    offs, coefs = _STENCILS[order]
-    out = np.zeros_like(u)
-    for o, c in zip(offs, coefs):
-        if c == 0.0:
-            continue
-        out += c * (u if o == 0 else np.roll(u, -o, axis=axis))
-    return out / h**order
-
-
-def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndarray:
-    """Mixed partial with the given per-axis orders, periodic wrap.
-
-    Window callers must discard a ring of width 2 where the wrap is invalid.
-    """
-    out = u
-    for axis, order in enumerate(orders):
-        if order:
-            out = _axis_derivative(out, axis, order, h)
-    return out
-
+# -- Hessian fields over whole grids --------------------------------------------
 
 def _hessian(u: np.ndarray, h: float, quad: np.ndarray) -> list:
     """Total Hessian fields [hxx, hyy, hxy] of (1/2) x.quad.x + u on a 2-D
@@ -137,7 +123,7 @@ def _hessian(u: np.ndarray, h: float, quad: np.ndarray) -> list:
 
     u is copied once into a buffer padded by one wrapped node per side, and
     each field is a sum of slices of that buffer.  The sums keep the order of
-    the _STENCILS rows, so the fields equal grid_derivative's bit for bit.
+    the _STENCILS rows, so they equal the whole-grid roll stencils bit for bit.
     """
     p = np.empty((u.shape[0] + 2, u.shape[1] + 2))
     p[1:-1, 1:-1] = u
@@ -345,35 +331,41 @@ def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
 
 # -- grid jets and monitors -------------------------------------------------------
 
-_JET_ORDERS_2D = {
-    "grad": ((1, 0), (0, 1)),
-    "hess": ((2, 0), (1, 1), (0, 2)),
-    "third": ((3, 0), (2, 1), (1, 2), (0, 3)),
-    "fourth": ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)),
-}
-
-
-def grid_jets(state: FlowState) -> dict:
-    """All derivative fields needed for curvature monitoring (n = 2)."""
+def grid_jets(state: FlowState, nodes) -> list[dict]:
+    """The 14 partials of u of orders 1 to 4 at each of the nodes, one
+    {orders: value} per node, from its 5 x 5 wrapped patch: the _STENCILS
+    rows along axis 0, then along axis 1 (see the module docstring)."""
     h = state.spacing
-    u = state.u
-    fields = {}
-    for group, orders in _JET_ORDERS_2D.items():
-        for o in orders:
-            fields[o] = grid_derivative(u, o, h)
-    return fields
+    idx = np.asarray(nodes)
+    near = np.arange(-RING, RING + 1)
+    rows = (idx[:, :1] + near) % state.shape[0]
+    cols = (idx[:, 1:] + near) % state.shape[1]
+    patch = state.u[rows[:, :, None], cols[:, None, :]]
+
+    def along(v, order):  # the order-th stencil at the centre of v's axis 1
+        offs, coefs = _STENCILS[order]
+        out = 0.0
+        for o, c in zip(offs, coefs):
+            if c != 0.0:
+                out = out + c * v[:, RING + o]
+        return out / h**order
+
+    across = [patch[:, RING]] + [along(patch, a) for a in range(1, 5)]  # by axis-0 order
+    values = {(a, b): along(across[a], b) if b else across[a][:, RING]
+              for a in range(5) for b in range(5 - a) if a + b}
+    return [{o: v[k] for o, v in values.items()} for k in range(len(idx))]
 
 
-def jet_at_node(state: FlowState, fields: dict, idx: tuple[int, int]) -> PotentialJet:
+def jet_at_node(state: FlowState, values: dict, idx: tuple[int, int]) -> PotentialJet:
+    """The jet of psi at node idx from that node's grid_jets values."""
     a = state.quad
     x = state.node_coords(idx)
-    grad = np.array([fields[(1, 0)][idx], fields[(0, 1)][idx]]) + a @ x
+    grad = np.array([values[(1, 0)], values[(0, 1)]]) + a @ x
     hess = np.array([
-        [a[0, 0] + fields[(2, 0)][idx], a[0, 1] + fields[(1, 1)][idx]],
-        [a[0, 1] + fields[(1, 1)][idx], a[1, 1] + fields[(0, 2)][idx]],
+        [a[0, 0] + values[(2, 0)], a[0, 1] + values[(1, 1)]],
+        [a[0, 1] + values[(1, 1)], a[1, 1] + values[(0, 2)]],
     ])
-    third, fourth = (symmetric_from_orders(2, k, lambda o: fields[o][idx])
-                     for k in (3, 4))
+    third, fourth = (symmetric_from_orders(2, k, values.__getitem__) for k in (3, 4))
     value = float(state.u[idx]) + 0.5 * float(x @ a @ x)
     ok, lo, hi = pd_check(hess)
     if not ok:
@@ -428,10 +420,9 @@ class MonitorSeries:
 
 
 def _channel_values(state: FlowState, nodes) -> dict:
-    fields = grid_jets(state)
     S_vals, abc_max, orth_min, hpol_min, o_vals = [], [], [], [], []
-    for idx in nodes:
-        sample = core_form(jet_at_node(state, fields, idx))
+    for idx, values in zip(nodes, grid_jets(state, nodes)):
+        sample = core_form(jet_at_node(state, values, idx))
         Ef = sample.E_frame
         S_vals.append(scalar(sample))
         mx, _ = _extrema.pair_extrema(Ef, orth=False, n_angles=MONITOR_ANGLES)
@@ -452,7 +443,8 @@ def _channel_values(state: FlowState, nodes) -> dict:
 
 def run(state: FlowState, T: float, sample_per_axis: int,
         monitor_epochs: int) -> tuple[FlowState, MonitorSeries]:
-    """Advance to time T, recording the CHANNELS every few steps.
+    """Advance to time T, recording the CHANNELS at t and at the end of each
+    of monitor_epochs epochs (the module docstring gives the rule).
 
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
     is positive, else the K -> infinity limit S_min + n/t.  On a stability
@@ -461,9 +453,8 @@ def run(state: FlowState, T: float, sample_per_axis: int,
     if T <= state.t:
         raise BadParams("run needs T > current time")
     dt = adaptive_dt(state)
-    steps = max(1, int(np.ceil((T - state.t) / dt)))
+    steps = max(monitor_epochs, int(np.ceil((T - state.t) / dt)))
     dt = (T - state.t) / steps
-    every = max(1, steps // monitor_epochs)
     series = MonitorSeries()
     n = state.n
     state0 = state
@@ -492,7 +483,7 @@ def run(state: FlowState, T: float, sample_per_axis: int,
     try:
         for k in range(1, steps + 1):
             state = step(state, dt, carry)
-            if k % every == 0 or k == steps:
+            if k * monitor_epochs // steps > epoch:
                 epoch += 1
                 observe(state, epoch)
     except StabilityFailure as exc:

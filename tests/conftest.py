@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from hesselab.curvature import CurvatureSample, full_abc_trace, scalar
 from hesselab.domains import DomainSpec
-from hesselab.jets import PotentialJet
+from hesselab.jets import _STENCILS, PotentialJet
 from hesselab.potentials import PotentialHandle, QuadraticPlusPeriodic, catalog
 
 # property tests draw the same examples on every run, so the suite stays
@@ -22,6 +22,29 @@ settings.load_profile("deterministic")
 def quadratic(n: int = 2, quad: np.ndarray | None = None) -> QuadraticPlusPeriodic:
     """Pure quadratic potential (periodic amplitude zero)."""
     return QuadraticPlusPeriodic(n=n, amplitude=0.0, quad=quad)
+
+
+def _axis_derivative(u: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
+    offs, coefs = _STENCILS[order]
+    out = np.zeros_like(u)
+    for o, c in zip(offs, coefs):
+        if c == 0.0:
+            continue
+        out += c * (u if o == 0 else np.roll(u, -o, axis=axis))
+    return out / h**order
+
+
+def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndarray:
+    """Mixed partial of a grid field with the given per-axis orders, by
+    whole-grid roll stencils with periodic wrap: the oracle of the flow's
+    Hessian fields and node stencils.  On a window the ring of width 2 reads
+    wrapped values and means nothing.
+    """
+    out = u
+    for axis, order in enumerate(orders):
+        if order:
+            out = _axis_derivative(out, axis, order, h)
+    return out
 
 
 def argmax_near(fun, t: float, span: float) -> float:

@@ -250,21 +250,21 @@ name = radial_sym
 # each line exactly as flow-run prints it; each key's two bounds bracket its worst value
 @pytest.mark.parametrize("key, bound, code, line", [
     ("assert_abc_max_below", "0.001", 0,
-     "  ABC_max worst 0.00014393945382752682 <= 0.001: True"),
+     "  ABC_max worst 0.00011412901190502311 <= 0.001: True"),
     ("assert_abc_max_below", "1e-05", 1,
-     "  ABC_max worst 0.00014393945382752682 <= 1e-05: False"),
+     "  ABC_max worst 0.00011412901190502311 <= 1e-05: False"),
     ("assert_orth_min_above", "-3.0", 0,
      "  ORTH_ABC_min worst -2.378609541085706 >= -3.0: True"),
     ("assert_orth_min_above", "-2.0", 1,
      "  ORTH_ABC_min worst -2.378609541085706 >= -2.0: False"),
     ("assert_chen_above", "2.5", 0,
-     "  chen_residual worst 5.839609994430118 >= 2.5: True"),
+     "  chen_residual worst 3.538154641980011 >= 2.5: True"),
     ("assert_chen_above", "6.0", 1,
-     "  chen_residual worst 5.839609994430118 >= 6.0: False"),
+     "  chen_residual worst 3.538154641980011 >= 6.0: False"),
     ("assert_stationary_below", "0.001", 0,
-     "  potential drift 0.00014060720040172218 <= 0.001: True"),
+     "  potential drift 0.00013688288802267027 <= 0.001: True"),
     ("assert_stationary_below", "0.0001", 1,
-     "  potential drift 0.00014060720040172218 <= 0.0001: False"),
+     "  potential drift 0.00013688288802267027 <= 0.0001: False"),
 ])
 def test_flow_run_assert_table(tmp_path, capsys, key, bound, code, line):
     cfg = Config.from_dict({

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import quadratic
+from conftest import grid_derivative, quadratic
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
@@ -105,9 +105,28 @@ def test_hessian_fields_match_grid_derivative(which):
     fields = flow._hessian(state.u, state.spacing, state.quad)
     assert len(fields) == len(orders)
     for got, (o, base) in zip(fields, orders):
-        want = base + flow.grid_derivative(state.u, o, state.spacing)
+        want = base + grid_derivative(state.u, o, state.spacing)
         assert got.shape == state.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["periodic-2d", "window-2d"])
+def test_node_stencils_match_grid_derivative(which):
+    """grid_jets at every torus node (rows and columns 0 and m - 1 among them)
+    and every window node at depth >= RING equals the whole-grid roll
+    stencils bit for bit."""
+    state = _hessian_states()[which]
+    depth = 0 if state.mode == "periodic" else flow.RING
+    nodes = [(i, j) for i in range(depth, state.shape[0] - depth)
+             for j in range(depth, state.shape[1] - depth)]
+    got = flow.grid_jets(state, nodes)
+    assert len(got) == len(nodes)
+    orders = sorted(got[0])
+    assert orders == sorted((a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4)
+    rows, cols = np.array(nodes).T
+    for o in orders:
+        want = grid_derivative(state.u, o, state.spacing)
+        assert np.array([v[o] for v in got]).tobytes() == want[rows, cols].tobytes(), o
 
 
 @pytest.mark.parametrize("which,node,message", [
@@ -286,6 +305,23 @@ def test_run_matches_a_loop_of_steps(which):
 
 
 # -- runs and monitors ------------------------------------------------------------------
+
+@pytest.mark.parametrize("epochs, dts, steps", [(3, 0.5, 3), (3, 2.5, 3), (3, 16.5, 17),
+                                                (4, 9.5, 10)])
+def test_run_records_exactly_the_epochs_asked_for(monkeypatch, epochs, dts, steps):
+    """Fewer steps than epochs, as many, and more: epoch j ends after step
+    ceil(j steps / epochs), the last at T."""
+    state = flow.init(quadratic(2), torus(8), "periodic")
+    T = dts * flow.adaptive_dt(state)
+    taken = []
+    real_step = flow.step
+    monkeypatch.setattr(flow, "step", lambda *a: taken.append(1) or real_step(*a))
+    out, series = flow.run(state, T, monitor_epochs=epochs, sample_per_axis=1)
+    assert len(taken) == steps and out.t == pytest.approx(T, rel=1e-12)
+    want = [-(-j * steps // epochs) * (T / steps) for j in range(epochs + 1)]
+    assert series.times == pytest.approx(want, rel=1e-12)
+    assert series.times[-1] == out.t
+
 
 def test_run_quadratic_channels_zero_and_chen_guard():
     state = flow.init(quadratic(2), torus(32), "periodic")
