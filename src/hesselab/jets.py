@@ -25,19 +25,27 @@ from .errors import NotConvexHere, ZeroVector
 PD_RTOL = 1e-10
 
 
+def index_images(n: int, k: int, perms: tuple) -> np.ndarray:
+    """Table whose row r holds, for each flat index of an order-k tensor of
+    side n, the flat index of its image (i_g[0], i_g[1], ..) under
+    g = perms[r]; for an involution g, T.ravel()[row] is T.transpose(g)."""
+    idx = np.indices((n,) * k).reshape(k, n**k)
+    strides = n ** np.arange(k - 1, -1, -1)
+    return np.stack([strides @ idx[list(g)] for g in perms])
+
+
 @functools.cache
 def orbit_table(n: int, k: int, group: tuple | None = None):
     """Read-only (orbits, owner, sizes) for the index orbits of an order-k
     tensor of side n under axis permutations g: (i_0, i_1, ..) -> (i_g[0],
     i_g[1], ..), default all.  Row r of ``orbits`` holds orbit r's flat
     indices in increasing order, padded with n**k (a zero slot), and rows
-    are ordered by least index; ``owner`` maps a flat index to its row."""
+    are ordered by least index; ``owner`` maps a flat index to its row.
+    ``orbits`` is stored column-major, so ``orbits.T`` is C-contiguous."""
     if group is None:
         group = tuple(itertools.permutations(range(k)))
     size = n**k
-    idx = np.indices((n,) * k).reshape(k, size)
-    strides = n ** np.arange(k - 1, -1, -1)
-    images = np.stack([strides @ idx[list(g)] for g in group])
+    images = index_images(n, k, group)
     owner = np.full(size, -1, dtype=np.intp)
     rows = []
     for flat in range(size):
@@ -46,7 +54,7 @@ def orbit_table(n: int, k: int, group: tuple | None = None):
             owner[members] = len(rows)
             rows.append(members)
     sizes = np.array([len(m) for m in rows])
-    orbits = np.full((len(rows), sizes.max()), size, dtype=np.intp)
+    orbits = np.full((sizes.max(), len(rows)), size, dtype=np.intp).T
     for r, members in enumerate(rows):
         orbits[r, :len(members)] = members
     for arr in (orbits, owner, sizes):
@@ -58,13 +66,14 @@ def symmetrize(T: np.ndarray, group: tuple | None = None) -> np.ndarray:
     """Return T with each index orbit under ``group`` (default: all axis
     permutations) set to its mean, bitwise equal across the orbit.  Members
     are added one at a time from +0.0 in increasing flat-index order, which
-    defines the mean's rounding; np.sum rounds differently."""
+    defines the mean's rounding: gathered through the C-contiguous
+    ``orbits.T``, member c of every orbit is row c, and reducing over axis 0
+    adds whole rows in turn (along contiguous memory, numpy would pair the
+    additions differently)."""
     T = np.asarray(T, dtype=float)
     orbits, owner, sizes = orbit_table(T.shape[0], T.ndim, group)
-    acc = np.zeros(len(sizes))
-    for col in np.append(T.ravel(), 0.0)[orbits.T]:
-        acc = acc + col
-    return (acc / sizes)[owner].reshape(T.shape)
+    members = np.append(T.ravel(), 0.0)[orbits.T]
+    return (np.add.reduce(members, axis=0, initial=0.0) / sizes)[owner].reshape(T.shape)
 
 
 def symmetric_from_orders(n: int, order: int, value_of: Callable) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import settings
 from scipy.optimize import minimize_scalar
 
 from hesselab.curvature import CurvatureSample, full_abc_trace, scalar
+from hesselab.errors import BlowUp, StabilityFailure
 from hesselab.domains import DomainSpec
 from hesselab.jets import _STENCILS, PotentialJet
 from hesselab.potentials import PotentialHandle, QuadraticPlusPeriodic, catalog
+from hesselab.reaction import BLOWUP_CAP
 
 # property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written
@@ -45,6 +48,101 @@ def grid_derivative(u: np.ndarray, orders: tuple[int, ...], h: float) -> np.ndar
         if order:
             out = _axis_derivative(out, axis, order, h)
     return out
+
+
+def seeded_tensors(n: int, k: int) -> list[np.ndarray]:
+    """Seeded normal tensors, some with -0.0 and +-inf entries, plus all -0.0."""
+    out = [np.full((n,) * k, -0.0)]
+    for seed in range(4):
+        rng = np.random.default_rng(1000 * n + 10 * k + seed)
+        T = rng.normal(size=(n,) * k)
+        if seed >= 2:
+            T[rng.random(T.shape) < 0.4] = -0.0
+        if seed == 3:
+            flat = T.reshape(-1)
+            flat[rng.integers(0, flat.size)] = np.inf
+            flat[rng.integers(0, flat.size)] = -np.inf
+        out.append(T)
+    return out
+
+
+# -- the curvature class and the reaction ODE, as first written: oracles of
+# -- the table kernels, which must reproduce them to the bit
+
+def ref_class_orbit(idx):
+    i, j, k, l = idx
+    orbit = {(i, j, k, l)}
+    frontier = set(orbit)
+    while frontier:
+        nxt = set()
+        for (a, b, c, d) in frontier:
+            for q in ((c, b, a, d), (a, d, c, b), (b, a, d, c)):
+                if q not in orbit:
+                    orbit.add(q)
+                    nxt.add(q)
+        frontier = nxt
+    return orbit
+
+
+def ref_mirror_symmetrize(E):
+    """Orbit means by an orbit walk, members added in sorted order."""
+    n = E.shape[0]
+    out = np.empty_like(E)
+    seen = np.zeros(E.shape, dtype=bool)
+    for idx in itertools.product(range(n), repeat=4):
+        if seen[idx]:
+            continue
+        orbit = ref_class_orbit(idx)
+        val = sum(E[p] for p in sorted(orbit)) / len(orbit)
+        for p in orbit:
+            out[p] = val
+            seen[p] = True
+    return out
+
+
+def ref_symmetry_defect(E):
+    """Largest deviation of E from its three swapped transposes; NaN when
+    any deviation is NaN, whichever swap it comes from."""
+    devs = [float(np.abs(E - E.transpose(g)).max())
+            for g in ((2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2))]
+    return math.nan if any(map(math.isnan, devs)) else max(devs)
+
+
+def ref_q_contraction(T):
+    """Q(T) by two n^2 x n^2 products and transposed views of the results."""
+    m = T.shape[0] ** 2
+    t1 = (T.reshape(m, m) @ T.transpose(1, 0, 2, 3).reshape(m, m)).reshape(T.shape)
+    B = T.transpose(0, 2, 1, 3).reshape(m, m)  # B[(ik), (pq)] = T[ipkq]
+    t3 = (B @ B).reshape(T.shape).transpose(0, 2, 1, 3)
+    return 2.0 * (t1 + t1.transpose(0, 3, 2, 1) - t3)
+
+
+def ref_integrate_ode(A0, T, dt):
+    """RK4 on the oracles, step for step as reaction.integrate_ode with
+    record_every = 1: (times, tensors, max drift), or the BlowUp and
+    StabilityFailure that integrate_ode raises, at the same time."""
+    A, t, drift_max = A0.copy(), 0.0, 0.0
+    times, tensors = [0.0], [A0.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(np.ceil(T / dt))):
+            h = min(dt, T - t)
+            k1 = ref_q_contraction(A)
+            k2 = ref_q_contraction(A + 0.5 * h * k1)
+            k3 = ref_q_contraction(A + 0.5 * h * k2)
+            k4 = ref_q_contraction(A + h * k3)
+            A = A + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            m = float(np.abs(A).max())
+            if not m <= BLOWUP_CAP:
+                raise BlowUp(t, (times, tensors))
+            drift = ref_symmetry_defect(A)
+            drift_max = max(drift_max, drift)
+            if drift > 1e-13 * max(1.0, m):
+                raise StabilityFailure("symmetry drift", time=t)
+            A = ref_mirror_symmetrize(A)
+            times.append(t)
+            tensors.append(A)
+    return times, tensors, drift_max
 
 
 def argmax_near(fun, t: float, span: float) -> float:

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import ref_integrate_ode, ref_q_contraction, seeded_tensors
 from hesselab import _extrema, reaction
 from hesselab.curvature import core_form, mirror_symmetrize
 from hesselab.errors import (BadParams, BlowUp, NotExtremal, NotNegativeABC,
@@ -43,6 +44,15 @@ def test_q_contraction_matches_the_einsum_reference(A):
     else:
         tol = 8 * n**2 * np.finfo(float).eps * np.abs(A).max() ** 2
         assert np.abs(Q - ref).max() <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_q_contraction_matches_the_transpose_form_bitwise(n):
+    """The table kernel reproduces the two-product transpose form to the bit,
+    on tensors of either class, -0.0 and inf entries included."""
+    for T in seeded_tensors(n, 4) + [mirror_symmetrize(T) for T in seeded_tensors(n, 4)]:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert reaction._q_contraction(T).tobytes() == ref_q_contraction(T).tobytes()
 
 
 def test_q_scalar_case():
@@ -154,6 +164,43 @@ def test_ode_asymmetric_q_is_a_stability_failure(monkeypatch):
     with pytest.raises(StabilityFailure) as err:
         integrate_ode(small_tensor(), 0.01, 1e-3)
     assert err.value.time == 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integrate_ode_matches_the_oracle_loop_bitwise(n):
+    """Times, tensors, drift and the BlowUp time equal those of the RK4 loop
+    on the first-written Q, defect and orbit-walk symmetrizer."""
+    A0 = AlgCurvTensor.random(n, 40 + n)
+    T = 0.15 / A0.norm
+    traj = integrate_ode(A0, T, T / 30)
+    times, tensors, drift = ref_integrate_ode(A0.A, T, T / 30)
+    assert traj.times == times
+    assert [B.A.tobytes() for B in traj.tensors] == [B.tobytes() for B in tensors]
+    assert np.float64(traj.max_symmetry_drift).tobytes() == np.float64(drift).tobytes()
+
+    P = np.abs(A0.A)  # in the class too; blows up within 15 steps
+    T, dt = 10.0 / A0.norm, 0.05 / A0.norm
+    with pytest.raises(BlowUp) as err:
+        integrate_ode(AlgCurvTensor(P), T, dt)
+    with pytest.raises(BlowUp) as ref:
+        ref_integrate_ode(P, T, dt)
+    assert err.value.time == ref.value.time
+    assert err.value.trajectory.times == ref.value.trajectory[0]
+    assert ([B.A.tobytes() for B in err.value.trajectory.tensors]
+            == [B.tobytes() for B in ref.value.trajectory[1]])
+
+
+def test_integrate_ode_calls_the_symmetry_layers_each_step(monkeypatch):
+    """Every step checks its drift and re-symmetrizes through the two module
+    functions; the per-layer trace of the reaction ODE expects calls to both."""
+    calls = {"symmetry_defect": 0, "mirror_symmetrize": 0}
+    for name in calls:
+        def counted(E, clean=getattr(reaction, name), name=name):
+            calls[name] += 1
+            return clean(E)
+        monkeypatch.setattr(reaction, name, counted)
+    integrate_ode(small_tensor(), 0.01, 1e-3)
+    assert calls["symmetry_defect"] >= 10 and calls["mirror_symmetrize"] >= 10
 
 
 def test_extremal_pair_modes(bidisk, ball2):

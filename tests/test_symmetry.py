@@ -1,12 +1,13 @@
 """Orbit-table symmetrizers against the orbit walks they replaced.
 
-The reference functions below are the earlier orbit-walk implementations,
-kept verbatim: the table kernels must reproduce them to the bit, entries of
--0.0 and inf included.  The property tests run under the derandomized
-Hypothesis profile registered in conftest.py.
+The reference functions here and in conftest.py are the earlier orbit-walk
+implementations, kept verbatim: the table kernels must reproduce them to the
+bit, entries of -0.0 and inf included.  The property tests run under the
+derandomized Hypothesis profile registered in conftest.py.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,41 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hesselab.curvature import CURVATURE_GROUP, mirror_symmetrize
+from conftest import (ref_class_orbit, ref_mirror_symmetrize, ref_symmetry_defect,
+                      seeded_tensors)
+from hesselab.curvature import CURVATURE_GROUP, mirror_symmetrize, symmetry_defect
 from hesselab.jets import orbit_table, symmetrize
 from hesselab.reaction import AlgCurvTensor, canonical_indices, q_quadratic
 
 # -- reference implementations (orbit walks) -----------------------------------
-
-
-def ref_class_orbit(idx):
-    i, j, k, l = idx
-    orbit = {(i, j, k, l)}
-    frontier = set(orbit)
-    while frontier:
-        nxt = set()
-        for (a, b, c, d) in frontier:
-            for q in ((c, b, a, d), (a, d, c, b), (b, a, d, c)):
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return orbit
-
-
-def ref_mirror_symmetrize(E):
-    n = E.shape[0]
-    out = np.empty_like(E)
-    seen = np.zeros(E.shape, dtype=bool)
-    for idx in itertools.product(range(n), repeat=4):
-        if seen[idx]:
-            continue
-        orbit = ref_class_orbit(idx)
-        val = sum(E[p] for p in sorted(orbit)) / len(orbit)
-        for p in orbit:
-            out[p] = val
-            seen[p] = True
-    return out
 
 
 def ref_symmetrize(T):
@@ -79,22 +52,6 @@ def ref_canonical_indices(n):
 # -- bitwise agreement with the references --------------------------------------
 
 
-def seeded_tensors(n, k):
-    """Seeded normal tensors, some with -0.0 and +-inf entries, plus all -0.0."""
-    out = [np.full((n,) * k, -0.0)]
-    for seed in range(4):
-        rng = np.random.default_rng(1000 * n + 10 * k + seed)
-        T = rng.normal(size=(n,) * k)
-        if seed >= 2:
-            T[rng.random(T.shape) < 0.4] = -0.0
-        if seed == 3:
-            flat = T.reshape(-1)
-            flat[rng.integers(0, flat.size)] = np.inf
-            flat[rng.integers(0, flat.size)] = -np.inf
-        out.append(T)
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mirror_symmetrize_matches_orbit_walk_bitwise(n):
     for T in seeded_tensors(n, 4):
@@ -108,6 +65,27 @@ def test_symmetrize_matches_orbit_walk_bitwise(n):
         for T in seeded_tensors(n, k):
             with np.errstate(invalid="ignore"):  # inf + -inf
                 assert symmetrize(T).tobytes() == ref_symmetrize(T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetry_defect_matches_the_three_transposes(n):
+    for T in seeded_tensors(n, 4):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = symmetry_defect(T), ref_symmetry_defect(T)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("pos", [(0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 1)])
+def test_symmetry_defect_is_nan_when_a_swap_fixes_an_inf(pos):
+    """A single inf entry at an index that the first, second or third swap
+    fixes gives inf - inf there; the defect is NaN whichever swap it is."""
+    E = np.zeros((2,) * 4)
+    E[pos] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(symmetry_defect(E))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -135,6 +113,7 @@ def test_orbit_table_rows_are_the_orbits():
             orbit = {tuple(int(i) for i in np.unravel_index(f, shape)) for f in members}
             assert orbit == ref_class_orbit(tuple(int(i) for i in rep))
         assert not orbits.flags.writeable and not owner.flags.writeable
+        assert orbits.T.flags.c_contiguous  # symmetrize adds its rows in turn
 
 
 # -- property tests ---------------------------------------------------------------
