@@ -14,7 +14,10 @@ kept inside the bracket of the node's two neighbours (bisection otherwise).
 A Newton step that rounds to no move ends the refinement where it is, even
 on the end of the bracket, so a refinement costs about four evaluations.
 The scan picks the basin; nothing yet bounds what lies between its nodes.
-Returned values are recomputed from the returned unit vectors.
+Returned values are recomputed from the returned unit vectors.  At n = 2
+the entry points take a stack of tensors (leading axes): one einsum or
+matmul per objective scans it, each (tensor, end) gets its own Newton run
+and one einsum recomputes the values, each the tensor's own to the bit.
 
 n >= 3 uses seeded multi-restart alternating eigensolves for the pair
 objective (each half-step is exact, the value is monotone).  The quartic
@@ -22,11 +25,9 @@ scans a fixed node set of the upper hemisphere (it is even) and refines the
 best node of each end by Riemannian Newton steps on the sphere; here too
 the scan picks the basin.
 
-The search settings live here and nowhere else: ``n_angles`` scan nodes
-(read at n = 2 only), and ``restarts`` pair start points drawn from
-``seed`` (read at n >= 3 only), by default 720, 64 and 0; the quartic's
-n >= 3 node sets are constants.  Two callers override them:
-``flow._channel_values`` scans MONITOR_ANGLES nodes, and
+The search settings live here: ``n_angles`` scan nodes (n = 2), and
+``restarts`` pair start points from ``seed`` (n >= 3), by default 720, 64
+and 0.  ``flow._channel_values`` scans MONITOR_ANGLES nodes, and
 ``reaction.noab_probe`` passes its own restarts and a seed per trial.
 """
 
@@ -77,11 +78,6 @@ _DYADS = 0.5 * np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0
 _FLIP = np.array([1.0, -1.0, -1.0])  # u(theta + pi) = _FLIP * u(theta)
 
 
-def _coeff_matrix(T: np.ndarray) -> np.ndarray:
-    """C[a, b] = <T, B_a (x) B_b> over the slot pairs (1,3) and (2,4)."""
-    return np.einsum("ijkl,aik,bjl->ab", T, _DYADS, _DYADS)
-
-
 @functools.cache
 def _grid(n_angles: int):
     """Nodes t on [0, pi) and their rows (1, cos 2t, sin 2t), read-only."""
@@ -89,14 +85,6 @@ def _grid(n_angles: int):
     U = np.stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)], axis=1)
     th.flags.writeable = U.flags.writeable = False
     return th, U
-
-
-def _quadratic_trig(M: np.ndarray) -> tuple:
-    """u(theta)^T M u(theta) as the coefficients (p0, .., p4) of
-    p0 + p1 cos theta + p2 sin theta + p3 cos 2 theta + p4 sin 2 theta."""
-    S = 0.5 * (M + M.T)
-    return (float(S[0, 0] + 0.5 * (S[1, 1] + S[2, 2])), float(2.0 * S[0, 1]),
-            float(2.0 * S[0, 2]), float(0.5 * (S[1, 1] - S[2, 2])), float(S[1, 2]))
 
 
 def _trig_jet(p: tuple, c1: float, s1: float, c2: float, s2: float) -> tuple:
@@ -122,11 +110,11 @@ def _objective_jet(x: float, alpha: tuple, beta: tuple, gamma: tuple, s: float):
     return f, f1, f2
 
 
-def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
-               beta: tuple, gamma: tuple, s: float) -> float:
-    """Angle theta = 2t where f'(theta) = 0, refined from the best node of vals.
+def _newton_2t(x: float, d: float, maximize: bool, alpha: tuple, beta: tuple,
+               gamma: tuple, s: float) -> float:
+    """Angle theta = 2t where f'(theta) = 0, refined from the scan's best node.
 
-    The bracket starts at the node's two neighbours and shrinks to the side
+    The bracket starts at the node's two neighbours x -+ d and shrinks to the side
     where the wanted end rises; a Newton step that leaves it, or is taken
     where f curves the wrong way, is replaced by bisection.  Iteration stops
     when f' is exactly 0 or the step no longer moves theta.  A Newton step
@@ -135,8 +123,6 @@ def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
     to it at the cost of some twenty evaluations.
     """
     sgn = 1.0 if maximize else -1.0
-    x = 2.0 * float(th[np.argmax(vals) if maximize else np.argmin(vals)])
-    d = 2.0 * np.pi / len(th)
     lo, hi = x - d, x + d
     for _ in range(64):
         _, g, g2 = _objective_jet(x, alpha, beta, gamma, s)
@@ -156,38 +142,45 @@ def _newton_2t(th: np.ndarray, vals: np.ndarray, maximize: bool, alpha: tuple,
     return x
 
 
-def _unit_at(t: float) -> np.ndarray:
-    return np.array([math.cos(t), math.sin(t)])
-
-
-def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extremum]:
-    """(max, min) for kind "pair", "orth" or "quartic" at n = 2."""
-    C = _coeff_matrix(T)
+def _extrema_2d(T: np.ndarray, n_angles: int, orth) -> tuple[Extremum, Extremum]:
+    """(max, min) at n = 2 over the stack axes of T (none for one tensor) of
+    the pair objective where orth is False, the ORTH objective where it is
+    True (orth broadcasts against the stack axes) and the quartic where orth
+    is None; a single tensor goes through as a stack of one."""
+    stack = T.shape[:-4]
+    T = T.reshape((-1,) + T.shape[-4:])
+    C = np.einsum("mijkl,aik,bjl->mab", T, _DYADS, _DYADS)  # <T, B_a (x) B_b>
     th, U = _grid(n_angles)
-    if kind == "pair":
-        abg = U @ C
-        hyp = np.hypot(abg[:, 1], abg[:, 2])
-        coeffs = [tuple(float(c) for c in C[:, j]) + (0.0, 0.0) for j in range(3)]
-        scans = ((abg[:, 0] + hyp, 1.0), (abg[:, 0] - hyp, -1.0))
-    else:
-        flip = _FLIP if kind == "orth" else 1.0
-        vals = np.einsum("ab,na,nb->n", C, U, U * flip)
-        coeffs = [_quadratic_trig(C * flip), (), ()]
-        scans = ((vals, 0.0), (vals, 0.0))
-    out = []
-    for maximize, (vals, s) in zip((True, False), scans):
-        x = _newton_2t(th, vals, maximize, *coeffs, s)
-        v = _unit_at(0.5 * x)
-        if kind == "quartic":
-            out.append(Extremum(quartic_value(T, v), v))
-            continue
-        if kind == "orth":
-            w = np.array([-v[1], v[0]])
-        else:  # the inner angle's closed form: 2p = arg(s * (beta, gamma))
-            _, b, g = np.array([1.0, math.cos(x), math.sin(x)]) @ C
-            w = _unit_at(0.5 * math.atan2(s * g, s * b) if b or g else 0.0)
-        out.append(Extremum(pair_value(T, v, w), v, w))
-    return tuple(out)
+    pair = np.zeros(len(T), bool) if orth is None else ~np.broadcast_to(orth, stack).ravel()
+    Q = C[~pair] * (1.0 if orth is None else _FLIP)  # the objectives u^T Q u
+    abg = U @ C[pair]
+    hyp = np.hypot(abg[..., 1], abg[..., 2])
+    scans = np.empty((len(T), 2, n_angles))  # rows scanned for the max and the min
+    scans[~pair] = np.einsum("mab,na,nb->mn", Q, U, U)[:, None]
+    scans[pair] = np.stack([abg[..., 0] + hyp, abg[..., 0] - hyp], axis=1)
+    coeffs = np.zeros((len(T), 3, 5))  # alpha, beta, gamma: p . (1, cos, sin, cos 2, sin 2)
+    S = 0.5 * (Q + np.swapaxes(Q, 1, 2))  # alpha = u^T Q u for the quadratic objectives
+    coeffs[~pair, 0] = np.stack([S[:, 0, 0] + 0.5 * (S[:, 1, 1] + S[:, 2, 2]), 2.0 * S[:, 0, 1],
+                                 2.0 * S[:, 0, 2], 0.5 * (S[:, 1, 1] - S[:, 2, 2]), S[:, 1, 2]], 1)
+    coeffs[pair, :, :3] = np.swapaxes(C[pair], 1, 2)
+    s = pair[:, None] * np.array([1.0, -1.0])  # the sign of |(beta, gamma)| by end
+    start = 2.0 * th[np.stack([scans[:, 0].argmax(1), scans[:, 1].argmin(1)], axis=1)]
+    d = 2.0 * np.pi / n_angles
+    x = [[_newton_2t(x0, d, e == 0, *c, se) for e, (x0, se) in enumerate(zip(xm, sm))]
+         for xm, c, sm in zip(start.tolist(), coeffs.tolist(), s.tolist())]
+    V = np.array([[(math.cos(0.5 * a), math.sin(0.5 * a)) for a in xm] for xm in x])
+    W = V if orth is None else V[..., ::-1] * [-1.0, 1.0]  # ORTH: v turned a quarter
+    if pair.any():  # the pair's inner angle 2p = arg(s * (beta, gamma))
+        rows = np.array([[(1.0, math.cos(a), math.sin(a)) for a in x[m]]
+                         for m in np.flatnonzero(pair)])
+        bg = (rows[:, :, None] @ C[pair][:, None])[:, :, 0, 1:].tolist()
+        p = [[0.5 * math.atan2(se * g, se * b) if b or g else 0.0 for (b, g), se in zip(*ms)]
+             for ms in zip(bg, s[pair].tolist())]
+        W[pair] = [[(math.cos(q), math.sin(q)) for q in qm] for qm in p]
+    values = np.einsum("mijkl,mei,mej,mek,mel->me", T, V, W, V, W).reshape(stack + (2,))
+    V, W = V.reshape(stack + (2, 2)), W.reshape(stack + (2, 2))
+    return tuple(Extremum(values[..., e] if stack else float(values[e]), V[..., e, :],
+                          None if orth is None else W[..., e, :]) for e in (0, 1))
 
 
 # -- n >= 3: alternating eigensolves (pair), sphere scan and Newton (quartic) --
@@ -291,8 +284,12 @@ def _newton_quartic(S2: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
                  restarts: int = 64, seed: int = 0) -> tuple[Extremum, Extremum]:
-    """(max, min) of T(v,w,v,w) over unit vectors, optionally with v.w = 0."""
-    n = T.shape[0]
+    """(max, min) of T(v,w,v,w) over unit vectors, optionally with v.w = 0.
+
+    At n = 2, T may carry stack axes (..., 2, 2, 2, 2) and orth may be a
+    bool array that broadcasts against them; each end is then an Extremum of
+    arrays over the stack."""
+    n = T.shape[-1]
     if n == 1:
         v = np.ones(1)
         if orth:
@@ -300,7 +297,7 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
         val = pair_value(T, v, v)
         return Extremum(val, v, v.copy()), Extremum(val, v, v.copy())
     if n == 2:
-        return _extrema_2d(T, n_angles, "orth" if orth else "pair")
+        return _extrema_2d(T, n_angles, np.asarray(orth, dtype=bool))
     rng = np.random.default_rng(seed)
     best_max = best_min = None
     for _ in range(restarts):
@@ -316,14 +313,15 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
 
 
 def quartic_extrema(T: np.ndarray, n_angles: int = 720) -> tuple[Extremum, Extremum]:
-    """(max, min) of T(v,v,v,v) over unit vectors."""
-    n = T.shape[0]
+    """(max, min) of T(v,v,v,v) over unit vectors; at n = 2 T may carry
+    stack axes, as in pair_extrema."""
+    n = T.shape[-1]
     if n == 1:
         v = np.ones(1)
         val = quartic_value(T, v)
         return Extremum(val, v), Extremum(val, v)
     if n == 2:
-        return _extrema_2d(T, n_angles, "quartic")
+        return _extrema_2d(T, n_angles, None)
     S2 = symmetrize(T).reshape(n * n, n * n)
     V, VV = _sphere(n)
     vals = np.einsum("na,na->n", VV @ S2, VV)

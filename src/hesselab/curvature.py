@@ -56,7 +56,8 @@ def symmetry_defect(E: np.ndarray) -> float:
 
 @dataclass
 class CurvatureSample:
-    """Pointwise curvature data: metric h, core form E, and frame caches."""
+    """Pointwise curvature data: metric h, core form E, and frame caches; a
+    stack of samples when the fields carry a leading stack axis."""
 
     x: np.ndarray
     h: np.ndarray
@@ -66,14 +67,13 @@ class CurvatureSample:
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-1]
 
     @property
     def frame(self) -> np.ndarray:
         """Columns are the h-orthonormal polarized frame vectors (Cholesky)."""
         if self._frame is None:
-            L = np.linalg.cholesky(self.h)
-            self._frame = np.linalg.inv(L).T
+            self._frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(self.h)), -1, -2)
         return self._frame
 
     @property
@@ -81,13 +81,14 @@ class CurvatureSample:
         """E in the Cholesky frame (identity metric)."""
         if self._E_frame is None:
             F = self.frame
-            Ef = np.einsum("ijkl,ia,jb,kc,ld->abcd", self.E, F, F, F, F)
+            Ef = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", self.E, F, F, F, F)
             self._E_frame = mirror_symmetrize(Ef)
         return self._E_frame
 
 
 def core_form(jet: PotentialJet) -> CurvatureSample:
-    """Core curvature form from a potential jet."""
+    """Core curvature form from a potential jet; from a stacked jet, the
+    stack of samples, each equal to the bit to its own core_form."""
     h = jet.hessian
     try:
         hinv = np.linalg.inv(h)
@@ -95,7 +96,7 @@ def core_form(jet: PotentialJet) -> CurvatureSample:
         raise SingularHessian(f"hessian at {jet.x} is singular") from exc
     if not np.all(np.isfinite(hinv)):
         raise SingularHessian(f"hessian at {jet.x} is singular")
-    E = np.einsum("pq,ikp,jlq->ijkl", hinv, jet.third, jet.third) - jet.fourth
+    E = np.einsum("...pq,...ikp,...jlq->...ijkl", hinv, jet.third, jet.third) - jet.fourth
     return CurvatureSample(x=np.asarray(jet.x, float).copy(), h=h.copy(),
                            E=mirror_symmetrize(E))
 
@@ -139,13 +140,13 @@ def hsc_full(sample: CurvatureSample, a: np.ndarray, b: np.ndarray,
 
 def ricci(sample: CurvatureSample) -> np.ndarray:
     """Ricci matrix in the h-orthonormal polarized frame."""
-    Ef = sample.E_frame
-    return np.einsum("abcc->ab", Ef)
+    return np.einsum("...abcc->...ab", sample.E_frame)
 
 
-def scalar(sample: CurvatureSample) -> float:
-    """Frame trace of the Ricci matrix."""
-    return float(np.trace(ricci(sample)))
+def scalar(sample: CurvatureSample) -> float | np.ndarray:
+    """Frame trace of the Ricci matrix: a float, or an array over a stack."""
+    S = np.trace(ricci(sample), axis1=-2, axis2=-1)
+    return S if S.ndim else float(S)
 
 
 def full_abc_trace(sample: CurvatureSample) -> float:
@@ -153,15 +154,15 @@ def full_abc_trace(sample: CurvatureSample) -> float:
     return float(np.einsum("abab->", sample.E_frame))
 
 
-def oab_trace(sample: CurvatureSample) -> float:
+def oab_trace(sample: CurvatureSample) -> float | np.ndarray:
     """Orthogonal anti-bisectional trace: sum over frame pairs a != b.
 
-    The value depends on the frame; this is the Cholesky frame of h.
+    The value depends on the frame; this is the Cholesky frame of h.  A
+    float, or an array over a stack.
     """
     Ef = sample.E_frame
-    tot = float(np.einsum("abab->", Ef))
-    diag = float(np.einsum("aaaa->", Ef))
-    return tot - diag
+    O = np.einsum("...abab->...", Ef) - np.einsum("...aaaa->...", Ef)
+    return O if O.ndim else float(O)
 
 
 # -- MTW tensor (independent code path from core_form) -------------------------

@@ -57,9 +57,12 @@ state, so a caller's edit of state.u cannot make it stale.
 The monitors evaluate the stencils at the monitored nodes only (grid_jets),
 on each node's 5 x 5 wrapped patch in the roll stencils' order, so the
 values equal the whole-grid ones bit for bit on the torus and at window
-depth >= RING.  run takes max(E, ceil((T - t) / adaptive_dt)) steps for E
-monitor epochs and records t, then after step k whenever k E // steps grows:
-epoch j ends at step ceil(j steps / E), the last at T.
+depth >= RING.  An epoch's nodes form one stack along a leading axis: one
+jet, one core form and one call of each extremizer, equal to the
+node-by-node values bit for bit.  run takes max(E, ceil((T - t) /
+adaptive_dt)) steps for E monitor epochs and records t, then after step k
+whenever k E // steps grows: epoch j ends at step ceil(j steps / E), the
+last at T.
 
 A single writer owns the state during a run; monitors act on snapshots.
 """
@@ -74,8 +77,7 @@ from . import _extrema
 from .curvature import core_form, oab_trace, scalar
 from .errors import (BadParams, IncompatibleMode, SingularHessian,
                      StabilityFailure)
-from .jets import (_STENCILS, PotentialJet, pd_check, symmetric_from_orders,
-                   symmetrize)
+from .jets import _STENCILS, PotentialJet, pd_check, symmetric_from_orders
 from .potentials import GridPotential, PotentialHandle, QuadraticPlusPeriodic
 
 RING = 2  # boundary ring width == widest monitor stencil radius
@@ -331,10 +333,10 @@ def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
 
 # -- grid jets and monitors -------------------------------------------------------
 
-def grid_jets(state: FlowState, nodes) -> list[dict]:
-    """The 14 partials of u of orders 1 to 4 at each of the nodes, one
-    {orders: value} per node, from its 5 x 5 wrapped patch: the _STENCILS
-    rows along axis 0, then along axis 1 (see the module docstring)."""
+def grid_jets(state: FlowState, nodes) -> dict:
+    """The 14 partials of u of orders 1 to 4 at the nodes, as {orders: (N,)
+    array}, from each node's 5 x 5 wrapped patch: the _STENCILS rows along
+    axis 0, then along axis 1 (see the module docstring)."""
     h = state.spacing
     idx = np.asarray(nodes)
     near = np.arange(-RING, RING + 1)
@@ -351,29 +353,27 @@ def grid_jets(state: FlowState, nodes) -> list[dict]:
         return out / h**order
 
     across = [patch[:, RING]] + [along(patch, a) for a in range(1, 5)]  # by axis-0 order
-    values = {(a, b): along(across[a], b) if b else across[a][:, RING]
-              for a in range(5) for b in range(5 - a) if a + b}
-    return [{o: v[k] for o, v in values.items()} for k in range(len(idx))]
+    return {(a, b): along(across[a], b) if b else across[a][:, RING]
+            for a in range(5) for b in range(5 - a) if a + b}
 
 
-def jet_at_node(state: FlowState, values: dict, idx: tuple[int, int]) -> PotentialJet:
-    """The jet of psi at node idx from that node's grid_jets values."""
+def jet_at_node(state: FlowState, values: dict, nodes) -> PotentialJet:
+    """The stacked jet of psi at the nodes from their grid_jets values; raises
+    StabilityFailure at the first node whose Hessian is not positive definite.
+    The Hessian adds state.quad's upper triangle, mirrored, so it is symmetric."""
     a = state.quad
-    x = state.node_coords(idx)
-    grad = np.array([values[(1, 0)], values[(0, 1)]]) + a @ x
-    hess = np.array([
-        [a[0, 0] + values[(2, 0)], a[0, 1] + values[(1, 1)]],
-        [a[0, 1] + values[(1, 1)], a[1, 1] + values[(0, 2)]],
-    ])
-    third, fourth = (symmetric_from_orders(2, k, values.__getitem__) for k in (3, 4))
-    value = float(state.u[idx]) + 0.5 * float(x @ a @ x)
-    ok, lo, hi = pd_check(hess)
-    if not ok:
-        raise StabilityFailure(
-            f"monitored node lost convexity (lambda_min={lo:.3e})",
-            node=idx, time=state.t)
-    return PotentialJet(x=x, value=value, gradient=grad, hessian=symmetrize(hess),
-                        third=third, fourth=fourth)
+    x = state.node_coords(nodes)
+    hess, third, fourth = (symmetric_from_orders(2, k, values.__getitem__) for k in (2, 3, 4))
+    hess += np.triu(a) + np.triu(a, 1).T
+    ok, lo, _ = pd_check(hess)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise StabilityFailure(f"monitored node lost convexity (lambda_min={lo[k]:.3e})",
+                               node=tuple(nodes[k]), time=state.t)
+    return PotentialJet(x=x, value=state.u[tuple(np.asarray(nodes).T)]
+                        + 0.5 * np.einsum("ni,ij,nj->n", x, a, x),
+                        gradient=np.stack([values[(1, 0)], values[(0, 1)]], axis=1) + x @ a.T,
+                        hessian=hess, third=third, fourth=fourth)
 
 
 def monitor_offset(state0: FlowState, epoch: int, elapsed: float) -> int:
@@ -420,25 +420,17 @@ class MonitorSeries:
 
 
 def _channel_values(state: FlowState, nodes) -> dict:
-    S_vals, abc_max, orth_min, hpol_min, o_vals = [], [], [], [], []
-    for idx, values in zip(nodes, grid_jets(state, nodes)):
-        sample = core_form(jet_at_node(state, values, idx))
-        Ef = sample.E_frame
-        S_vals.append(scalar(sample))
-        mx, _ = _extrema.pair_extrema(Ef, orth=False, n_angles=MONITOR_ANGLES)
-        abc_max.append(mx.value)
-        _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=MONITOR_ANGLES)
-        orth_min.append(omn.value)
-        _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES)
-        hpol_min.append(hmn.value)
-        o_vals.append(oab_trace(sample))
-    return {
-        "S_min": float(np.min(S_vals)), "S_max": float(np.max(S_vals)),
-        "ABC_max": float(np.max(abc_max)),
-        "ORTH_ABC_min": float(np.min(orth_min)),
-        "H_pol_min": float(np.min(hpol_min)),
-        "O_max": float(np.max(o_vals)),
-    }
+    """The six node channels over the nodes: one stacked jet, core form and
+    call of each extremizer (ABC and ORTH as one stack of pair objectives)."""
+    sample = core_form(jet_at_node(state, grid_jets(state, nodes), nodes))
+    Ef = sample.E_frame
+    S = scalar(sample)
+    mx, mn = _extrema.pair_extrema(np.stack([Ef, Ef]), orth=np.array([[False], [True]]),
+                                   n_angles=MONITOR_ANGLES)
+    _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES)
+    return {"S_min": float(S.min()), "S_max": float(S.max()),
+            "ABC_max": float(mx.value[0].max()), "ORTH_ABC_min": float(mn.value[1].min()),
+            "H_pol_min": float(hmn.value.min()), "O_max": float(oab_trace(sample).max())}
 
 
 def run(state: FlowState, T: float, sample_per_axis: int,

@@ -64,38 +64,44 @@ def orbit_table(n: int, k: int, group: tuple | None = None):
 
 def symmetrize(T: np.ndarray, group: tuple | None = None) -> np.ndarray:
     """Return T with each index orbit under ``group`` (default: all axis
-    permutations) set to its mean, bitwise equal across the orbit.  Members
-    are added one at a time from +0.0 in increasing flat-index order, which
-    defines the mean's rounding: gathered through the C-contiguous
-    ``orbits.T``, member c of every orbit is row c, and reducing over axis 0
-    adds whole rows in turn (along contiguous memory, numpy would pair the
-    additions differently)."""
+    permutations of T; with a group permuting k axes, axes before the last k
+    index a stack) set to its mean, bitwise equal across the orbit.  Members are added
+    one at a time from +0.0 in increasing flat-index order, which defines the
+    mean's rounding: gathered through the C-contiguous ``orbits.T``, member c
+    of every orbit is row c, and reducing over axis 0 adds whole rows in turn
+    (along contiguous memory, numpy would pair the additions differently).
+    The result is C-contiguous: einsum's rounding depends on strides."""
     T = np.asarray(T, dtype=float)
-    orbits, owner, sizes = orbit_table(T.shape[0], T.ndim, group)
-    members = np.append(T.ravel(), 0.0)[orbits.T]
-    return (np.add.reduce(members, axis=0, initial=0.0) / sizes)[owner].reshape(T.shape)
+    k = T.ndim if group is None else len(group[0])
+    orbits, owner, sizes = orbit_table(T.shape[-1], k, group)
+    flat = T.reshape(T.shape[:T.ndim - k] + (-1,)).T
+    members = np.concatenate((flat, np.zeros((1,) + flat.shape[1:])))[orbits.T]
+    mean = (np.add.reduce(members, axis=0, initial=0.0).T / sizes).T
+    return np.ascontiguousarray(mean[owner].T).reshape(T.shape)
 
 
 def symmetric_from_orders(n: int, order: int, value_of: Callable) -> np.ndarray:
     """Fully symmetric tensor taking value_of(orders) on each index orbit,
     where orders[i] counts the occurrences of axis i in the index; called
-    once per orbit, in increasing order of the orbit's least index."""
+    once per orbit, in increasing order of the orbit's least index.  When
+    value_of returns (N,) arrays, the result is a stack (N, n, .., n)."""
     orbits, owner, _ = orbit_table(n, order)
     digits = (orbits[:, :1] // n ** np.arange(order) % n).tolist()  # of least indices
-    vals = [value_of(tuple(map(d.count, range(n)))) for d in digits]
-    return np.array(vals, dtype=float)[owner].reshape((n,) * order)
+    vals = np.array([value_of(tuple(map(d.count, range(n)))) for d in digits], dtype=float)
+    return np.ascontiguousarray(vals[owner].T).reshape(vals.shape[1:] + (n,) * order)
 
 
-def pd_check(H: np.ndarray) -> tuple[bool, float, float]:
-    """Scale-aware PD test; returns (ok, lambda_min, lambda_max)."""
+def pd_check(H: np.ndarray) -> tuple:
+    """Scale-aware PD test: (ok, lambda_min, lambda_max) over H's stack axes."""
     w = np.linalg.eigvalsh(H)
-    lo, hi = float(w[0]), float(w[-1])
-    return lo > PD_RTOL * (1.0 + abs(hi)), lo, hi
+    lo, hi = w[..., 0], w[..., -1]
+    return lo > PD_RTOL * (1.0 + np.abs(hi)), lo, hi
 
 
 @dataclass
 class PotentialJet:
-    """Value and derivatives of a convex potential at one point."""
+    """Value and derivatives of a convex potential at one point, or at each
+    point of a stack (a leading axis on every field)."""
 
     x: np.ndarray
     value: float
@@ -106,7 +112,7 @@ class PotentialJet:
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     def validate(self) -> "PotentialJet":
         """Check symmetry and strong convexity; raise NotConvexHere on failure."""

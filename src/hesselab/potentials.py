@@ -317,9 +317,9 @@ class GridPotential(PotentialHandle):
         P = np.asarray(pts, dtype=float)
         if P.shape[1:] != (self.n,):
             return super().values_at(P)
-        bounds = self.domain.params["bounds"]
-        dist = np.minimum((P - bounds[:, 0]).min(axis=1), (bounds[:, 1] - P).min(axis=1))
-        inside = dist >= self.domain.margin
+        inside = np.ones(len(P), dtype=bool)  # column by column: no reduction over n
+        for col, (lo, hi) in zip(P.T, self.domain.params["bounds"]):
+            inside &= (col - lo >= self.domain.margin) & (hi - col >= self.domain.margin)
         if not inside.all():
             self.domain.require(P[np.argmin(inside)])
         return self._spline_rows(P)

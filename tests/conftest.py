@@ -6,10 +6,12 @@ import pytest
 from hypothesis import settings
 from scipy.optimize import minimize_scalar
 
-from hesselab.curvature import CurvatureSample, full_abc_trace, scalar
+from hesselab import _extrema, flow
+from hesselab.curvature import (CurvatureSample, core_form, full_abc_trace, oab_trace,
+                                scalar)
 from hesselab.errors import BlowUp, StabilityFailure
 from hesselab.domains import DomainSpec
-from hesselab.jets import _STENCILS, PotentialJet
+from hesselab.jets import _STENCILS, PotentialJet, pd_check, symmetric_from_orders, symmetrize
 from hesselab.potentials import PotentialHandle, QuadraticPlusPeriodic, catalog
 from hesselab.reaction import BLOWUP_CAP
 
@@ -143,6 +145,74 @@ def ref_integrate_ode(A0, T, dt):
             times.append(t)
             tensors.append(A)
     return times, tensors, drift_max
+
+
+# -- the flow monitors, transport moduli and box checks as first written, node by
+# -- node and pair by pair: oracles of the batched kernels
+
+def ref_grid_jets(state, nodes) -> list[dict]:
+    """One {orders: value} per node, from the batched stencils' rows."""
+    values = flow.grid_jets(state, nodes)
+    return [{o: v[k] for o, v in values.items()} for k in range(len(nodes))]
+
+
+def ref_jet_at_node(state, values: dict, idx) -> PotentialJet:
+    """The jet of psi at node idx from that node's ref_grid_jets values."""
+    a = state.quad
+    x = state.node_coords(idx)
+    grad = np.array([values[(1, 0)], values[(0, 1)]]) + a @ x
+    hess = np.array([
+        [a[0, 0] + values[(2, 0)], a[0, 1] + values[(1, 1)]],
+        [a[0, 1] + values[(1, 1)], a[1, 1] + values[(0, 2)]],
+    ])
+    third, fourth = (symmetric_from_orders(2, k, values.__getitem__) for k in (3, 4))
+    value = float(state.u[idx]) + 0.5 * float(x @ a @ x)
+    ok, lo, hi = pd_check(hess)
+    if not ok:
+        raise StabilityFailure(f"monitored node lost convexity (lambda_min={lo:.3e})",
+                               node=idx, time=state.t)
+    return PotentialJet(x=x, value=value, gradient=grad, hessian=symmetrize(hess),
+                        third=third, fourth=fourth)
+
+
+def ref_channel_values(state, nodes) -> dict:
+    """The six node channels, one node and one extremizer call at a time."""
+    S_vals, abc_max, orth_min, hpol_min, o_vals = [], [], [], [], []
+    for idx, values in zip(nodes, ref_grid_jets(state, nodes)):
+        sample = core_form(ref_jet_at_node(state, values, idx))
+        Ef = sample.E_frame
+        S_vals.append(scalar(sample))
+        mx, _ = _extrema.pair_extrema(Ef, orth=False, n_angles=flow.MONITOR_ANGLES)
+        abc_max.append(mx.value)
+        _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=flow.MONITOR_ANGLES)
+        orth_min.append(omn.value)
+        _, hmn = _extrema.quartic_extrema(Ef, n_angles=flow.MONITOR_ANGLES)
+        hpol_min.append(hmn.value)
+        o_vals.append(oab_trace(sample))
+    return {
+        "S_min": float(np.min(S_vals)), "S_max": float(np.max(S_vals)),
+        "ABC_max": float(np.max(abc_max)),
+        "ORTH_ABC_min": float(np.min(orth_min)),
+        "H_pol_min": float(np.min(hpol_min)),
+        "O_max": float(np.max(o_vals)),
+    }
+
+
+def ref_holder_modulus(T: np.ndarray, X: np.ndarray, alpha: float) -> float:
+    """max over pairs a < b of |T_a - T_b| / |X_a - X_b|^alpha, pair by pair."""
+    worst = 0.0
+    for a in range(X.shape[0]):
+        for b in range(a + 1, X.shape[0]):
+            dx = float(np.linalg.norm(X[a] - X[b]))
+            dT = float(np.linalg.norm(T[a] - T[b]))
+            worst = max(worst, dT / dx**alpha)
+    return worst
+
+
+def ref_box_inside(P: np.ndarray, bounds: np.ndarray, margin: float) -> np.ndarray:
+    """Rows of P at distance >= margin inside the box, by the row minimum."""
+    dist = np.minimum((P - bounds[:, 0]).min(axis=1), (bounds[:, 1] - P).min(axis=1))
+    return dist >= margin
 
 
 def argmax_near(fun, t: float, span: float) -> float:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import AffineImage, ScaledHandle, argmax_near, quadratic
@@ -14,7 +14,7 @@ from hesselab.curvature import (RegionSpec, anti_bisectional,
                                 reevaluate_witness, ricci, scalar,
                                 symmetry_defect)
 from hesselab.errors import OutOfDomain, ZeroVector
-from hesselab.jets import fd_jet
+from hesselab.jets import PotentialJet, fd_jet, symmetrize
 from hesselab.potentials import catalog
 
 
@@ -409,6 +409,71 @@ def test_affine_invariance_of_normalized_quantities(ball2):
     pi = _extrema.pair_extrema(s_img.E_frame, n_angles=1440)
     assert pi[0].value == pytest.approx(pb[0].value, rel=1e-9, abs=1e-12)
     assert pi[1].value == pytest.approx(pb[1].value, rel=1e-9, abs=1e-12)
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _stacked(jets):
+    """One PotentialJet whose fields stack those of jets along a leading axis."""
+    return PotentialJet(*(np.stack([getattr(j, f) for j in jets])
+                          for f in ("x", "value", "gradient", "hessian", "third", "fourth")))
+
+
+def _all_extrema(Ef):
+    """Values of the six ends: ABC, ORTH_ABC and the quartic, max and min."""
+    ends = (*_extrema.pair_extrema(Ef), *_extrema.pair_extrema(Ef, orth=True),
+            *_extrema.quartic_extrema(Ef))
+    return np.array([e.value for e in ends])
+
+
+@settings(max_examples=30)
+@given(st.floats(0.0, np.pi), st.floats(0.0, np.pi), st.floats(0.5, 2.0),
+       st.floats(1.0, 10.0), st.booleans(),
+       st.lists(st.tuples(st.floats(-0.17, 0.17), st.floats(-0.17, 0.17)),
+                min_size=1, max_size=4))
+def test_affine_covariance_of_the_extrema(t1, t2, top, cond, mirror, points):
+    """For invertible L of condition number <= 10, the jets of psi(L x) give
+    the pair, ORTH and quartic extrema of psi's own jets at L x within 1e-9
+    relative: tensor by tensor, and as one stack through core_form."""
+    ball2 = catalog("calabi_ball", n=2)
+    L = _rotation(t1) @ np.diag([top, (-1.0 if mirror else 1.0) * top / cond]) @ _rotation(t2)
+    image = AffineImage(ball2, L)
+    xs = [np.array(p) for p in points]
+    base_jets = [ball2.jet(L @ x) for x in xs]
+    image_jets = [image.jet(x) for x in xs]
+    want = np.array([_all_extrema(core_form(j).E_frame) for j in base_jets])
+    got = np.array([_all_extrema(core_form(j).E_frame) for j in image_jets])
+    stacked = _all_extrema(core_form(_stacked(image_jets)).E_frame).T
+    scale = 1.0 + np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-9 * scale), (got, want)
+    assert np.all(np.abs(stacked - want) <= 1e-9 * scale), (stacked, want)
+
+
+@pytest.mark.parametrize("size", [1, 1600])
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_core_form_equals_each_jet(n, size):
+    """core_form of a stacked jet, with its frame, E_frame, ricci, scalar and
+    oab_trace, equals each jet's own bit for bit; one jet gives floats."""
+    rng = np.random.default_rng(10 * n + size)
+    jets = []
+    for _ in range(size):
+        A = rng.normal(size=(n, n))
+        jets.append(PotentialJet(x=rng.normal(size=n), value=0.0, gradient=np.zeros(n),
+                                 hessian=A @ A.T + 0.1 * np.eye(n),
+                                 third=symmetrize(rng.normal(size=(n,) * 3)),
+                                 fourth=symmetrize(rng.normal(size=(n,) * 4))))
+    stack = core_form(_stacked(jets))
+    S, O, R = scalar(stack), oab_trace(stack), ricci(stack)
+    assert S.shape == O.shape == (size,)
+    for i, jet in enumerate(jets):
+        one = core_form(jet)
+        for name in ("h", "E", "frame", "E_frame"):
+            assert getattr(stack, name)[i].tobytes() == getattr(one, name).tobytes(), name
+        assert type(scalar(one)) is float and type(oab_trace(one)) is float
+        assert S[i] == scalar(one) and O[i] == oab_trace(one)
+        assert R[i].tobytes() == ricci(one).tobytes()
 
 
 def test_nonpositive_abc_implies_nonpositive_polarized_sectional(ball2):

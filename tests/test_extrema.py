@@ -16,7 +16,7 @@ regions reproduce their value at their witness.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
@@ -113,6 +113,55 @@ def test_n2_ends_fixed_cases(case, n_angles):
        st.sampled_from([240, 720]))
 def test_n2_ends_random_tensors(X, n_angles):
     check_n2_ends(mirror_symmetrize(X), n_angles)
+
+
+# -- n = 2 stacks: one call over many tensors ---------------------------------------
+
+def check_stack_equals_tensors(S, orth, n_angles):
+    """pair_extrema (with a per-tensor orth) and quartic_extrema over the
+    stack S return, for each tensor, its own single-tensor ends bit for bit."""
+    stacked = (_extrema.pair_extrema(S, orth=orth, n_angles=n_angles),
+               _extrema.quartic_extrema(S, n_angles=n_angles))
+    for i, T in enumerate(S):
+        single = (_extrema.pair_extrema(T, orth=bool(orth[i]), n_angles=n_angles),
+                  _extrema.quartic_extrema(T, n_angles=n_angles))
+        for ends, ones in zip(stacked, single):
+            for ext, one in zip(ends, ones):
+                assert type(one.value) is float
+                assert ext.value[i].tobytes() == np.float64(one.value).tobytes()
+                assert ext.v[i].tobytes() == one.v.tobytes()
+                assert (ext.w is None) == (one.w is None)
+                assert ext.w is None or ext.w[i].tobytes() == one.w.tobytes()
+
+
+@given(arrays(np.float64, (1, 2, 2, 2, 2),
+              elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)),
+       st.booleans(), st.sampled_from([240, 720]))
+def test_n2_stack_of_one_equals_the_tensor(X, orth, n_angles):
+    check_stack_equals_tensors(mirror_symmetrize(X), np.array([orth]), n_angles)
+
+
+@settings(max_examples=3, phases=(Phase.generate,))  # a failing seed needs no shrinking
+@given(st.integers(0, 2**32 - 1), st.sampled_from([240, 720]))
+def test_n2_stack_of_1600_equals_its_tensors(seed, n_angles):
+    """Seeded tensors with entries scaled per tensor by 10^-6 to 10^6, about
+    one in twenty of them zero, each with its own orth."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(1600, 2, 2, 2, 2)) * 10.0 ** rng.uniform(-6, 6, (1600, 1, 1, 1, 1))
+    X[rng.random(1600) < 0.05] = 0.0
+    check_stack_equals_tensors(mirror_symmetrize(X), rng.random(1600) < 0.5, n_angles)
+
+
+def test_n2_stack_axes_and_orth_broadcast():
+    """Two stack axes with orth broadcast along the second, as the flow
+    monitors call it: the first row is the pair objective, the second ORTH."""
+    S = mirror_symmetrize(np.random.default_rng(4).normal(size=(5, 2, 2, 2, 2)))
+    mx, mn = _extrema.pair_extrema(np.stack([S, S]), orth=np.array([[False], [True]]))
+    assert mx.value.shape == (2, 5) and mx.v.shape == mx.w.shape == (2, 5, 2)
+    for row, orth in enumerate((False, True)):
+        flat = _extrema.pair_extrema(S, orth=np.full(5, orth))
+        assert mx.value[row].tobytes() == flat[0].value.tobytes()
+        assert mn.w[row].tobytes() == flat[1].w.tobytes()
 
 
 # -- n >= 3: the quartic ---------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grid_derivative, quadratic
+from conftest import grid_derivative, quadratic, ref_channel_values
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
@@ -120,13 +120,13 @@ def test_node_stencils_match_grid_derivative(which):
     nodes = [(i, j) for i in range(depth, state.shape[0] - depth)
              for j in range(depth, state.shape[1] - depth)]
     got = flow.grid_jets(state, nodes)
-    assert len(got) == len(nodes)
-    orders = sorted(got[0])
+    orders = sorted(got)
     assert orders == sorted((a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4)
     rows, cols = np.array(nodes).T
     for o in orders:
         want = grid_derivative(state.u, o, state.spacing)
-        assert np.array([v[o] for v in got]).tobytes() == want[rows, cols].tobytes(), o
+        assert got[o].shape == (len(nodes),)
+        assert got[o].tobytes() == want[rows, cols].tobytes(), o
 
 
 @pytest.mark.parametrize("which,node,message", [
@@ -144,6 +144,66 @@ def test_nonconvex_bump_fails_at_its_node(which, node, message):
         flow.step(state, 1e-6)
     assert err.value.node == node
     assert err.value.time == 0.25
+
+
+# -- batched monitors against the node-by-node oracle --------------------------------
+
+TORUS_WAVES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0),
+               (0, 2), (2, 1), (1, 2), (2, -1), (1, -2))
+
+
+def _batched_and_node_by_node(monkeypatch, state, T, per_axis, epochs):
+    """The channel series of one run with the batched monitors and one with
+    ref_channel_values, each as {channel: bytes}, with the times' bytes."""
+    out = []
+    for monitor in (flow._channel_values, ref_channel_values):
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_channel_values", monitor)
+            _, series = flow.run(state, T, per_axis, epochs)
+        out.append(({k: np.asarray(v).tobytes() for k, v in series.channels.items()},
+                    np.asarray(series.times).tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("wave", TORUS_WAVES + (None,))
+def test_batched_monitors_equal_node_by_node_on_the_torus(monkeypatch, wave):
+    """A 64^2 torus run to T = 0.008 with 3 epochs on 3 x 3 nodes records
+    every channel bit for bit as the node-by-node monitors do, for each of
+    the ten single waves and the flat torus."""
+    handle = (catalog("quadratic_plus_periodic", amplitude=0.0) if wave is None else
+              catalog("quadratic_plus_periodic", amplitude=0.2, wave=wave))
+    state = flow.init(handle, torus(64), "periodic")
+    batched, node_by_node = _batched_and_node_by_node(monkeypatch, state, 0.008, 3, 3)
+    assert batched == node_by_node
+
+
+@pytest.mark.parametrize("per_axis", [3, 4, 5])
+@pytest.mark.parametrize("name", ["calabi_ball", "radial_sym"])
+def test_batched_monitors_equal_node_by_node_on_windows(monkeypatch, name, per_axis):
+    """Window runs of calabi_ball and radial_sym, 2 epochs on 3, 4 and 5
+    nodes per axis, record the node-by-node series bit for bit."""
+    handle, grid = ((catalog("calabi_ball", n=2), ball_window()) if name == "calabi_ball"
+                    else (catalog("radial_sym", C=1.0), radial_window()))
+    state = flow.init(handle, grid, "frozen-window")
+    T = 6 * flow.adaptive_dt(state)
+    batched, node_by_node = _batched_and_node_by_node(monkeypatch, state, T, per_axis, 2)
+    assert batched == node_by_node
+
+
+def test_nonconvex_monitored_node_fails_at_its_node():
+    """Monitored nodes whose stencil Hessian is not positive definite raise
+    StabilityFailure naming the first of them in the node order, with the
+    state's time, as the node-by-node monitors do."""
+    state = _hessian_states()["periodic-2d"]
+    state.t = 0.125
+    nodes = flow.monitor_nodes(state, 3, 0)
+    for idx in (nodes[5], nodes[2]):  # lowers hxx there by 8, below quad[0, 0]
+        state.u[idx] += 0.5 * state.spacing**2 * 8.0
+    for monitor in (flow._channel_values, ref_channel_values):
+        with pytest.raises(StabilityFailure, match="monitored node lost convexity") as err:
+            monitor(state, nodes)
+        assert err.value.node == nodes[2]
+        assert err.value.time == 0.125
 
 
 def test_oversized_window_step_fails_after_the_step(ball2):

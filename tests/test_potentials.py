@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (ConcaveQuadratic, is_fully_symmetric, quadratic,
-                      write_grid_file)
+                      ref_box_inside, write_grid_file)
 from hesselab.errors import (BadGridFile, BadParams, NotConvexHere, OutOfDomain,
                              UnknownName)
 from hesselab.jets import fd_jet
@@ -233,6 +233,51 @@ def test_grid_potential_needs_six_nodes_per_axis():
         with pytest.raises(BadParams, match="spacing > 0"):
             GridPotential(np.array([0.0, 0.0]), spacing, np.ones((8, 8)))
     GridPotential(np.array([0.0, 0.0]), 0.1, np.ones((6, 6)))
+
+
+def test_grid_box_check_decides_as_the_row_minimum(monkeypatch):
+    """values_at's column-by-column box check judges every row as the row
+    minimum of its distances to the box does, on seeded points, NaN rows and
+    points exactly at the margin and one float to either side, and sends the
+    same first outside row to domain.require."""
+    grid = GridPotential(np.array([-0.4, -0.3]), 0.04, np.zeros((21, 16)))
+    bounds, margin = grid.domain.params["bounds"], grid.domain.margin
+    rng = np.random.default_rng(23)
+    rows = [rng.uniform(bounds[:, 0] - 2 * margin, bounds[:, 1] + 2 * margin)
+            for _ in range(400)]
+    centre = bounds.mean(axis=1)
+    for c in range(2):
+        for edge in (bounds[c, 0] + margin, bounds[c, 1] - margin):
+            for at in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                row = centre.copy()
+                row[c] = at
+                rows.append(row)
+        row = centre.copy()
+        row[c] = np.nan
+        rows.append(row)
+    rows.append(np.full(2, np.nan))
+    P = np.array(rows)
+    want = ref_box_inside(P, bounds, margin)
+    assert 0 < want.sum() < len(P)
+    sent = []
+
+    def require(domain, x):
+        sent.append(np.array(x))
+        raise OutOfDomain("outside")
+
+    monkeypatch.setattr(type(grid.domain), "require", require)
+    for row, inside in zip(P, want):
+        sent.clear()
+        if inside:
+            grid.values_at(row[None])
+        else:
+            with pytest.raises(OutOfDomain):
+                grid.values_at(row[None])
+        assert len(sent) == (not inside)
+    sent.clear()
+    with pytest.raises(OutOfDomain):
+        grid.values_at(P)
+    assert sent[0].tobytes() == P[np.argmin(want)].tobytes()
 
 
 def test_values_at_is_value_per_row():

@@ -68,6 +68,22 @@ def test_symmetrize_matches_orbit_walk_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_symmetrize_equals_each_tensor_bitwise(n):
+    """A stack along a leading axis, under the curvature group or the whole
+    group of its order-k permutations, gives each tensor's own orbit means
+    bit for bit, C-contiguous (einsum's rounding depends on strides)."""
+    for k, group in ((4, CURVATURE_GROUP), (2, None), (3, None), (4, None)):
+        group = group or tuple(itertools.permutations(range(k)))
+        stack = np.stack(seeded_tensors(n, k))
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got = symmetrize(stack, group)
+            want = np.stack([ref_symmetrize(T) if k < 4 or group != CURVATURE_GROUP
+                             else ref_mirror_symmetrize(T) for T in stack])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetry_defect_matches_the_three_transposes(n):
     for T in seeded_tensors(n, 4):
         with np.errstate(invalid="ignore"):  # inf - inf

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import quadratic
+from conftest import quadratic, ref_holder_modulus
 from hesselab import flow, transport
 from hesselab.errors import (BadParams, Infeasible, NotDeterministic,
                              OutOfDomain)
@@ -455,6 +455,25 @@ def test_identity_coupling_modulus_is_identity_quotient():
                    for a in range(3) for b in range(a + 1, 3))
     assert holder_modulus(plan, mu, pts, alpha=0.7) == pytest.approx(expected,
                                                                      abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [9, 64, 500])
+def test_holder_modulus_matches_the_pairwise_loop(m):
+    """The blocked pairs give the pair-by-pair loop's modulus within 4 ulp
+    relative (vectorized norms and powers round some pairs differently)."""
+    rng = np.random.default_rng(500 + m)
+    X, Y = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
+    coupling = np.zeros((m, m))
+    coupling[np.arange(m), rng.permutation(m)] = 1.0 / m
+    plan = TransportPlan(coupling=coupling, cost=0.0, dual_u=np.zeros(m),
+                         dual_v=np.zeros(m), slack_residual=0.0,
+                         feasibility_residual=0.0, marginal_residual=0.0)
+    mu = DiscreteMeasure.uniform(X)
+    for alpha in (0.5, 1.0, 1.7):
+        want = ref_holder_modulus(barycentric_map(plan, Y), X, alpha)
+        got = holder_modulus(plan, mu, Y, alpha)
+        assert type(got) is float
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want, (got, want)
 
 
 def test_translation_map_is_lipschitz_one():
