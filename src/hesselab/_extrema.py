@@ -142,45 +142,45 @@ def _newton_2t(x: float, d: float, maximize: bool, alpha: tuple, beta: tuple,
     return x
 
 
-def _extrema_2d(T: np.ndarray, n_angles: int, orth) -> tuple[Extremum, Extremum]:
-    """(max, min) at n = 2 over the stack axes of T (none for one tensor) of
-    the pair objective where orth is False, the ORTH objective where it is
-    True (orth broadcasts against the stack axes) and the quartic where orth
-    is None; a single tensor goes through as a stack of one."""
+def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extremum]:
+    """(max, min) for kind "pair", "orth" or "quartic" at n = 2 over the stack
+    axes of T (none for one tensor); a single tensor goes through as a stack
+    of one."""
     stack = T.shape[:-4]
     T = T.reshape((-1,) + T.shape[-4:])
     C = np.einsum("mijkl,aik,bjl->mab", T, _DYADS, _DYADS)  # <T, B_a (x) B_b>
     th, U = _grid(n_angles)
-    pair = np.zeros(len(T), bool) if orth is None else ~np.broadcast_to(orth, stack).ravel()
-    Q = C[~pair] * (1.0 if orth is None else _FLIP)  # the objectives u^T Q u
-    abg = U @ C[pair]
-    hyp = np.hypot(abg[..., 1], abg[..., 2])
-    scans = np.empty((len(T), 2, n_angles))  # rows scanned for the max and the min
-    scans[~pair] = np.einsum("mab,na,nb->mn", Q, U, U)[:, None]
-    scans[pair] = np.stack([abg[..., 0] + hyp, abg[..., 0] - hyp], axis=1)
     coeffs = np.zeros((len(T), 3, 5))  # alpha, beta, gamma: p . (1, cos, sin, cos 2, sin 2)
-    S = 0.5 * (Q + np.swapaxes(Q, 1, 2))  # alpha = u^T Q u for the quadratic objectives
-    coeffs[~pair, 0] = np.stack([S[:, 0, 0] + 0.5 * (S[:, 1, 1] + S[:, 2, 2]), 2.0 * S[:, 0, 1],
+    if kind == "pair":
+        abg = U @ C
+        hyp = np.hypot(abg[..., 1], abg[..., 2])
+        scans, s = (abg[..., 0] + hyp, abg[..., 0] - hyp), (1.0, -1.0)
+        coeffs[:, :, :3] = np.swapaxes(C, 1, 2)
+    else:  # alpha = u^T Q u
+        Q = C * _FLIP if kind == "orth" else C
+        scans, s = (np.einsum("mab,na,nb->mn", Q, U, U),) * 2, (0.0, 0.0)
+        S = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+        coeffs[:, 0] = np.stack([S[:, 0, 0] + 0.5 * (S[:, 1, 1] + S[:, 2, 2]), 2.0 * S[:, 0, 1],
                                  2.0 * S[:, 0, 2], 0.5 * (S[:, 1, 1] - S[:, 2, 2]), S[:, 1, 2]], 1)
-    coeffs[pair, :, :3] = np.swapaxes(C[pair], 1, 2)
-    s = pair[:, None] * np.array([1.0, -1.0])  # the sign of |(beta, gamma)| by end
-    start = 2.0 * th[np.stack([scans[:, 0].argmax(1), scans[:, 1].argmin(1)], axis=1)]
+    start = 2.0 * th[np.stack([scans[0].argmax(1), scans[1].argmin(1)], axis=1)]
     d = 2.0 * np.pi / n_angles
-    x = [[_newton_2t(x0, d, e == 0, *c, se) for e, (x0, se) in enumerate(zip(xm, sm))]
-         for xm, c, sm in zip(start.tolist(), coeffs.tolist(), s.tolist())]
+    x = [[_newton_2t(x0, d, e == 0, *c, se) for e, (x0, se) in enumerate(zip(xm, s))]
+         for xm, c in zip(start.tolist(), coeffs.tolist())]
     V = np.array([[(math.cos(0.5 * a), math.sin(0.5 * a)) for a in xm] for xm in x])
-    W = V if orth is None else V[..., ::-1] * [-1.0, 1.0]  # ORTH: v turned a quarter
-    if pair.any():  # the pair's inner angle 2p = arg(s * (beta, gamma))
-        rows = np.array([[(1.0, math.cos(a), math.sin(a)) for a in x[m]]
-                         for m in np.flatnonzero(pair)])
-        bg = (rows[:, :, None] @ C[pair][:, None])[:, :, 0, 1:].tolist()
-        p = [[0.5 * math.atan2(se * g, se * b) if b or g else 0.0 for (b, g), se in zip(*ms)]
-             for ms in zip(bg, s[pair].tolist())]
-        W[pair] = [[(math.cos(q), math.sin(q)) for q in qm] for qm in p]
+    if kind == "quartic":
+        W = V
+    elif kind == "orth":
+        W = V[..., ::-1] * [-1.0, 1.0]  # v turned a quarter
+    else:  # the inner angle's closed form: 2p = arg(s * (beta, gamma))
+        rows = np.array([[(1.0, math.cos(a), math.sin(a)) for a in xm] for xm in x])
+        bg = (rows[:, :, None] @ C[:, None])[:, :, 0, 1:].tolist()
+        p = [[0.5 * math.atan2(se * g, se * b) if b or g else 0.0 for (b, g), se in zip(bm, s)]
+             for bm in bg]
+        W = np.array([[(math.cos(q), math.sin(q)) for q in qm] for qm in p])
     values = np.einsum("mijkl,mei,mej,mek,mel->me", T, V, W, V, W).reshape(stack + (2,))
     V, W = V.reshape(stack + (2, 2)), W.reshape(stack + (2, 2))
     return tuple(Extremum(values[..., e] if stack else float(values[e]), V[..., e, :],
-                          None if orth is None else W[..., e, :]) for e in (0, 1))
+                          None if kind == "quartic" else W[..., e, :]) for e in (0, 1))
 
 
 # -- n >= 3: alternating eigensolves (pair), sphere scan and Newton (quartic) --
@@ -286,9 +286,8 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
                  restarts: int = 64, seed: int = 0) -> tuple[Extremum, Extremum]:
     """(max, min) of T(v,w,v,w) over unit vectors, optionally with v.w = 0.
 
-    At n = 2, T may carry stack axes (..., 2, 2, 2, 2) and orth may be a
-    bool array that broadcasts against them; each end is then an Extremum of
-    arrays over the stack."""
+    At n = 2, T may carry stack axes (..., 2, 2, 2, 2); each end is then an
+    Extremum of arrays over the stack."""
     n = T.shape[-1]
     if n == 1:
         v = np.ones(1)
@@ -297,7 +296,7 @@ def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
         val = pair_value(T, v, v)
         return Extremum(val, v, v.copy()), Extremum(val, v, v.copy())
     if n == 2:
-        return _extrema_2d(T, n_angles, np.asarray(orth, dtype=bool))
+        return _extrema_2d(T, n_angles, "orth" if orth else "pair")
     rng = np.random.default_rng(seed)
     best_max = best_min = None
     for _ in range(restarts):
@@ -321,7 +320,7 @@ def quartic_extrema(T: np.ndarray, n_angles: int = 720) -> tuple[Extremum, Extre
         val = quartic_value(T, v)
         return Extremum(val, v), Extremum(val, v)
     if n == 2:
-        return _extrema_2d(T, n_angles, None)
+        return _extrema_2d(T, n_angles, "quartic")
     S2 = symmetrize(T).reshape(n * n, n * n)
     V, VV = _sphere(n)
     vals = np.einsum("na,na->n", VV @ S2, VV)

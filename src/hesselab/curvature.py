@@ -73,7 +73,7 @@ class CurvatureSample:
     def frame(self) -> np.ndarray:
         """Columns are the h-orthonormal polarized frame vectors (Cholesky)."""
         if self._frame is None:
-            self._frame = np.swapaxes(np.linalg.inv(np.linalg.cholesky(self.h)), -1, -2)
+            self._frame = np.linalg.inv(np.linalg.cholesky(self.h)).mT
         return self._frame
 
     @property

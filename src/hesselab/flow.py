@@ -58,7 +58,7 @@ The monitors evaluate the stencils at the monitored nodes only (grid_jets),
 on each node's 5 x 5 wrapped patch in the roll stencils' order, so the
 values equal the whole-grid ones bit for bit on the torus and at window
 depth >= RING.  An epoch's nodes form one stack along a leading axis: one
-jet, one core form and one call of each extremizer, equal to the
+jet, one core form and one extremizer call per objective, equal to the
 node-by-node values bit for bit.  run takes max(E, ceil((T - t) /
 adaptive_dt)) steps for E monitor epochs and records t, then after step k
 whenever k E // steps grows: epoch j ends at step ceil(j steps / E), the
@@ -420,16 +420,16 @@ class MonitorSeries:
 
 
 def _channel_values(state: FlowState, nodes) -> dict:
-    """The six node channels over the nodes: one stacked jet, core form and
-    call of each extremizer (ABC and ORTH as one stack of pair objectives)."""
+    """The six node channels over the nodes: one stacked jet and core form,
+    and one call of each extremizer for each objective."""
     sample = core_form(jet_at_node(state, grid_jets(state, nodes), nodes))
     Ef = sample.E_frame
     S = scalar(sample)
-    mx, mn = _extrema.pair_extrema(np.stack([Ef, Ef]), orth=np.array([[False], [True]]),
-                                   n_angles=MONITOR_ANGLES)
+    mx, _ = _extrema.pair_extrema(Ef, n_angles=MONITOR_ANGLES)
+    _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=MONITOR_ANGLES)
     _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES)
     return {"S_min": float(S.min()), "S_max": float(S.max()),
-            "ABC_max": float(mx.value[0].max()), "ORTH_ABC_min": float(mn.value[1].min()),
+            "ABC_max": float(mx.value.max()), "ORTH_ABC_min": float(omn.value.min()),
             "H_pol_min": float(hmn.value.min()), "O_max": float(oab_trace(sample).max())}
 
 

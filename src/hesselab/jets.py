@@ -74,10 +74,11 @@ def symmetrize(T: np.ndarray, group: tuple | None = None) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     k = T.ndim if group is None else len(group[0])
     orbits, owner, sizes = orbit_table(T.shape[-1], k, group)
-    flat = T.reshape(T.shape[:T.ndim - k] + (-1,)).T
-    members = np.concatenate((flat, np.zeros((1,) + flat.shape[1:])))[orbits.T]
-    mean = (np.add.reduce(members, axis=0, initial=0.0).T / sizes).T
-    return np.ascontiguousarray(mean[owner].T).reshape(T.shape)
+    stack = T.shape[:-k]
+    flat = np.zeros((owner.size + 1,) + stack[::-1])  # the stack's axes last, a zero slot
+    flat[:-1] = T.reshape(stack + (-1,)).T
+    mean = np.add.reduce(flat[orbits.T], axis=0, initial=0.0).T / sizes
+    return np.ascontiguousarray(mean.T[owner].T).reshape(T.shape)
 
 
 def symmetric_from_orders(n: int, order: int, value_of: Callable) -> np.ndarray:

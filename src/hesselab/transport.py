@@ -191,18 +191,12 @@ def barycentric_map(plan: TransportPlan, Y: np.ndarray) -> np.ndarray:
 def holder_modulus(plan: TransportPlan, mu: DiscreteMeasure, Y: np.ndarray,
                    alpha: float) -> float:
     """max over pairs a < b of |T(x_a)-T(x_b)| / |x_a-x_b|^alpha, NaN quotients
-    skipped, in blocks of rows of about 2^16 pairs.  A norm is the root of a BLAS
-    dot product, as np.linalg.norm's of one pair is; numpy's power may round apart."""
+    skipped.  A norm is the root of a BLAS dot product, as np.linalg.norm's of
+    one pair is; numpy's power may round apart from the scalar one."""
     T, X = barycentric_map(plan, Y), mu.points
-    m, worst = X.shape[0], 0.0
-    rows = max(1, 2**16 // m)
-    for lo in range(0, m - 1, rows):
-        a = np.arange(lo, min(lo + rows, m - 1))[:, None]
-        pair = np.arange(lo + 1, m) > a
-        dx, dT = (np.sqrt(d[..., None, :] @ d[..., :, None])[pair, 0, 0]
-                  for d in (X[a] - X[lo + 1:], T[a] - T[lo + 1:]))
-        worst = np.fmax.reduce(dT / dx**alpha, initial=worst)
-    return float(worst)
+    a, b = np.triu_indices(X.shape[0], 1)
+    dx, dT = (np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0] for d in (X[a] - X[b], T[a] - T[b]))
+    return float(np.fmax.reduce(dT / dx**alpha, initial=0.0))
 
 
 def plan_tv(P1: np.ndarray, P2: np.ndarray) -> float:

@@ -147,8 +147,8 @@ def ref_integrate_ode(A0, T, dt):
     return times, tensors, drift_max
 
 
-# -- the flow monitors, transport moduli and box checks as first written, node by
-# -- node and pair by pair: oracles of the batched kernels
+# -- the flow monitors, n = 2 extremizer, transport moduli and box checks as first
+# -- written, node by node, tensor by tensor and pair by pair: oracles of the batched kernels
 
 def ref_grid_jets(state, nodes) -> list[dict]:
     """One {orders: value} per node, from the batched stencils' rows."""
@@ -196,6 +196,57 @@ def ref_channel_values(state, nodes) -> dict:
         "H_pol_min": float(np.min(hpol_min)),
         "O_max": float(np.max(o_vals)),
     }
+
+
+def _ref_coeff_matrix(T: np.ndarray) -> np.ndarray:
+    """C[a, b] = <T, B_a (x) B_b> over the slot pairs (1,3) and (2,4)."""
+    return np.einsum("ijkl,aik,bjl->ab", T, _extrema._DYADS, _extrema._DYADS)
+
+
+def _ref_quadratic_trig(M: np.ndarray) -> tuple:
+    """u(theta)^T M u(theta) as the coefficients (p0, .., p4) of
+    p0 + p1 cos theta + p2 sin theta + p3 cos 2 theta + p4 sin 2 theta."""
+    S = 0.5 * (M + M.T)
+    return (float(S[0, 0] + 0.5 * (S[1, 1] + S[2, 2])), float(2.0 * S[0, 1]),
+            float(2.0 * S[0, 2]), float(0.5 * (S[1, 1] - S[2, 2])), float(S[1, 2]))
+
+
+def _ref_unit_at(t: float) -> np.ndarray:
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def ref_extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple:
+    """(max, min) of one tensor for kind "pair", "orth" or "quartic" at n = 2:
+    the single-tensor kernel as first written, with its own scans, start
+    nodes, coefficient tuples and witness re-evaluation (the scalar Newton
+    refinement, _newton_2t, is the library's)."""
+    C = _ref_coeff_matrix(T)
+    th, U = _extrema._grid(n_angles)
+    if kind == "pair":
+        abg = U @ C
+        hyp = np.hypot(abg[:, 1], abg[:, 2])
+        coeffs = [tuple(float(c) for c in C[:, j]) + (0.0, 0.0) for j in range(3)]
+        scans = ((abg[:, 0] + hyp, 1.0), (abg[:, 0] - hyp, -1.0))
+    else:
+        flip = _extrema._FLIP if kind == "orth" else 1.0
+        vals = np.einsum("ab,na,nb->n", C, U, U * flip)
+        coeffs = [_ref_quadratic_trig(C * flip), (), ()]
+        scans = ((vals, 0.0), (vals, 0.0))
+    out = []
+    for maximize, (vals, s) in zip((True, False), scans):
+        x0 = 2.0 * float(th[np.argmax(vals) if maximize else np.argmin(vals)])
+        x = _extrema._newton_2t(x0, 2.0 * np.pi / len(th), maximize, *coeffs, s)
+        v = _ref_unit_at(0.5 * x)
+        if kind == "quartic":
+            out.append(_extrema.Extremum(_extrema.quartic_value(T, v), v))
+            continue
+        if kind == "orth":
+            w = np.array([-v[1], v[0]])
+        else:  # the inner angle's closed form: 2p = arg(s * (beta, gamma))
+            _, b, g = np.array([1.0, math.cos(x), math.sin(x)]) @ C
+            w = _ref_unit_at(0.5 * math.atan2(s * g, s * b) if b or g else 0.0)
+        out.append(_extrema.Extremum(_extrema.pair_value(T, v, w), v, w))
+    return tuple(out)
 
 
 def ref_holder_modulus(T: np.ndarray, X: np.ndarray, alpha: float) -> float:

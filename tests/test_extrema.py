@@ -27,6 +27,8 @@ from hesselab.curvature import (RegionSpec, certify_sign, core_form,
 from hesselab.potentials import catalog
 from hesselab.reaction import AlgCurvTensor
 
+from conftest import ref_extrema_2d
+
 NODES = 4001
 
 
@@ -115,18 +117,54 @@ def test_n2_ends_random_tensors(X, n_angles):
     check_n2_ends(mirror_symmetrize(X), n_angles)
 
 
+def check_ends_equal_first_kernel(S, n_angles):
+    """pair, ORTH and quartic ends over the stack S, and of each tensor alone,
+    equal the single-tensor kernel as first written: value, v and w to the bit."""
+    for kind in ("pair", "orth", "quartic"):
+        if kind == "quartic":
+            call = lambda T: _extrema.quartic_extrema(T, n_angles=n_angles)  # noqa: E731
+        else:
+            call = lambda T: _extrema.pair_extrema(T, orth=kind == "orth",  # noqa: E731
+                                                   n_angles=n_angles)
+        stacked = call(S)
+        for i, T in enumerate(S):
+            for ext, one, ref in zip(stacked, call(T), ref_extrema_2d(T, n_angles, kind)):
+                assert type(one.value) is float and one.value == ref.value, (kind, i)
+                assert ext.value[i].tobytes() == np.float64(ref.value).tobytes(), (kind, i)
+                for got in (ext.v[i], one.v):
+                    assert got.tobytes() == ref.v.tobytes(), (kind, i)
+                if kind == "quartic":
+                    assert ext.w is one.w is ref.w is None
+                    continue
+                for got in (ext.w[i], one.w):
+                    assert got.tobytes() == ref.w.tobytes(), (kind, i)
+
+
+@pytest.mark.parametrize("n_angles", [240, 720])
+@pytest.mark.parametrize("case", sorted(FIXED))
+def test_n2_fixed_cases_equal_first_kernel(case, n_angles):
+    check_ends_equal_first_kernel(np.stack(FIXED[case]), n_angles)
+
+
+@given(arrays(np.float64, (3, 2, 2, 2, 2),
+              elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)),
+       st.sampled_from([240, 720]))
+def test_n2_random_tensors_equal_first_kernel(X, n_angles):
+    check_ends_equal_first_kernel(mirror_symmetrize(X), n_angles)
+
+
 # -- n = 2 stacks: one call over many tensors ---------------------------------------
 
-def check_stack_equals_tensors(S, orth, n_angles):
-    """pair_extrema (with a per-tensor orth) and quartic_extrema over the
-    stack S return, for each tensor, its own single-tensor ends bit for bit."""
-    stacked = (_extrema.pair_extrema(S, orth=orth, n_angles=n_angles),
-               _extrema.quartic_extrema(S, n_angles=n_angles))
-    for i, T in enumerate(S):
-        single = (_extrema.pair_extrema(T, orth=bool(orth[i]), n_angles=n_angles),
-                  _extrema.quartic_extrema(T, n_angles=n_angles))
-        for ends, ones in zip(stacked, single):
-            for ext, one in zip(ends, ones):
+def check_stack_equals_tensors(S, n_angles):
+    """pair_extrema (pair and ORTH) and quartic_extrema over the stack S
+    return, for each tensor, its own single-tensor ends bit for bit."""
+    calls = (lambda T: _extrema.pair_extrema(T, n_angles=n_angles),
+             lambda T: _extrema.pair_extrema(T, orth=True, n_angles=n_angles),
+             lambda T: _extrema.quartic_extrema(T, n_angles=n_angles))
+    for call in calls:
+        stacked = call(S)
+        for i, T in enumerate(S):
+            for ext, one in zip(stacked, call(T)):
                 assert type(one.value) is float
                 assert ext.value[i].tobytes() == np.float64(one.value).tobytes()
                 assert ext.v[i].tobytes() == one.v.tobytes()
@@ -136,32 +174,31 @@ def check_stack_equals_tensors(S, orth, n_angles):
 
 @given(arrays(np.float64, (1, 2, 2, 2, 2),
               elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)),
-       st.booleans(), st.sampled_from([240, 720]))
-def test_n2_stack_of_one_equals_the_tensor(X, orth, n_angles):
-    check_stack_equals_tensors(mirror_symmetrize(X), np.array([orth]), n_angles)
+       st.sampled_from([240, 720]))
+def test_n2_stack_of_one_equals_the_tensor(X, n_angles):
+    check_stack_equals_tensors(mirror_symmetrize(X), n_angles)
 
 
 @settings(max_examples=3, phases=(Phase.generate,))  # a failing seed needs no shrinking
 @given(st.integers(0, 2**32 - 1), st.sampled_from([240, 720]))
 def test_n2_stack_of_1600_equals_its_tensors(seed, n_angles):
     """Seeded tensors with entries scaled per tensor by 10^-6 to 10^6, about
-    one in twenty of them zero, each with its own orth."""
+    one in twenty of them zero."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(1600, 2, 2, 2, 2)) * 10.0 ** rng.uniform(-6, 6, (1600, 1, 1, 1, 1))
     X[rng.random(1600) < 0.05] = 0.0
-    check_stack_equals_tensors(mirror_symmetrize(X), rng.random(1600) < 0.5, n_angles)
+    check_stack_equals_tensors(mirror_symmetrize(X), n_angles)
 
 
-def test_n2_stack_axes_and_orth_broadcast():
-    """Two stack axes with orth broadcast along the second, as the flow
-    monitors call it: the first row is the pair objective, the second ORTH."""
-    S = mirror_symmetrize(np.random.default_rng(4).normal(size=(5, 2, 2, 2, 2)))
-    mx, mn = _extrema.pair_extrema(np.stack([S, S]), orth=np.array([[False], [True]]))
-    assert mx.value.shape == (2, 5) and mx.v.shape == mx.w.shape == (2, 5, 2)
-    for row, orth in enumerate((False, True)):
-        flat = _extrema.pair_extrema(S, orth=np.full(5, orth))
-        assert mx.value[row].tobytes() == flat[0].value.tobytes()
-        assert mn.w[row].tobytes() == flat[1].w.tobytes()
+def test_n2_two_stack_axes_equal_one():
+    """A (2, 5) stack gives the ends of the same ten tensors as one axis."""
+    S = mirror_symmetrize(np.random.default_rng(4).normal(size=(10, 2, 2, 2, 2)))
+    for orth in (False, True):
+        mx, mn = _extrema.pair_extrema(S.reshape(2, 5, 2, 2, 2, 2), orth=orth)
+        assert mx.value.shape == (2, 5) and mx.v.shape == mx.w.shape == (2, 5, 2)
+        flat = _extrema.pair_extrema(S, orth=orth)
+        assert mx.value.tobytes() == flat[0].value.tobytes()
+        assert mn.v.tobytes() == flat[1].v.tobytes() and mn.w.tobytes() == flat[1].w.tobytes()
 
 
 # -- n >= 3: the quartic ---------------------------------------------------------

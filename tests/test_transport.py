@@ -459,7 +459,7 @@ def test_identity_coupling_modulus_is_identity_quotient():
 
 @pytest.mark.parametrize("m", [9, 64, 500])
 def test_holder_modulus_matches_the_pairwise_loop(m):
-    """The blocked pairs give the pair-by-pair loop's modulus within 4 ulp
+    """The vectorized pairs give the pair-by-pair loop's modulus within 4 ulp
     relative (vectorized norms and powers round some pairs differently)."""
     rng = np.random.default_rng(500 + m)
     X, Y = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
