@@ -1,10 +1,12 @@
 """Sphere-averaging identities for curvature forms.
 
-Monte Carlo integrals are seeded and use antithetic pairs (z, -z): the odd
-part of any integrand cancels exactly, and ``count`` below always means the
-number of independent antithetic pairs.  For the (even) quartic integrands
-here the pair members agree, so each pair contributes one independent value
-and standard errors are sample std / sqrt(count).
+Every sphere average here integrates a polynomial of degree at most 4, and
+one fixed cubature rule integrates it exactly (``_sphere_rule``): on S^{n-1}
+the points +-e_i with weight (4 - n)/(2 n (n + 2)) and (+-e_i +- e_j)/sqrt(2)
+with weight 1/(n (n + 2)), 2 n^2 points in all, integrate every polynomial of
+degree <= 5.  At n = 2 they are 8 equally spaced directions; for n >= 5 the
+axis weights are negative.  No average is drawn at random, so each identity
+below holds to rounding.
 
 The polarized-sphere average of E(z,z,z,z) over the real unit sphere in an
 h-orthonormal polarized frame is an exact linear functional of two frame
@@ -19,10 +21,14 @@ terms into T; dropping them leaves a structural residual.  The fit below
 therefore regresses on (S, T) and reports beta/alpha, which is 1/2 in this
 normalization (the complex-sphere weighting would give a different ratio;
 see the berger report emitted by the CLI for the side-by-side numbers).
+
+The Ricci average runs over the complex unit sphere of C^n.  Writing
+z = u + iv puts it on the real sphere S^{2n-1}, where the same rule is exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,73 +38,23 @@ from .curvature import CurvatureSample, full_abc_trace, scalar
 from .errors import BadFrame, BadParams, NotNegativeHSC
 
 
-def _pair_points(n: int, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(count, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
+@functools.cache
+def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only points (2 n^2, n) and weights of the degree-5 rule on S^{n-1}."""
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    diagonals = np.concatenate([eye[i] + eye[j], eye[i] - eye[j]]) / np.sqrt(2.0)
+    points = np.concatenate([eye, -eye, diagonals, -diagonals])
+    weights = np.repeat([(4.0 - n) / (2 * n * (n + 2)), 1.0 / (n * (n + 2))],
+                        [2 * n, 2 * len(diagonals)])
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
-@dataclass
-class SphereMoments:
-    n: int
-    count: int
-    seed: int
-    m4: float
-    m22: float
-    se4: float
-    se22: float
-    exact_m4: float
-    exact_m22: float
-    per_coordinate_m4: np.ndarray
-
-    @property
-    def ratio(self) -> float:
-        return self.m4 / self.m22
-
-
-def sphere_moments(n: int, count: int, seed: int) -> SphereMoments:
-    """Estimates of the fourth moments of the real unit sphere S^{n-1}.
-
-    Returns Monte Carlo values of E[z_j^4] and E[z_j^2 z_k^2] together with
-    the exact values 3/(n(n+2)) and 1/(n(n+2)).
-    """
-    if n < 2:
-        raise BadParams("sphere moments need n >= 2")
-    if count < 1:
-        raise BadParams("count must be >= 1")
-    z = _pair_points(n, count, seed)
-    quarts = z**4
-    m4_all = quarts.mean(axis=0)
-    v4 = quarts[:, 0]
-    v22 = z[:, 0] ** 2 * z[:, 1] ** 2
-    return SphereMoments(
-        n=n, count=count, seed=seed,
-        m4=float(v4.mean()), m22=float(v22.mean()),
-        se4=float(v4.std(ddof=1) / np.sqrt(count)),
-        se22=float(v22.std(ddof=1) / np.sqrt(count)),
-        exact_m4=3.0 / (n * (n + 2)), exact_m22=1.0 / (n * (n + 2)),
-        per_coordinate_m4=m4_all,
-    )
-
-
-@dataclass
-class SphereAverage:
-    estimate: float
-    standard_error: float
-    count: int
-    seed: int
-
-
-def polarized_average(sample: CurvatureSample, count: int, seed: int) -> SphereAverage:
-    """Monte Carlo average of E(z,z,z,z) over the polarized unit sphere."""
-    z = _pair_points(sample.n, count, seed)
-    vals = np.einsum("abcd,na,nb,nc,nd->n", sample.E_frame, z, z, z, z)
-    return SphereAverage(
-        estimate=float(vals.mean()),
-        standard_error=float(vals.std(ddof=1) / np.sqrt(count)),
-        count=count, seed=seed,
-    )
+def polarized_average(sample: CurvatureSample) -> float:
+    """Average of E(z,z,z,z) over the polarized unit sphere."""
+    z, w = _sphere_rule(sample.n)
+    return float(w @ np.einsum("abcd,na,nb,nc,nd->n", sample.E_frame, z, z, z, z))
 
 
 @dataclass
@@ -106,7 +62,6 @@ class DecompositionFit:
     alpha: float
     beta: float
     residual: float            # max |avg - alpha*S - beta*T| over the batch
-    combined_mc_error: float   # rms of the per-sample standard errors
     averages: list
 
     @property
@@ -114,8 +69,7 @@ class DecompositionFit:
         return self.beta / self.alpha
 
 
-def decomposition_fit(samples: list[CurvatureSample], count: int,
-                      seed: int) -> DecompositionFit:
+def decomposition_fit(samples: list[CurvatureSample]) -> DecompositionFit:
     """Least-squares fit avg ~ alpha * S + beta * T across a batch.
 
     S is the frame scalar trace, T the diagonal-inclusive anti-bisectional
@@ -123,22 +77,12 @@ def decomposition_fit(samples: list[CurvatureSample], count: int,
     """
     if len(samples) < 2:
         raise BadParams("fit needs a batch of at least two samples")
-    avgs, ses, Ss, Ts = [], [], [], []
-    for i, smp in enumerate(samples):
-        sa = polarized_average(smp, count, seed + i)
-        avgs.append(sa.estimate)
-        ses.append(sa.standard_error)
-        Ss.append(scalar(smp))
-        Ts.append(full_abc_trace(smp))
-    M = np.stack([Ss, Ts], axis=1)
+    avgs = [polarized_average(smp) for smp in samples]
+    M = np.array([[scalar(smp), full_abc_trace(smp)] for smp in samples])
     y = np.asarray(avgs)
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
-    resid = float(np.abs(M @ coef - y).max())
-    return DecompositionFit(
-        alpha=float(coef[0]), beta=float(coef[1]), residual=resid,
-        combined_mc_error=float(np.sqrt(np.mean(np.square(ses)))),
-        averages=avgs,
-    )
+    return DecompositionFit(alpha=float(coef[0]), beta=float(coef[1]),
+                            residual=float(np.abs(M @ coef - y).max()), averages=avgs)
 
 
 # -- plane restriction of the sectional form -----------------------------------
@@ -210,7 +154,9 @@ def fifth_and_wedge_checks(sample: CurvatureSample) -> WedgeReport:
 
     Requires strictly negative polarized sectional values (NotNegativeHSC
     otherwise).  For n = 2 there is a single plane; for n >= 3 a set of 16
-    orthonormal completions, drawn with seed 0, is scanned.
+    orthonormal completions, drawn with seed 0, is scanned.  The plane
+    average is exact (the n = 2 sphere rule); the wedge is sampled on 61
+    angles.
     """
     Ef = sample.E_frame
     n = sample.n
@@ -223,29 +169,26 @@ def fifth_and_wedge_checks(sample: CurvatureSample) -> WedgeReport:
             f"polarized sectional minimum {mn.value:.3e} is not strictly negative")
     Xf = mn.v
     if n == 2:
-        perps = [np.array([-Xf[1], Xf[0]])]
+        perps = np.array([[-Xf[1], Xf[0]]])
     else:
-        rng = np.random.default_rng(0)
-        perps = []
-        for _ in range(16):
-            u = rng.normal(size=n)
-            u -= (u @ Xf) * Xf
-            perps.append(u / np.linalg.norm(u))
+        u = np.random.default_rng(0).normal(size=(16, n))
+        u -= np.outer(u @ Xf, Xf)
+        perps = u / np.linalg.norm(u, axis=1, keepdims=True)
+    planes = np.stack([np.broadcast_to(Xf, perps.shape), perps], axis=1)
+
+    def restricted(circle):
+        """f at the unit vectors circle (k, 2) of every (X, P) plane: (planes, k)."""
+        V = circle @ planes
+        return np.einsum("abcd,pka,pkb,pkc,pkd->pk", Ef, V, V, V, V)
+
     bound = mn.value / 5.0
+    z, w = _sphere_rule(2)
+    worst_fifth = float((restricted(z) @ w).max()) - bound
     th = np.linspace(-np.pi / 12.0, np.pi / 12.0, 61)
-    worst_fifth = -np.inf
-    worst_wedge = -np.inf
-    for P in perps:
-        V = np.cos(th)[:, None] * Xf[None, :] + np.sin(th)[:, None] * P[None, :]
-        vals = np.einsum("abcd,na,nb,nc,nd->n", Ef, V, V, V, V)
-        full = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
-        Vf = np.cos(full)[:, None] * Xf[None, :] + np.sin(full)[:, None] * P[None, :]
-        a0 = float(np.einsum("abcd,na,nb,nc,nd->n", Ef, Vf, Vf, Vf, Vf).mean())
-        worst_fifth = max(worst_fifth, a0 - bound)
-        worst_wedge = max(worst_wedge, float(vals.max()) - bound)
+    worst_wedge = float(restricted(np.stack([np.cos(th), np.sin(th)], axis=1)).max()) - bound
     return WedgeReport(
         h_min=mn.value, planes_checked=len(perps),
-        worst_fifth_margin=float(worst_fifth), worst_wedge_margin=float(worst_wedge),
+        worst_fifth_margin=worst_fifth, worst_wedge_margin=worst_wedge,
         tolerance=tol, passed=(worst_fifth <= tol and worst_wedge <= tol),
     )
 
@@ -256,7 +199,6 @@ def fifth_and_wedge_checks(sample: CurvatureSample) -> WedgeReport:
 class RicciAverage:
     lhs: float
     integral: float
-    standard_error: float
     calibrated_constant: float
 
     @property
@@ -264,37 +206,26 @@ class RicciAverage:
         return self.lhs / self.integral if self.integral != 0 else np.nan
 
 
-def ricci_average(sample: CurvatureSample, count: int, seed: int,
-                  direction: np.ndarray | None = None) -> RicciAverage:
-    """Ricci value in a polarized unit direction vs. the Monte Carlo average
-    of the bisectional pairing with unit (1,0)-vectors.
+def ricci_average(sample: CurvatureSample, direction: np.ndarray | None = None,
+                  seed: int = 0) -> RicciAverage:
+    """Ricci value in a polarized unit direction vs. the average of the
+    bisectional pairing over unit (1,0)-vectors.  With no direction given,
+    one is drawn with the seed.
 
     The engine normalization makes the ratio equal to the complex dimension
     n (each unit vector contributes 1/n of its trace on average); the ratio
     is returned for constancy checks and the constant n is reported.
     """
     n = sample.n
-    Ef = sample.E_frame
-    rng = np.random.default_rng(seed)
     if direction is None:
-        Xf = rng.normal(size=n)
-        Xf /= np.linalg.norm(Xf)
+        Xf = np.random.default_rng(seed).normal(size=n)
     else:
-        d = np.asarray(direction, float)
         # direction is given in coordinates: convert to frame components
-        F = sample.frame
-        Xf = np.linalg.solve(F, d)
-        Xf /= np.linalg.norm(Xf)
-    M = np.einsum("abkl,a,b->kl", Ef, Xf, Xf)
-    lhs = float(np.trace(M))
-    u = rng.normal(size=(count, n))
-    v = rng.normal(size=(count, n))
-    Z = u + 1j * v
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        Xf = np.linalg.solve(sample.frame, np.asarray(direction, float))
+    Xf /= np.linalg.norm(Xf)
+    M = np.einsum("abkl,a,b->kl", sample.E_frame, Xf, Xf)
+    p, w = _sphere_rule(2 * n)
+    Z = p[:, :n] + 1j * p[:, n:]
     vals = np.real(np.einsum("kl,nk,nl->n", M.astype(complex), Z, Z.conj()))
-    return RicciAverage(
-        lhs=lhs,
-        integral=float(vals.mean()),
-        standard_error=float(vals.std(ddof=1) / np.sqrt(count)),
-        calibrated_constant=float(n),
-    )
+    return RicciAverage(lhs=float(np.trace(M)), integral=float(w @ vals),
+                        calibrated_constant=float(n))

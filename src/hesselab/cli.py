@@ -108,8 +108,7 @@ _KEYS = {kind: {"experiment": {"kind": (str, REQUIRED, None)},  # read first: pi
         "probe_trials": (int, 2000, ">= 1")}},
     "trace-suite": {"suite": {
         "trials": (int, 2000, ">= 1"), "seed": (int, 5, ">= 0"), "max_dim": (int, 6, ">= 1")}},
-    "berger-suite": {"suite": {  # the fits average count // 4 >= 2 points per sample
-        "seed": (int, 9, ">= 0"), "count": (int, 20000, ">= 8")}},
+    "berger-suite": {"suite": {"seed": (int, 9, ">= 0")}},
     "ot-experiment": {"potential": _POTENTIAL, "ot": {
         "seed": (int, 13, ">= 0"), "points": (int, 9, ">= 1"), "alpha": (float, 0.5, None),
         "times": (_floats, (0.0, 0.005, 0.01), ">= 0"),
@@ -362,27 +361,31 @@ def _exp_trace_suite(c: dict, outdir: Path):
 
 
 def _exp_berger_suite(c: dict, outdir: Path):
-    seed, count = c["suite"]["seed"], c["suite"]["count"]
+    """Every identity is gated at 1e-12 (1 + max|E|): the averages are exact
+    cubature, so only rounding separates them from their closed forms."""
+    seed = c["suite"]["seed"]
     lines = []
-    ok = True
-    mom = berger.sphere_moments(2, count, seed)
-    good = (abs(mom.m4 - mom.exact_m4) <= 3 * mom.se4
-            and abs(mom.m22 - mom.exact_m22) <= 3 * mom.se22)
+    z, w = berger._sphere_rule(2)
+    m4, m22 = float(w @ z[:, 0] ** 4), float(w @ (z[:, 0] * z[:, 1]) ** 2)
+    tol = 2e-12  # the monomials z1^4 and z1^2 z2^2 have max|E| = 1
+    good = abs(m4 - 0.375) <= tol and abs(m22 - 0.125) <= tol
+    ok = good
+    lines.append(f"moments n=2: m4 {m4!r} (exact 0.375), m22 {m22!r} (exact 0.125): {good}")
+    good = abs(m4 / m22 - 3.0) <= tol
     ok &= good
-    lines.append(f"moments n=2: m4 {mom.m4!r} (exact {mom.exact_m4!r}), "
-                 f"m22 {mom.m22!r} (exact {mom.exact_m22!r}): {good}")
-    lines.append(f"fourth/mixed moment ratio: measured {mom.ratio!r}; "
-                 f"real-sphere identity gives 3, the complex-sphere weighting "
-                 f"would give 2 (reported, not gated)")
+    lines.append(f"fourth/mixed moment ratio: {m4 / m22!r}; real-sphere identity gives 3, "
+                 f"the complex-sphere weighting would give 2: {good}")
     handle = catalog("calabi_ball", n=2)
     pts = handle.domain.sample(6, seed + 1, extent=0.8)
     samples = [core_form(handle.jet(p)) for p in pts]
-    fit = berger.decomposition_fit(samples, count // 4, seed + 2)
-    good = fit.residual <= 3 * fit.combined_mc_error
+    tol = 1e-12 * (1.0 + max(float(np.abs(smp.E_frame).max()) for smp in samples))
+    fit = berger.decomposition_fit(samples)
+    good = (fit.residual <= tol and abs(fit.alpha - 0.25) <= tol
+            and abs(fit.beta - 0.125) <= tol)
     ok &= good
-    lines.append(f"decomposition: alpha {fit.alpha!r} beta {fit.beta!r} "
-                 f"beta/alpha {fit.beta_over_alpha!r} residual {fit.residual!r} "
-                 f"(3x mc {3 * fit.combined_mc_error!r}): {good}")
+    lines.append(f"decomposition: alpha {fit.alpha!r} (exact 0.25) beta {fit.beta!r} "
+                 f"(exact 0.125) beta/alpha {fit.beta_over_alpha!r} residual "
+                 f"{fit.residual!r} (limit {tol!r}): {good}")
     rep = berger.fifth_and_wedge_checks(samples[0])
     ok &= rep.passed
     lines.append(f"fifth/wedge margins: {rep.worst_fifth_margin!r} "
@@ -395,12 +398,13 @@ def _exp_berger_suite(c: dict, outdir: Path):
     _write_csv(_out(outdir, "plane_restriction.csv"),
                [{"theta": float(t), "f": float(fitp(t))} for t in thetas],
                ["theta", "f"])
-    ratios = [berger.ricci_average(smp, count // 4, seed + 3 + i).ratio
+    ratios = [berger.ricci_average(smp, seed=seed + 3 + i).ratio
               for i, smp in enumerate(samples)]
-    spread = float(np.ptp(ratios))
-    good = spread <= 0.2
+    worst = float(np.abs(np.subtract(ratios, 2.0)).max())
+    good = worst <= tol
     ok &= good
-    lines.append(f"ricci-average ratios spread {spread!r} around n=2: {good}")
+    lines.append(f"ricci-average ratios: max |ratio - n| {worst!r} at n=2 "
+                 f"(limit {tol!r}): {good}")
     _out(outdir, "berger_suite.txt").write_text("\n".join(lines) + "\n")
     return ok, lines
 
@@ -527,7 +531,7 @@ def _verify_all_experiments():
                                          "spacing": 0.028, "epochs": 3, "sample_per_axis": 5,
                                          "assert_orth_min_above": -1e-6}}),
         ("berger-suite", {"experiment": {"kind": "berger-suite"},
-                          "suite": {"seed": 9, "count": 20000}}),
+                          "suite": {"seed": 9}}),
         ("ot-radial", {"experiment": {"kind": "ot-experiment"},
                        "potential": {"name": "radial_sym", "C": 1.0},
                        "ot": {"seed": 13, "points": 9, "alpha": 0.5, "times": "0 0.01 0.02"}}),

@@ -287,6 +287,12 @@ def exact_polarized_average(sample: CurvatureSample) -> float:
     return (2.0 * scalar(sample) + full_abc_trace(sample)) / (n * (n + 2))
 
 
+def exact_tolerance(samples) -> float:
+    """1e-12 (1 + max|E|) over a batch: the gate of an identity that the
+    sphere rule makes exact, so that only rounding is left."""
+    return 1e-12 * (1.0 + max(float(np.abs(s.E_frame).max()) for s in samples))
+
+
 def trig_coefficients(fit) -> np.ndarray:
     """(a0, .., a4) of a berger.TrigFit."""
     return np.array([fit.a0, fit.a1, fit.a2, fit.a3, fit.a4])

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import argmax_near, quadratic, trig_coefficients
+from conftest import argmax_near, exact_tolerance, quadratic, trig_coefficients
 from hesselab import _extrema, berger, flow, reaction, transport
 from hesselab.certificates import NONPOSITIVE
 from hesselab.cli import verify_all
@@ -322,17 +322,21 @@ def test_criterion_10_sign_preservation_surrogates():
 # -- 11. averaging suite -------------------------------------------------------------------------------
 
 def test_criterion_11_berger_suite():
-    mom = berger.sphere_moments(2, 10**6, seed=1)
-    mom_ok = (abs(mom.m4 - mom.exact_m4) <= 3 * mom.se4
-              and abs(mom.m22 - mom.exact_m22) <= 3 * mom.se22)
-    measured_ratio = mom.ratio  # reported against the asserted 2 and the
-    # moment-identity value 3; no pass/fail on those numbers
+    """Every identity of the averaging suite holds to rounding, 1e-12 (1 + max|E|):
+    the sphere rule integrates the quartic forms exactly."""
+    z, w = berger._sphere_rule(2)
+    m4, m22 = float(w @ z[:, 0] ** 4), float(w @ (z[:, 0] * z[:, 1]) ** 2)
+    mom_tol = 2e-12  # the monomials z1^4 and z1^2 z2^2 have max|E| = 1
+    mom_ok = abs(m4 - 3.0 / 8.0) <= mom_tol and abs(m22 - 1.0 / 8.0) <= mom_tol
+    ratio_ok = abs(m4 / m22 - 3.0) <= mom_tol
 
     ball = catalog("calabi_ball", n=2)
     samples = [core_form(ball.jet(p))
                for p in ball.domain.sample(7, 19, extent=0.85)]
-    fit = berger.decomposition_fit(samples, 20000, seed=5)
-    fit_ok = fit.residual <= 3 * fit.combined_mc_error
+    fit = berger.decomposition_fit(samples)
+    fit_tol = exact_tolerance(samples)
+    fit_ok = (fit.residual <= fit_tol and abs(fit.alpha - 0.25) <= fit_tol
+              and abs(fit.beta - 0.125) <= fit_tol)
 
     batches = {
         "calabi_ball": samples[:4],
@@ -357,23 +361,21 @@ def test_criterion_11_berger_suite():
             rep = berger.fifth_and_wedge_checks(sample)
             wedge_ok &= rep.passed
 
-    ratios, ses = [], []
     rng = np.random.default_rng(10)
-    for i, sample in enumerate(samples + batches["cone2d"][:3]):
-        ra = berger.ricci_average(sample, 30000, seed=100 + i,
-                                  direction=sample.frame @ rng.normal(size=2))
-        ratios.append(ra.ratio)
-        ses.append(3 * abs(ra.standard_error / ra.integral) * abs(ra.ratio))
-    ricci_ok = float(np.ptp(ratios)) <= 2 * max(ses) + 0.05
+    ricci_samples = samples + batches["cone2d"][:3]
+    ratios = np.array([berger.ricci_average(sample, sample.frame @ rng.normal(size=2)).ratio
+                       for sample in ricci_samples])
+    ricci_tol = exact_tolerance(ricci_samples)
+    ricci_ok = float(np.abs(ratios - 2.0).max()) <= ricci_tol
 
-    report(11, mom_ok and fit_ok and trig_ok and wedge_ok and ricci_ok,
-           f"moments within 3 SE at 10^6 samples ({mom_ok}); measured "
-           f"4th/2-2 moment ratio {measured_ratio:.4f} reported against "
-           f"asserted 2 and moment-identity 3; decomposition residual "
-           f"{fit.residual:.2e} <= 3x MC {3*fit.combined_mc_error:.2e} "
-           f"({fit_ok}); plane-minimizer constraints ({trig_ok}); 1/5 and "
-           f"pi/12 checks ({wedge_ok}); Ricci-average ratio spread "
-           f"{float(np.ptp(ratios)):.3f} across 10 samples ({ricci_ok})")
+    report(11, mom_ok and ratio_ok and fit_ok and trig_ok and wedge_ok and ricci_ok,
+           f"moments exact to {mom_tol:.0e} ({mom_ok}); 4th/2-2 moment ratio "
+           f"{m4 / m22!r} is the real-sphere 3 ({ratio_ok}); decomposition residual "
+           f"{fit.residual:.2e}, alpha {fit.alpha!r}, beta {fit.beta!r} exact to "
+           f"{fit_tol:.2e} ({fit_ok}); plane-minimizer constraints ({trig_ok}); 1/5 and "
+           f"pi/12 checks ({wedge_ok}); Ricci-average ratio within "
+           f"{float(np.abs(ratios - 2.0).max()):.1e} of n = 2 across "
+           f"{len(ratios)} samples ({ricci_ok})")
 
 
 # -- 12. transport suite -------------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import exact_polarized_average, quadratic, trig_coefficients
+from conftest import exact_polarized_average, exact_tolerance, quadratic, trig_coefficients
 from hesselab import _extrema, berger
 from hesselab.curvature import core_form, full_abc_trace, ricci, scalar
 from hesselab.errors import BadFrame, BadParams, NotNegativeHSC
@@ -13,74 +16,109 @@ def samples_on(handle, count, seed, extent=None):
     return [core_form(handle.jet(p)) for p in pts]
 
 
-# -- sphere moments ---------------------------------------------------------------
+# -- the sphere rule -------------------------------------------------------------------
+
+MOMENT_TOL = 2e-12  # 1e-12 (1 + max|E|): the monomials z1^4 and z1^2 z2^2 have max|E| = 1
+
+
+def rule_moments(n):
+    """(per-coordinate E[z_j^4], E[z_0^2 z_1^2]) under the sphere rule on S^{n-1}."""
+    z, w = berger._sphere_rule(n)
+    return w @ z**4, float(w @ (z[:, 0] * z[:, 1]) ** 2)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 6), arrays(np.float64, (6, 6, 6, 6), elements=st.floats(-1e3, 1e3)))
+def test_sphere_rule_integrates_quartic_forms(n, T):
+    """The rule integrates every quartic form, symmetric or not: the sphere
+    average of T(z,z,z,z) is the sum of T's three index pairings over
+    n (n + 2).  Its weights sum to 1, its points are unit vectors and it
+    integrates z z^T to I/n."""
+    T = T[:n, :n, :n, :n]
+    z, w = berger._sphere_rule(n)
+    assert len(w) == 2 * n * n
+    pairings = (np.einsum("aabb->", T) + np.einsum("abab->", T)
+                + np.einsum("abba->", T)) / (n * (n + 2))
+    quartic = w @ np.einsum("abcd,pa,pb,pc,pd->p", T, z, z, z, z)
+    assert abs(quartic - pairings) <= 1e-12 * (1.0 + np.abs(T).max())
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert np.abs(np.linalg.norm(z, axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(np.einsum("p,pa,pb->ab", w, z, z) - np.eye(n) / n).max() <= 1e-15
+
 
 def test_sphere_moments_n2():
-    mom = berger.sphere_moments(2, 200000, seed=1)
-    assert mom.exact_m4 == pytest.approx(3.0 / 8.0)
-    assert mom.exact_m22 == pytest.approx(1.0 / 8.0)
-    assert abs(mom.m4 - mom.exact_m4) <= 3 * mom.se4
-    assert abs(mom.m22 - mom.exact_m22) <= 3 * mom.se22
-    assert mom.exact_m4 / mom.exact_m22 == pytest.approx(3.0)
+    m4, m22 = rule_moments(2)
+    assert abs(m4[0] - 3.0 / 8.0) <= MOMENT_TOL
+    assert abs(m22 - 1.0 / 8.0) <= MOMENT_TOL
+    assert abs(m4[0] / m22 - 3.0) <= MOMENT_TOL
+    # the n = 2 rule is 8 equally spaced directions of equal weight
+    z, w = berger._sphere_rule(2)
+    angles = np.sort(np.mod(np.arctan2(z[:, 1], z[:, 0]), 2 * np.pi))
+    assert np.abs(angles - np.arange(8) * np.pi / 4).max() <= 1e-15
+    assert np.all(w == 1.0 / 8.0)
 
 
 def test_sphere_moments_n3():
-    mom = berger.sphere_moments(3, 200000, seed=2)
-    assert mom.exact_m4 == pytest.approx(1.0 / 5.0)
-    assert mom.exact_m22 == pytest.approx(1.0 / 15.0)
-    assert abs(mom.m4 - mom.exact_m4) <= 3 * mom.se4
-    assert abs(mom.m22 - mom.exact_m22) <= 3 * mom.se22
+    m4, m22 = rule_moments(3)
+    assert abs(m4[0] - 1.0 / 5.0) <= MOMENT_TOL
+    assert abs(m22 - 1.0 / 15.0) <= MOMENT_TOL
 
 
 def test_sphere_moments_coordinate_symmetry():
-    mom = berger.sphere_moments(3, 100000, seed=3)
-    spread = float(np.ptp(mom.per_coordinate_m4))
-    assert spread < 6 * mom.se4
-    with pytest.raises(BadParams):
-        berger.sphere_moments(1, 100, seed=1)
+    m4, _ = rule_moments(3)
+    assert float(np.ptp(m4)) <= MOMENT_TOL
+    # S^0 is {-1, 1}: the rule at n = 1 is those two points, each of weight 1/2
+    z, w = berger._sphere_rule(1)
+    assert z.ravel().tolist() == [1.0, -1.0] and w.tolist() == [0.5, 0.5]
 
 
 def test_moment_determinism():
-    a = berger.sphere_moments(2, 5000, seed=9)
-    b = berger.sphere_moments(2, 5000, seed=9)
-    assert a.m4 == b.m4 and a.m22 == b.m22
+    """The rule is built once per n and cannot be written to."""
+    z, w = berger._sphere_rule(2)
+    again = berger._sphere_rule(2)
+    assert again[0] is z and again[1] is w
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 # -- polarized average and its exact functional -------------------------------------
 
 def test_polarized_average_flat():
     sample = core_form(quadratic(2).jet(np.array([0.3, 0.3])))
-    avg = berger.polarized_average(sample, 2000, seed=4)
-    assert avg.estimate == 0.0
+    assert berger.polarized_average(sample) == 0.0
     assert exact_polarized_average(sample) == 0.0
 
 
 def test_polarized_average_matches_moment_identity(ball2, cone):
     for handle, extent in ((ball2, 0.85), (cone, None)):
         for sample in samples_on(handle, 3, 13, extent=extent):
-            mc = berger.polarized_average(sample, 40000, seed=7)
+            avg = berger.polarized_average(sample)
             exact = exact_polarized_average(sample)
-            assert abs(mc.estimate - exact) <= 4 * mc.standard_error + 1e-12
+            assert abs(avg - exact) <= exact_tolerance([sample])
+
+
+def check_exact_weights(fit, samples):
+    """The fit recovers alpha = 2/(n(n + 2)) and beta = 1/(n(n + 2)) at n = 2,
+    with no residual, up to rounding."""
+    tol = exact_tolerance(samples)
+    assert fit.residual <= tol
+    assert abs(fit.alpha - 0.25) <= tol
+    assert abs(fit.beta - 0.125) <= tol
+    assert abs(fit.beta_over_alpha - 0.5) <= tol
 
 
 def test_decomposition_fit_calabi_batch(ball2):
     samples = samples_on(ball2, 7, 19, extent=0.85)
-    fit = berger.decomposition_fit(samples, 20000, seed=5)
-    assert fit.residual <= 3 * fit.combined_mc_error
-    # exact weights for n = 2 are 2/8 and 1/8
-    assert fit.alpha == pytest.approx(0.25, abs=0.02)
-    assert fit.beta == pytest.approx(0.125, abs=0.02)
-    assert fit.beta_over_alpha == pytest.approx(0.5, abs=0.06)
+    check_exact_weights(berger.decomposition_fit(samples), samples)
 
 
 def test_decomposition_consistent_across_potentials(ball2, cone):
     mixed = samples_on(ball2, 4, 23, extent=0.8) + samples_on(cone, 4, 29)
-    fit = berger.decomposition_fit(mixed, 20000, seed=6)
-    assert fit.residual <= 3 * fit.combined_mc_error
-    assert fit.alpha == pytest.approx(0.25, abs=0.02)
-    assert fit.beta == pytest.approx(0.125, abs=0.02)
+    check_exact_weights(berger.decomposition_fit(mixed), mixed)
     with pytest.raises(BadParams):
-        berger.decomposition_fit(mixed[:1], 100, seed=1)
+        berger.decomposition_fit(mixed[:1])
 
 
 # -- plane fits -----------------------------------------------------------------------
@@ -181,46 +219,40 @@ def test_fifth_and_wedge_rejects_flat():
 
 def test_ricci_average_flat():
     sample = core_form(quadratic(2).jet(np.array([0.1, 0.2])))
-    ra = berger.ricci_average(sample, 2000, seed=8)
+    ra = berger.ricci_average(sample, seed=8)
     assert ra.lhs == 0.0 and ra.integral == 0.0
 
 
 def test_ricci_average_bidisk_factor(bidisk):
     sample = core_form(bidisk.jet(np.array([0.8, 1.1])))
-    ra = berger.ricci_average(sample, 50000, seed=9,
-                              direction=sample.frame @ np.array([1.0, 0.0]))
+    ra = berger.ricci_average(sample, sample.frame @ np.array([1.0, 0.0]))
     # first factor contributes its whole sectional value to the Ricci entry
     assert ra.lhs == pytest.approx(-2.0, abs=1e-12)
-    assert ra.lhs / ra.integral == pytest.approx(2.0, abs=0.1)
+    assert abs(ra.lhs / ra.integral - 2.0) <= exact_tolerance([sample])
 
 
 def test_ricci_average_ratio_constant(ball2):
     rng = np.random.default_rng(10)
-    ratios = []
-    ses = []
-    for i, sample in enumerate(samples_on(ball2, 10, 41, extent=0.85)):
-        d = rng.normal(size=2)
-        ra = berger.ricci_average(sample, 30000, seed=100 + i,
-                                  direction=sample.frame @ d)
-        ratios.append(ra.ratio)
-        ses.append(3 * ra.standard_error / abs(ra.integral))
-    ratios = np.asarray(ratios)
-    assert np.abs(ratios - 2.0).max() <= max(ses) + 0.05
-    assert float(np.ptp(ratios)) <= 2 * max(ses) + 0.05
+    samples = samples_on(ball2, 10, 41, extent=0.85)
+    ratios = np.array([berger.ricci_average(sample, sample.frame @ rng.normal(size=2)).ratio
+                       for sample in samples])
+    tol = exact_tolerance(samples)
+    assert np.abs(ratios - 2.0).max() <= tol
+    assert float(np.ptp(ratios)) <= 2 * tol
 
 
 def test_ricci_average_ratio_matches_dimension_in_3d():
     handle = catalog("calabi_ball", n=3)
     sample = core_form(handle.jet(np.array([0.25, -0.1, 0.15])))
-    ra = berger.ricci_average(sample, 60000, seed=77)
+    ra = berger.ricci_average(sample, seed=77)
     assert ra.calibrated_constant == 3.0
-    assert ra.ratio == pytest.approx(3.0, abs=0.15)
+    assert abs(ra.ratio - 3.0) <= exact_tolerance([sample])
 
 
 def test_decomposition_fit_average_of_first_sample(ball2):
     samples = samples_on(ball2, 4, 51, extent=0.8)
-    fit = berger.decomposition_fit(samples, 20000, seed=3)
-    assert fit.averages[0] == pytest.approx(
-        exact_polarized_average(samples[0]), abs=0.05)
-    assert fit.beta / fit.alpha == pytest.approx(0.5, abs=0.06)
-    assert fit.residual < 0.05
+    fit = berger.decomposition_fit(samples)
+    tol = exact_tolerance(samples)
+    assert abs(fit.averages[0] - exact_polarized_average(samples[0])) <= tol
+    assert abs(fit.beta / fit.alpha - 0.5) <= tol
+    assert fit.residual <= tol

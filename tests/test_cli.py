@@ -342,7 +342,6 @@ def test_a_mode_or_quantity_the_potential_cannot_take_exits_2(tmp_path, monkeypa
     ("null-vector-suite", "cone2d", "suite", "trials", "0"),
     ("null-vector-suite", "cone2d", "suite", "probe_trials", "0"),
     ("berger-suite", "cone2d", "suite", "seed", "-4"),
-    ("berger-suite", "cone2d", "suite", "count", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "time", "0"),
     ("flow-run", "quadratic_plus_periodic", "flow", "lambda", "0.3"),
     pytest.param("flow-run", "radial_sym", "flow", "spacing", "0",
@@ -433,7 +432,7 @@ SMALLEST = {
     "null-vector-suite": ({"suite": {"trials": 1, "seed": 0, "probe_trials": 2}},
                           {"suite": ("trials", "seed", "dims", "probe_trials")}),
     "trace-suite": ({"suite": {"trials": 1}}, {"suite": ("trials", "seed", "max_dim")}),
-    "berger-suite": ({"suite": {"count": 200}}, {"suite": ("seed", "count")}),
+    "berger-suite": ({}, {"suite": ("seed",)}),
     "ot-experiment": ({"potential": {"name": "radial_sym"},
                        "ot": {"points": 2, "times": "0"}},
                       {"ot": ("seed", "points", "alpha", "times", "nodes", "origin_x",
@@ -532,6 +531,9 @@ def _run_file(tmp_path, monkeypatch, capsys, text: bytes):
      ("[flow] mode", "'periodic'", "'frozen-window'")),
     ("[experiment]\nkind = certify\n[potential]\nname = cone2d\nmargn = 0.1\n"
      "[certify]\nquantity = ABC\ncount = 1\n", ("[potential] margn", "margin")),
+    # berger-suite averages by a fixed sphere rule: it draws no count of points
+    ("[experiment]\nkind = berger-suite\n[suite]\nseed = 9\ncount = 20000\n",
+     ("unknown key [suite] count",)),
 ])
 def test_unknown_or_misspelt_config_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
                                                            text, words):

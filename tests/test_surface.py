@@ -44,7 +44,8 @@ KEPT = {
 }
 
 KEPT_PARAMETERS = {
-    "ricci_average.direction": "criterion 11 averages along given directions",
+    "ricci_average.direction": "criterion 11 averages along given directions; "
+                               "berger-suite draws its directions with a seed",
     "hsc_full.normalized": "hsc_full is kept, and its tests read both values",
     "polarization_bounds.check_sign": "polarization_bounds is kept, and its tests "
                                       "read both values",
