@@ -16,8 +16,11 @@ on the end of the bracket, so a refinement costs about four evaluations.
 The scan picks the basin; nothing yet bounds what lies between its nodes.
 Returned values are recomputed from the returned unit vectors.  At n = 2
 the entry points take a stack of tensors (leading axes): one einsum or
-matmul per objective scans it, each (tensor, end) gets its own Newton run
-and one einsum recomputes the values, each the tensor's own to the bit.
+matmul per objective scans it, each (tensor, requested end) gets its own
+Newton run and one einsum recomputes the values, each the tensor's own to
+the bit.  Only the ends a caller asks for (``end``) are refined at any n,
+each the same to the bit as that end of a call for both.  A T with a NaN
+or inf entry raises BadParams before any scan or LAPACK call.
 
 n >= 3 uses seeded multi-restart alternating eigensolves for the pair
 objective (each half-step is exact, the value is monotone).  The quartic
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVector
+from .errors import BadParams, ZeroVector
 from .jets import symmetrize
 
 
@@ -55,6 +58,16 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if nv == 0:
         raise ZeroVector("zero direction")
     return v / nv
+
+
+def _checked_ends(T: np.ndarray, end: str | None) -> tuple:
+    """The slots of (max, min) that end asks for; BadParams for any other
+    end and for a T with a NaN or inf entry."""
+    if end not in ("max", "min", None):
+        raise BadParams(f"end must be 'max', 'min' or None, got {end!r}")
+    if not np.isfinite(T).all():
+        raise BadParams("extremization needs a finite tensor, got a NaN or inf entry")
+    return (0, 1) if end is None else ((0,) if end == "max" else (1,))
 
 
 def pair_value(T: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -142,10 +155,10 @@ def _newton_2t(x: float, d: float, maximize: bool, alpha: tuple, beta: tuple,
     return x
 
 
-def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extremum]:
+def _extrema_2d(T: np.ndarray, n_angles: int, kind: str, ends: tuple) -> tuple:
     """(max, min) for kind "pair", "orth" or "quartic" at n = 2 over the stack
-    axes of T (none for one tensor); a single tensor goes through as a stack
-    of one."""
+    axes of T (none for one tensor), the slots of ends only (None in the
+    other); a single tensor goes through as a stack of one."""
     stack = T.shape[:-4]
     T = T.reshape((-1,) + T.shape[-4:])
     C = np.einsum("mijkl,aik,bjl->mab", T, _DYADS, _DYADS)  # <T, B_a (x) B_b>
@@ -162,9 +175,9 @@ def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extr
         S = 0.5 * (Q + np.swapaxes(Q, 1, 2))
         coeffs[:, 0] = np.stack([S[:, 0, 0] + 0.5 * (S[:, 1, 1] + S[:, 2, 2]), 2.0 * S[:, 0, 1],
                                  2.0 * S[:, 0, 2], 0.5 * (S[:, 1, 1] - S[:, 2, 2]), S[:, 1, 2]], 1)
-    start = 2.0 * th[np.stack([scans[0].argmax(1), scans[1].argmin(1)], axis=1)]
+    start = 2.0 * th[np.stack([(np.argmax, np.argmin)[e](scans[e], 1) for e in ends], axis=1)]
     d = 2.0 * np.pi / n_angles
-    x = [[_newton_2t(x0, d, e == 0, *c, se) for e, (x0, se) in enumerate(zip(xm, s))]
+    x = [[_newton_2t(x0, d, e == 0, *c, s[e]) for e, x0 in zip(ends, xm)]
          for xm, c in zip(start.tolist(), coeffs.tolist())]
     V = np.array([[(math.cos(0.5 * a), math.sin(0.5 * a)) for a in xm] for xm in x])
     if kind == "quartic":
@@ -174,13 +187,16 @@ def _extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple[Extremum, Extr
     else:  # the inner angle's closed form: 2p = arg(s * (beta, gamma))
         rows = np.array([[(1.0, math.cos(a), math.sin(a)) for a in xm] for xm in x])
         bg = (rows[:, :, None] @ C[:, None])[:, :, 0, 1:].tolist()
-        p = [[0.5 * math.atan2(se * g, se * b) if b or g else 0.0 for (b, g), se in zip(bm, s)]
-             for bm in bg]
+        p = [[0.5 * math.atan2(s[e] * g, s[e] * b) if b or g else 0.0
+              for (b, g), e in zip(bm, ends)] for bm in bg]
         W = np.array([[(math.cos(q), math.sin(q)) for q in qm] for qm in p])
-    values = np.einsum("mijkl,mei,mej,mek,mel->me", T, V, W, V, W).reshape(stack + (2,))
-    V, W = V.reshape(stack + (2, 2)), W.reshape(stack + (2, 2))
-    return tuple(Extremum(values[..., e] if stack else float(values[e]), V[..., e, :],
-                          None if kind == "quartic" else W[..., e, :]) for e in (0, 1))
+    values = np.einsum("mijkl,mei,mej,mek,mel->me", T, V, W, V, W).reshape(stack + (-1,))
+    V, W = V.reshape(stack + (-1, 2)), W.reshape(stack + (-1, 2))
+    out = [None, None]
+    for i, e in enumerate(ends):
+        out[e] = Extremum(values[..., i] if stack else float(values[i]), V[..., i, :],
+                          None if kind == "quartic" else W[..., i, :])
+    return tuple(out)
 
 
 # -- n >= 3: alternating eigensolves (pair), sphere scan and Newton (quartic) --
@@ -283,50 +299,50 @@ def _newton_quartic(S2: np.ndarray, v: np.ndarray) -> np.ndarray:
 # -- public entry points ------------------------------------------------------
 
 def pair_extrema(T: np.ndarray, orth: bool = False, n_angles: int = 720,
-                 restarts: int = 64, seed: int = 0) -> tuple[Extremum, Extremum]:
-    """(max, min) of T(v,w,v,w) over unit vectors, optionally with v.w = 0.
+                 restarts: int = 64, seed: int = 0, end: str | None = None) -> tuple:
+    """(max, min) of T(v,w,v,w) over unit vectors, optionally with v.w = 0;
+    end "max" or "min" refines only that end, bit for bit, and gives None for the other.
 
     At n = 2, T may carry stack axes (..., 2, 2, 2, 2); each end is then an
     Extremum of arrays over the stack."""
+    ends = _checked_ends(T, end)
     n = T.shape[-1]
     if n == 1:
         v = np.ones(1)
         if orth:
             raise ZeroVector("no orthogonal pairs in dimension 1")
         val = pair_value(T, v, v)
-        return Extremum(val, v, v.copy()), Extremum(val, v, v.copy())
+        return tuple(Extremum(val, v, v.copy()) if e in ends else None for e in (0, 1))
     if n == 2:
-        return _extrema_2d(T, n_angles, "orth" if orth else "pair")
+        return _extrema_2d(T, n_angles, "orth" if orth else "pair", ends)
     rng = np.random.default_rng(seed)
-    best_max = best_min = None
+    best = [None, None]
     for _ in range(restarts):
-        v0 = rng.normal(size=n)
-        w0 = rng.normal(size=n)
-        mx = _alternating_pair(T, v0, w0, True, orth)
-        mn = _alternating_pair(T, v0.copy(), w0.copy(), False, orth)
-        if best_max is None or mx.value > best_max.value:
-            best_max = mx
-        if best_min is None or mn.value < best_min.value:
-            best_min = mn
-    return best_max, best_min
+        v0, w0 = rng.normal(size=n), rng.normal(size=n)
+        for e in ends:
+            ext = _alternating_pair(T, v0, w0, e == 0, orth)
+            if best[e] is None or (ext.value < best[e].value if e else ext.value > best[e].value):
+                best[e] = ext
+    return tuple(best)
 
 
-def quartic_extrema(T: np.ndarray, n_angles: int = 720) -> tuple[Extremum, Extremum]:
-    """(max, min) of T(v,v,v,v) over unit vectors; at n = 2 T may carry
-    stack axes, as in pair_extrema."""
+def quartic_extrema(T: np.ndarray, n_angles: int = 720, end: str | None = None) -> tuple:
+    """(max, min) of T(v,v,v,v) over unit vectors; end and the stack axes of
+    T at n = 2 as in pair_extrema."""
+    ends = _checked_ends(T, end)
     n = T.shape[-1]
     if n == 1:
         v = np.ones(1)
         val = quartic_value(T, v)
-        return Extremum(val, v), Extremum(val, v)
+        return tuple(Extremum(val, v) if e in ends else None for e in (0, 1))
     if n == 2:
-        return _extrema_2d(T, n_angles, "quartic")
+        return _extrema_2d(T, n_angles, "quartic", ends)
     S2 = symmetrize(T).reshape(n * n, n * n)
     V, VV = _sphere(n)
     vals = np.einsum("na,na->n", VV @ S2, VV)
-    out = []
-    for maximize in (True, False):
-        v0 = _unit(V[np.argmax(vals) if maximize else np.argmin(vals)])
-        v = _newton_quartic(S2, v0)
-        out.append(Extremum(quartic_value(T, v), v))
-    return tuple(out)
+
+    def refined(e):
+        v = _newton_quartic(S2, _unit(V[np.argmin(vals) if e else np.argmax(vals)]))
+        return Extremum(quartic_value(T, v), v)
+
+    return tuple(refined(e) if e in ends else None for e in (0, 1))

@@ -162,7 +162,7 @@ def fifth_and_wedge_checks(sample: CurvatureSample) -> WedgeReport:
     n = sample.n
     if n < 2:
         raise BadParams("plane checks need n >= 2")
-    _, mn = _extrema.quartic_extrema(Ef)
+    _, mn = _extrema.quartic_extrema(Ef, end="min")
     tol = 1e-9 * (1.0 + float(np.abs(Ef).max()))
     if mn.value >= -tol:
         raise NotNegativeHSC(

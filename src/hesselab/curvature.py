@@ -277,7 +277,7 @@ def scan_csv_rows(handle: PotentialHandle, points: np.ndarray) -> list[dict]:
     rows = []
     for p in points:
         sample = core_form(handle.jet(p))
-        _, hmn = _extrema.quartic_extrema(sample.E_frame)
+        _, hmn = _extrema.quartic_extrema(sample.E_frame, end="min")
         amx, amn = _extrema.pair_extrema(sample.E_frame)
         v, w = _to_coords(sample, amn)
         row = {"S": scalar(sample), "O": oab_trace(sample),

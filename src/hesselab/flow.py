@@ -34,7 +34,8 @@ and sets u+ = u + d.  The kappa terms cancel to O(dt^3), so the step is
 Heun's second-order method stabilized; on a linear mode whose rate is
 kappa times its stencil symbol it is Crank-Nicolson.  Each solve divides
 by the stencil's symbol 4/h^2 (sin^2 pi k_x h + sin^2 pi k_y h) in the
-real Hartley basis (_helmholtz): four m x m products, O(m^3).  On the
+real Hartley basis (_helmholtz): four m x m products, O(m^3); the basis
+and the symbol are built once per grid (m, h) and kept (_hartley).  On the
 lab's grids (m <= 64) that takes less time than an rfft2/irfft2 pair, and
 it leaves out the 0.3-0.8 MiB of resident memory that numpy's FFT takes on
 first use.  The window ring is extrapolated, not periodic, so the window
@@ -69,6 +70,7 @@ A single writer owns the state during a run; monitors act on snapshots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,20 +259,25 @@ def _extend_ring(du: np.ndarray) -> None:
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
 
 
-def _helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
-    """x with (I - c Delta_h) x = rhs on an m x m torus, Delta_h the 3-point
-    stencil Laplacian of spacing h.
-
-    The Hartley matrix cas(2 pi jk / m) / sqrt(m) is symmetric, orthogonal
-    and an eigenbasis of the ring's second difference, with eigenvalues
-    -4/h^2 sin^2(pi k / m); so the solve is four m x m products.
-    """
-    m = rhs.shape[0]
+@functools.cache
+def _hartley(m: int, h: float) -> tuple:
+    """The Hartley matrix cas(2 pi jk / m) / sqrt(m), symmetric, orthogonal and
+    an eigenbasis of the ring's second difference (eigenvalues -4/h^2 sin^2(pi
+    k / m)), and the torus symbol of -Delta_h over (j, k), both read-only."""
     k = np.arange(m)
     r = (2 * np.pi / m) * k
     cas = ((np.cos(r) + np.sin(r)) / np.sqrt(m))[np.outer(k, k) % m]
     symbol = (4.0 / h**2) * np.sin(0.5 * r) ** 2
-    return cas @ ((cas @ rhs @ cas) / (1.0 + c * (symbol[:, None] + symbol))) @ cas
+    symbol = symbol[:, None] + symbol
+    cas.flags.writeable = symbol.flags.writeable = False
+    return cas, symbol
+
+
+def _helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
+    """x with (I - c Delta_h) x = rhs on an m x m torus, Delta_h the 3-point
+    stencil Laplacian of spacing h: four m x m products in _hartley's basis."""
+    cas, symbol = _hartley(rhs.shape[0], h)
+    return cas @ ((cas @ rhs @ cas) / (1.0 + c * symbol)) @ cas
 
 
 def _periodic_update(u, dt, h, quad, fields, det, inner, t) -> np.ndarray:
@@ -420,14 +427,14 @@ class MonitorSeries:
 
 
 def _channel_values(state: FlowState, nodes) -> dict:
-    """The six node channels over the nodes: one stacked jet and core form,
-    and one call of each extremizer for each objective."""
+    """The six node channels over the nodes: one stacked jet and core form, and
+    one extremizer call per objective, refining only the end its channel reads."""
     sample = core_form(jet_at_node(state, grid_jets(state, nodes), nodes))
     Ef = sample.E_frame
     S = scalar(sample)
-    mx, _ = _extrema.pair_extrema(Ef, n_angles=MONITOR_ANGLES)
-    _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=MONITOR_ANGLES)
-    _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES)
+    mx, _ = _extrema.pair_extrema(Ef, n_angles=MONITOR_ANGLES, end="max")
+    _, omn = _extrema.pair_extrema(Ef, orth=True, n_angles=MONITOR_ANGLES, end="min")
+    _, hmn = _extrema.quartic_extrema(Ef, n_angles=MONITOR_ANGLES, end="min")
     return {"S_min": float(S.min()), "S_max": float(S.max()),
             "ABC_max": float(mx.value.max()), "ORTH_ABC_min": float(omn.value.min()),
             "H_pol_min": float(hmn.value.min()), "O_max": float(oab_trace(sample).max())}

@@ -203,7 +203,7 @@ def shift_to_boundary(A: AlgCurvTensor):
     Returns (boundary tensor, v, w).  The shift changes every pair value by
     the same amount on unit pairs, so the witness pair is preserved.
     """
-    mx, _ = _extrema.pair_extrema(A.A)
+    mx, _ = _extrema.pair_extrema(A.A, end="max")
     shifted = AlgCurvTensor(A.A - mx.value * identity_shift_tensor(A.n))
     return shifted, mx.v, mx.w
 
@@ -265,7 +265,7 @@ def null_vector_check_negative(A: AlgCurvTensor) -> NullVectorReport:
     witness, and the sharper inequality Q + <M1, M2> <= 0.
     """
     scale = A.norm
-    mx, _ = _extrema.pair_extrema(A.A)
+    mx, _ = _extrema.pair_extrema(A.A, end="max")
     v, w = mx.v, mx.w
     band = 1e-9 * (1.0 + scale)
     if abs(mx.value) > band:
@@ -362,13 +362,14 @@ def noab_probe(n: int, seed: int, trials: int) -> NoabCounterexample | None:
     for trial in range(trials):
         sub = int(rng.integers(0, 2**63 - 1))
         A = AlgCurvTensor.random(n, sub)
-        _, mn = _extrema.pair_extrema(A.A, orth=True, restarts=NOAB_RESTARTS, seed=sub)
+        _, mn = _extrema.pair_extrema(A.A, orth=True, restarts=NOAB_RESTARTS, seed=sub,
+                                      end="min")
         shifted = AlgCurvTensor(A.A - mn.value * identity_shift_tensor(n))
         qv = q_quadratic(shifted).pair_value(mn.v, mn.w)
         if qv < NOAB_Q_THRESHOLD:
             # verify the boundary quality with a stronger search
-            _, check = _extrema.pair_extrema(shifted.A, orth=True,
-                                             restarts=4 * NOAB_RESTARTS, seed=sub + 1)
+            _, check = _extrema.pair_extrema(shifted.A, orth=True, restarts=4 * NOAB_RESTARTS,
+                                             seed=sub + 1, end="min")
             band = 1e-8 * (1.0 + shifted.norm)
             if check.value > -band:
                 return NoabCounterexample(tensor=shifted, v=mn.v, w=mn.w, q_value=qv,
@@ -403,7 +404,7 @@ def polarization_bounds(A: AlgCurvTensor, H_bound: float, O_bound: float,
     if H_bound < 0 or O_bound < 0:
         raise BadParams("bounds must be nonnegative")
     if check_sign:
-        mx, _ = _extrema.pair_extrema(A.A)
+        mx, _ = _extrema.pair_extrema(A.A, end="max")
         if mx.value > 1e-9 * (1.0 + A.norm):
             raise NotNegativeABC(f"pair maximum {mx.value:.3e} is positive")
     H, O = float(H_bound), float(O_bound)

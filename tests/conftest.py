@@ -249,6 +249,17 @@ def ref_extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple:
     return tuple(out)
 
 
+def ref_helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
+    """The torus solve of (I - c Delta_h) x = rhs as first written, its
+    Hartley basis and stencil symbol built afresh on every call."""
+    m = rhs.shape[0]
+    k = np.arange(m)
+    r = (2 * np.pi / m) * k
+    cas = ((np.cos(r) + np.sin(r)) / np.sqrt(m))[np.outer(k, k) % m]
+    symbol = (4.0 / h**2) * np.sin(0.5 * r) ** 2
+    return cas @ ((cas @ rhs @ cas) / (1.0 + c * (symbol[:, None] + symbol))) @ cas
+
+
 def ref_holder_modulus(T: np.ndarray, X: np.ndarray, alpha: float) -> float:
     """max over pairs a < b of |T_a - T_b| / |X_a - X_b|^alpha, pair by pair."""
     worst = 0.0

@@ -24,6 +24,7 @@ from scipy.optimize import minimize
 from hesselab import _extrema
 from hesselab.curvature import (RegionSpec, certify_sign, core_form,
                                 mirror_symmetrize, reevaluate_witness)
+from hesselab.errors import BadParams
 from hesselab.potentials import catalog
 from hesselab.reaction import AlgCurvTensor
 
@@ -302,3 +303,119 @@ def test_orth_pair_ends_return_their_own_value_at_n_3():
         T = core_form(handle.jet(p)).E_frame
         for ext in _extrema.pair_extrema(T, orth=True):
             assert ext.value == _extrema.pair_value(T, ext.v, ext.w)
+
+
+# -- one end on request ----------------------------------------------------------
+
+def _random_frames(shape, seed):
+    """Seeded tensors of the curvature symmetry class with the given shape."""
+    return mirror_symmetrize(np.random.default_rng(seed).normal(size=shape))
+
+
+ONE_END_CASES = {"n1": _random_frames((1, 1, 1, 1), 1),
+                 "n2": _random_frames((2, 2, 2, 2), 2),
+                 "n2-stack-9": _random_frames((9, 2, 2, 2, 2), 3),
+                 "n2-stack-3x3": _random_frames((3, 3, 2, 2, 2, 2), 4),
+                 "n3": AlgCurvTensor.random(3, 5).A,
+                 "n4": AlgCurvTensor.random(4, 6).A}
+KINDS = ("pair", "orth", "quartic")
+
+
+def _extremize(T, kind, **kw):
+    if kind == "quartic":
+        return _extrema.quartic_extrema(T, n_angles=240, **kw)
+    return _extrema.pair_extrema(T, orth=kind == "orth", n_angles=240, restarts=8, **kw)
+
+
+@pytest.mark.parametrize("case, kind", [(case, kind) for case in sorted(ONE_END_CASES)
+                                         for kind in KINDS if (case, kind) != ("n1", "orth")])
+def test_one_end_equals_that_end_of_both(case, kind):
+    """end "max" or "min" returns that end of the call for both, value, v and
+    w to the bit, and None in the other slot (n = 1 has no orthogonal pairs)."""
+    T = ONE_END_CASES[case]
+    both = _extremize(T, kind)
+    for slot, end in enumerate(("max", "min")):
+        got = _extremize(T, kind, end=end)
+        assert got[1 - slot] is None, (end, got)
+        ext, ref = got[slot], both[slot]
+        assert type(ext.value) is type(ref.value), end
+        assert np.asarray(ext.value).tobytes() == np.asarray(ref.value).tobytes(), end
+        assert ext.v.tobytes() == ref.v.tobytes(), end
+        assert (ext.w is None) == (ref.w is None) == (kind == "quartic"), end
+        assert ext.w is None or ext.w.tobytes() == ref.w.tobytes(), end
+
+
+@pytest.mark.parametrize("end", ["both", "", "MAX", 0, ("max",)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unknown_end_is_refused(n, end):
+    T = AlgCurvTensor.random(n, 7).A if n > 1 else np.ones((1, 1, 1, 1))
+    for call in (_extrema.pair_extrema, _extrema.quartic_extrema):
+        with pytest.raises(BadParams, match="end must be"):
+            call(T, end=end)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_n2_newton_runs_once_per_tensor_and_requested_end(kind, monkeypatch):
+    runs = [0]
+    newton = _extrema._newton_2t
+
+    def counted(*args):
+        runs[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(_extrema, "_newton_2t", counted)
+    S = ONE_END_CASES["n2-stack-9"]
+    for end, per_tensor in (("max", 1), ("min", 1), (None, 2)):
+        runs[0] = 0
+        _extremize(S, kind, end=end)
+        assert runs[0] == 9 * per_tensor, (end, runs[0])
+
+
+@pytest.mark.parametrize("orth", [False, True])
+def test_n3_ascents_run_once_per_restart_and_requested_end(orth, monkeypatch):
+    runs = [0]
+    ascent = _extrema._alternating_pair
+
+    def counted(*args, **kw):
+        runs[0] += 1
+        return ascent(*args, **kw)
+
+    monkeypatch.setattr(_extrema, "_alternating_pair", counted)
+    T = ONE_END_CASES["n3"]
+    for end, per_restart in (("max", 1), ("min", 1), (None, 2)):
+        runs[0] = 0
+        _extrema.pair_extrema(T, orth=orth, restarts=5, end=end)
+        assert runs[0] == 5 * per_restart, (end, runs[0])
+
+
+def test_n3_quartic_newton_runs_once_per_requested_end(monkeypatch):
+    runs = [0]
+    newton = _extrema._newton_quartic
+
+    def counted(*args):
+        runs[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(_extrema, "_newton_quartic", counted)
+    for end, expected in (("max", 1), ("min", 1), (None, 2)):
+        runs[0] = 0
+        _extrema.quartic_extrema(ONE_END_CASES["n3"], end=end)
+        assert runs[0] == expected, (end, runs[0])
+
+
+# -- tensors with a NaN or inf entry ----------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["n1", "n2", "n2-stack-9", "n3", "n4"])
+def test_non_finite_tensor_is_refused_before_any_solve(case, bad, capfd):
+    """A NaN or inf entry raises BadParams for every objective and end; no
+    solver runs, so LAPACK prints nothing."""
+    T = ONE_END_CASES[case].copy()
+    T.reshape(-1)[T.size // 2] = bad
+    for kind in KINDS:
+        if kind == "orth" and T.shape[-1] == 1:
+            continue
+        for end in (None, "max", "min"):
+            with pytest.raises(BadParams, match="finite"):
+                _extremize(T, kind, end=end)
+    assert capfd.readouterr().err == ""

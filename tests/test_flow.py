@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grid_derivative, quadratic, ref_channel_values
+from conftest import grid_derivative, quadratic, ref_channel_values, ref_helmholtz
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
@@ -304,6 +304,23 @@ def test_helmholtz_solve_matches_a_dense_solve():
     rhs = np.random.default_rng(5).normal(size=(m, m))
     dense = np.linalg.solve(np.eye(m * m) - c * laplacian, rhs.ravel()).reshape(m, m)
     assert np.abs(flow._helmholtz(rhs, c, h) - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [16, 24, 64])
+def test_cached_helmholtz_equals_the_uncached_solve(m):
+    """The solve on the cached basis equals the basis built afresh on every
+    call to the bit, on later calls too; the cached arrays are read-only."""
+    h = 1.0 / m
+    rhs = np.random.default_rng(m).normal(size=(m, m))
+    for c in (3.1e-4, 0.37):
+        for _ in range(2):
+            assert flow._helmholtz(rhs, c, h).tobytes() == ref_helmholtz(rhs, c, h).tobytes()
+    cas, symbol = flow._hartley(m, h)
+    assert flow._hartley(m, h)[0] is cas
+    for a in (cas, symbol):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
 
 
 def rk4_oracle(state, T, steps):
