@@ -277,8 +277,11 @@ def _exp_flow_run(c: dict, outdir: Path):
                           f"and refused in periodic mode; {mode} mode got "
                           f"{', '.join(given) or 'none'}")
     state = _flow_state(handle, c, "flow", mode)
-    final, series = flow.run(state, T, sample_per_axis=f["sample_per_axis"],
-                             monitor_epochs=f["epochs"])
+    try:
+        final, series = flow.run(state, T, sample_per_axis=f["sample_per_axis"],
+                                 monitor_epochs=f["epochs"])
+    except BadParams as exc:
+        raise ConfigError(f"bad [flow] run: {exc}") from exc
     _write_series(_out(outdir, f"flow_{handle.name}.csv"), series)
     lines = [f"flow {handle.name} mode={mode} T={T:g}: {len(series.times) - 1} epochs"]
     ok = True

@@ -41,19 +41,19 @@ it leaves out the 0.3-0.8 MiB of resident memory that numpy's FFT takes on
 first use.  The window ring is extrapolated, not periodic, so the window
 keeps the explicit step.
 
-Every Hessian evaluation is one 2-D kernel (_hessian): u is copied once
-into a buffer padded by one wrapped node per side, and each Hessian field
-is a sum of slices of that buffer.  The sums keep the operation order of
-the jets._STENCILS rows, so the fields equal whole-grid roll stencils bit
-for bit (the tests keep those stencils, grid_derivative in conftest.py, as
-the oracle); window mode discards the wrapped values on its ring.  The
-checked nodes are fixed once per step (all of them on the torus, the window
-minus its ring), and on the torus log det is taken without a mask, since
-every node has just passed the check.  step checks the new state after it
-is built: a torus step evaluates the Hessian three times (state, predictor,
-new state), a window step five times (four stages, new state).  run carries
-the new state's Hessian to the next step's first evaluation, not on the
-state, so a caller's edit of state.u cannot make it stale.
+Every Hessian evaluation is one 2-D kernel (_hessian) over the checked
+nodes: all of them on the torus, where u is copied once into a buffer
+padded by one wrapped node per side, and the window minus its ring, whose
+stencils read slices of u itself and never reach the wrap.  Each field is
+a sum of slices, in the operation order of the jets._STENCILS rows, so the
+fields equal whole-grid roll stencils bit for bit (the tests keep those
+stencils, grid_derivative in conftest.py, as the oracle).  On the torus log
+det is taken without a mask, since every node has just passed the check.
+step checks the new state after it is built and keeps that check's det and
+lambda_min on it, its u read-only; adaptive_dt and the next step read them,
+so a torus step evaluates the Hessian twice (predictor, new state) and a
+window step four times (three stages, new state).  A state whose u is
+replaced is evaluated afresh.  run checks its first state once, on a copy.
 
 The monitors evaluate the stencils at the monitored nodes only (grid_jets),
 on each node's 5 x 5 wrapped patch in the roll stencils' order, so the
@@ -71,7 +71,7 @@ A single writer owns the state during a run; monitors act on snapshots.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,6 +106,7 @@ class FlowState:
     origin: np.ndarray
     quad: np.ndarray                       # torus quadratic matrix; 0 on a window
     t: float = 0.0
+    _checked = (None, None, None)          # (u, det, lambda_min) that step stored
 
     @property
     def n(self) -> int:
@@ -119,21 +120,26 @@ class FlowState:
         return self.origin + self.spacing * np.asarray(idx, dtype=float)
 
 
-# -- Hessian fields over whole grids --------------------------------------------
+# -- Hessian fields ------------------------------------------------------------
 
-def _hessian(u: np.ndarray, h: float, quad: np.ndarray) -> list:
+def _hessian(u: np.ndarray, h: float, quad: np.ndarray, ring: int = 0) -> list:
     """Total Hessian fields [hxx, hyy, hxy] of (1/2) x.quad.x + u on a 2-D
-    grid with periodic wrap.
+    grid: at every node with periodic wrap if ring is 0, else at the nodes
+    at depth >= ring, whose stencils stay inside the grid.
 
-    u is copied once into a buffer padded by one wrapped node per side, and
-    each field is a sum of slices of that buffer.  The sums keep the order of
-    the _STENCILS rows, so they equal the whole-grid roll stencils bit for bit.
+    Each field is a sum of slices of p, which holds the field's nodes and
+    one more per side: a copy of u padded by one wrapped node per side, or a
+    view of u.  The sums keep the order of the _STENCILS rows, so they equal
+    the whole-grid roll stencils bit for bit.
     """
-    p = np.empty((u.shape[0] + 2, u.shape[1] + 2))
-    p[1:-1, 1:-1] = u
-    p[0], p[-1] = p[-2], p[1]  # rows first, then whole columns: corners wrap
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
-    m2 = -2.0 * u
+    if ring:
+        p = u[ring - 1:u.shape[0] + 1 - ring, ring - 1:u.shape[1] + 1 - ring]
+    else:
+        p = np.empty((u.shape[0] + 2, u.shape[1] + 2))
+        p[1:-1, 1:-1] = u
+        p[0], p[-1] = p[-2], p[1]  # rows first, then whole columns: corners wrap
+        p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    m2 = -2.0 * p[1:-1, 1:-1]
     h2 = h**2
     fields = []
     for i, (minus, plus) in enumerate(((p[:-2, 1:-1], p[2:, 1:-1]),
@@ -154,34 +160,59 @@ def _hessian(u: np.ndarray, h: float, quad: np.ndarray) -> list:
     return fields
 
 
-def _interior(state: FlowState) -> tuple:
-    """Index of the checked nodes: all of them, or the window minus its ring."""
-    if state.mode == "periodic":
-        return (slice(None),) * state.n
-    return tuple(slice(RING, m - RING) for m in state.shape)
-
-
-def _checked_det(fields, inner: tuple, t: float) -> np.ndarray:
-    """det Hess on the nodes inner, for taking its log.
+def _checked_det(fields, ring: int, t: float) -> np.ndarray:
+    """det Hess of the fields of the nodes at depth >= ring, for taking its log.
 
     Raises StabilityFailure at the first of those nodes where the Hessian is
     not positive definite or det is not finite (a NaN entry included).
     """
-    hxx, hyy, hxy = (f[inner] for f in fields)
+    hxx, hyy, hxy = fields
     det = hxx * hyy - hxy * hxy
     if not det.size or (det.min() > 0.0 and hxx.min() > 0.0 and det.max() < np.inf):
         return det
     first = np.argwhere((det <= 0.0) | (hxx <= 0.0) | ~np.isfinite(det))[0]
-    node = tuple(int(v) + (s.start or 0) for v, s in zip(first, inner))
-    raise StabilityFailure("Hessian lost positive-definiteness", node=node, time=t)
+    raise StabilityFailure("Hessian lost positive-definiteness",
+                           node=tuple(int(v) + ring for v in first), time=t)
 
 
-def _checked_hessian(u: np.ndarray, h: float, quad: np.ndarray, inner: tuple,
-                     t: float) -> tuple:
-    """(Hessian fields of u, det Hess on the nodes inner), checked by
-    _checked_det."""
-    fields = _hessian(u, h, quad)
-    return fields, _checked_det(fields, inner, t)
+def _lambda_min(fields) -> float:
+    """Smallest eigenvalue of the Hessian fields."""
+    hxx, hyy, hxy = fields
+    tr = hxx + hyy
+    det = hxx * hyy - hxy * hxy
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return float(((tr - disc) / 2.0).min())
+
+
+def _state_hessian(state: FlowState) -> tuple:
+    """(Hessian fields of state, their depth): over all nodes on the torus,
+    over the window minus its ring."""
+    ring = 0 if state.mode == "periodic" else RING
+    return _hessian(state.u, state.spacing, state.quad, ring), ring
+
+
+def _checks(state: FlowState) -> tuple:
+    """(det, lambda_min) of state over its checked nodes: the ones step stored
+    if state.u is the array they were taken from, else evaluated and checked."""
+    u, det, lam = state._checked
+    if u is not state.u:
+        fields, ring = _state_hessian(state)
+        det, lam = _checked_det(fields, ring, state.t), _lambda_min(fields)
+    return det, lam
+
+
+def _state_lambda_min(state: FlowState) -> float:
+    """lambda_min of state over its checked nodes: the one step stored (see
+    _checks), else evaluated, unchecked."""
+    u, _, lam = state._checked
+    return lam if u is state.u else _lambda_min(_state_hessian(state)[0])
+
+
+def _sealed(state: FlowState) -> FlowState:
+    """state with its _checks stored on it and its u read-only; returns state."""
+    state._checked = (state.u, *_checks(state))
+    state.u.flags.writeable = False
+    return state
 
 
 # -- operations -----------------------------------------------------------------
@@ -220,28 +251,15 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
     u = handle.periodic_value(pts) if mode == "periodic" else handle.values_at(pts)
     state = FlowState(mode=mode, u=u.reshape(grid.shape), spacing=spacing,
                       origin=origin, quad=quad)
-    _checked_det(_hessian(state.u, spacing, quad), _interior(state), state.t)
+    _checked_det(*_state_hessian(state), state.t)
     return state
-
-
-def _lambda_min(fields, inner: tuple) -> float:
-    """Smallest eigenvalue of the Hessian fields over the nodes inner."""
-    hxx, hyy, hxy = (f[inner] for f in fields)
-    tr = hxx + hyy
-    det = hxx * hyy - hxy * hxy
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return float(((tr - disc) / 2.0).min())
-
-
-def _state_lambda_min(state: FlowState) -> float:
-    """Smallest Hessian eigenvalue of state over its checked nodes."""
-    return _lambda_min(_hessian(state.u, state.spacing, state.quad), _interior(state))
 
 
 def adaptive_dt(state: FlowState) -> float:
     """The explicit bound 0.25 h^2 / (2 max lambda_max(Hess^-1)) over the
     checked nodes on a window; PERIODIC_DT_FACTOR times it on the torus,
-    whose step is semi-implicit."""
+    whose step is semi-implicit.  lambda_min is the one step stored on the
+    state, if any (see step)."""
     lam_min = _state_lambda_min(state)
     if lam_min <= 0.0 or not np.isfinite(lam_min):
         raise SingularHessian("degenerate Hessian: no stable step size")
@@ -251,8 +269,9 @@ def adaptive_dt(state: FlowState) -> float:
 
 def _extend_ring(du: np.ndarray) -> None:
     """Fill the boundary ring of du in place by linear extrapolation of the
-    interior update."""
-    for v in (du, du.T):  # rows, then columns; du.T is a view, so writes land in du
+    interior update, reading only the interior: rows within the interior
+    columns, then whole columns (both views, so writes land in du)."""
+    for v in (du[:, RING:-RING], du.T):
         m = v.shape[0]
         for r in range(RING - 1, -1, -1):
             v[r] = 2.0 * v[r + 1] - v[r + 2]
@@ -280,25 +299,27 @@ def _helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
     return cas @ ((cas @ rhs @ cas) / (1.0 + c * symbol)) @ cas
 
 
-def _periodic_update(u, dt, h, quad, fields, det, inner, t) -> np.ndarray:
+def _periodic_update(u, dt, h, quad, det, lam_min, t) -> np.ndarray:
     """The torus predictor-corrector of the module docstring, from u's
-    checked Hessian fields and det.  Since the predictor gives
+    checked det and lambda_min.  Since the predictor gives
     -dt kappa Delta_h d* = dt R(u) - d*, the corrector's right side is
     dt R(u) + dt R(u + d*) / 2 - d* / 2, with no Laplacian to apply."""
-    kappa = 2.0 / _lambda_min(fields, inner)
+    kappa = 2.0 / lam_min
     r0 = 2.0 * np.log(det)
     pred = _helmholtz(dt * r0, dt * kappa, h)
-    r1 = 2.0 * np.log(_checked_det(_hessian(u + pred, h, quad), inner, t))
+    r1 = 2.0 * np.log(_checked_det(_hessian(u + pred, h, quad), 0, t))
     return u + _helmholtz(dt * r0 + 0.5 * dt * r1 - 0.5 * pred, 0.5 * dt * kappa, h)
 
 
-def _window_update(u, dt, h, quad, det, inner, t) -> np.ndarray:
+def _window_update(u, dt, h, quad, det, t) -> np.ndarray:
     """The four-stage explicit step on a window, from u's checked det; the
     ring follows the interior."""
+    inner = (slice(RING, -RING),) * 2
+
     def rhs(u, det=None):
         if det is None:
-            det = _checked_det(_hessian(u, h, quad), inner, t)
-        du = np.zeros_like(u)
+            det = _checked_det(_hessian(u, h, quad, RING), RING, t)
+        du = np.empty_like(u)
         du[inner] = 2.0 * np.log(det)
         _extend_ring(du)
         return du
@@ -310,32 +331,26 @@ def _window_update(u, dt, h, quad, det, inner, t) -> np.ndarray:
     return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def step(state: FlowState, dt: float, carry: list | None = None) -> FlowState:
+def step(state: FlowState, dt: float) -> FlowState:
     """One step: the semi-implicit predictor-corrector on the torus, the
     four-stage explicit step on a window (see the module docstring).
 
-    carry is run's one-item list: the Hessian fields of state and its det on
-    the checked nodes, or None.  It stands in for the step's first Hessian
-    evaluation and is replaced by the new state's, which the step checks
-    anyway.
+    The new state is checked, its u is read-only and it keeps the det and
+    lambda_min of that check, which adaptive_dt and the next step read for
+    as long as its u is that array: an in-place edit raises ValueError, and
+    a replaced u is evaluated and checked again.
     """
-    carry = [None] if carry is None else carry
     h, t, quad = state.spacing, state.t, state.quad
-    inner = _interior(state)
-    if carry[0] is None:
-        carry[0] = _checked_hessian(state.u, h, quad, inner, t)
-    fields, det = carry[0]
+    det, lam_min = _checks(state)
     if state.mode == "periodic":
-        new_u = _periodic_update(state.u, dt, h, quad, fields, det, inner, t)
+        new_u = _periodic_update(state.u, dt, h, quad, det, lam_min, t)
     else:
-        new_u = _window_update(state.u, dt, h, quad, det, inner, t)
+        new_u = _window_update(state.u, dt, h, quad, det, t)
     if not np.all(np.isfinite(new_u)):
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
         raise StabilityFailure("non-finite values", node=node, time=t)
-    out = FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
-                    quad=quad, t=t + dt)
-    carry[0] = _checked_hessian(new_u, h, quad, inner, out.t)
-    return out
+    return _sealed(FlowState(mode=state.mode, u=new_u, spacing=h, origin=state.origin,
+                             quad=quad, t=t + dt))
 
 
 # -- grid jets and monitors -------------------------------------------------------
@@ -392,8 +407,7 @@ def monitor_offset(state0: FlowState, epoch: int, elapsed: float) -> int:
     """
     if state0.mode == "periodic":
         return 0
-    lam_min = _state_lambda_min(state0)
-    diffusion = 2.0 / lam_min
+    diffusion = 2.0 / _state_lambda_min(state0)
     spread = MONITOR_KAPPA * np.sqrt(2.0 * diffusion * max(elapsed, 0.0)) / state0.spacing
     return RING * (1 + epoch) + int(np.ceil(spread))
 
@@ -447,16 +461,23 @@ def run(state: FlowState, T: float, sample_per_axis: int,
 
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
     is positive, else the K -> infinity limit S_min + n/t.  On a stability
-    failure the exception carries the partial series.
+    failure the exception carries the partial series.  The first state is
+    checked once, on a copy, whose lambda_min every epoch's monitor_offset
+    reads; BadParams before the first step if the last epoch's depth leaves
+    no node to monitor.
     """
     if T <= state.t:
         raise BadParams("run needs T > current time")
+    state0 = state = _sealed(replace(state, u=state.u.copy()))
+    depth = monitor_offset(state0, monitor_epochs, T - state0.t)
+    if min(state.shape) <= 2 * depth:
+        raise BadParams(f"the last epoch's monitor depth, {depth} nodes, leaves no node "
+                        f"of the {state.shape[0]} x {state.shape[1]} window")
     dt = adaptive_dt(state)
     steps = max(monitor_epochs, int(np.ceil((T - state.t) / dt)))
     dt = (T - state.t) / steps
     series = MonitorSeries()
     n = state.n
-    state0 = state
 
     def observe(st: FlowState, epoch: int):
         offset = monitor_offset(state0, epoch, st.t - state0.t)
@@ -478,10 +499,9 @@ def run(state: FlowState, T: float, sample_per_axis: int,
 
     epoch = 0
     observe(state, epoch)
-    carry = [None]
     try:
         for k in range(1, steps + 1):
-            state = step(state, dt, carry)
+            state = step(state, dt)
             if k * monitor_epochs // steps > epoch:
                 epoch += 1
                 observe(state, epoch)

@@ -148,7 +148,8 @@ def ref_integrate_ode(A0, T, dt):
 
 
 # -- the flow monitors, n = 2 extremizer, transport moduli and box checks as first
-# -- written, node by node, tensor by tensor and pair by pair: oracles of the batched kernels
+# -- written, node by node, tensor by tensor and pair by pair: oracles of the batched kernels;
+# -- and the window step as first written, stage by stage: oracle of the interior-only step
 
 def ref_grid_jets(state, nodes) -> list[dict]:
     """One {orders: value} per node, from the batched stencils' rows."""
@@ -247,6 +248,61 @@ def ref_extrema_2d(T: np.ndarray, n_angles: int, kind: str) -> tuple:
             w = _ref_unit_at(0.5 * math.atan2(s * g, s * b) if b or g else 0.0)
         out.append(_extrema.Extremum(_extrema.pair_value(T, v, w), v, w))
     return tuple(out)
+
+
+def ref_window_rhs(u: np.ndarray, h: float, quad: np.ndarray, t: float) -> np.ndarray:
+    """2 log det Hess of u at depth >= RING from the padded, wrapped
+    whole-grid Hessian, checked there, in a zeroed array whose ring
+    ref_extend_ring then fills."""
+    inner = (slice(flow.RING, u.shape[0] - flow.RING), slice(flow.RING, u.shape[1] - flow.RING))
+    hxx, hyy, hxy = (f[inner] for f in flow._hessian(u, h, quad))
+    det = hxx * hyy - hxy * hxy
+    if not (det.min() > 0.0 and hxx.min() > 0.0 and det.max() < np.inf):
+        raise StabilityFailure("Hessian lost positive-definiteness", time=t)
+    du = np.zeros_like(u)
+    du[inner] = 2.0 * np.log(det)
+    ref_extend_ring(du)
+    return du
+
+
+def ref_extend_ring(du: np.ndarray) -> None:
+    """The ring of du by linear extrapolation, as first written: over whole
+    rows, corners included, then over whole columns."""
+    for v in (du, du.T):
+        m = v.shape[0]
+        for r in range(flow.RING - 1, -1, -1):
+            v[r] = 2.0 * v[r + 1] - v[r + 2]
+            v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
+
+
+def ref_window_update(u: np.ndarray, dt: float, h: float, quad: np.ndarray,
+                      t: float) -> np.ndarray:
+    """u after one four-stage explicit window step, as first written: each
+    stage is a ref_window_rhs of its own state, and nothing is kept between
+    stages or steps."""
+    k1 = ref_window_rhs(u, h, quad, t)
+    k2 = ref_window_rhs(u + 0.5 * dt * k1, h, quad, t)
+    k3 = ref_window_rhs(u + 0.5 * dt * k2, h, quad, t)
+    k4 = ref_window_rhs(u + dt * k3, h, quad, t)
+    return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def ref_window_step(state, dt: float):
+    """ref_window_update as a state, checked after the step as flow.step
+    checks it; its u stays writable and nothing is stored on it."""
+    u = ref_window_update(state.u, dt, state.spacing, state.quad, state.t)
+    ref_window_rhs(u, state.spacing, state.quad, state.t + dt)
+    return flow.FlowState(mode=state.mode, u=u, spacing=state.spacing, origin=state.origin,
+                          quad=state.quad, t=state.t + dt)
+
+
+def ref_adaptive_dt(state) -> float:
+    """The explicit window bound from the padded whole-grid Hessian at depth >= RING."""
+    inner = tuple(slice(flow.RING, m - flow.RING) for m in state.shape)
+    hxx, hyy, hxy = (f[inner] for f in flow._hessian(state.u, state.spacing, state.quad))
+    tr, det = hxx + hyy, hxx * hyy - hxy * hxy
+    lam_min = float(((tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))) / 2.0).min())
+    return 0.25 * state.spacing**2 / (2.0 / lam_min)
 
 
 def ref_helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:

@@ -305,6 +305,38 @@ nodes = 8
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epochs, depth", [(1, 10), (2, 12), (3, 14)])
+def test_window_with_no_node_to_monitor_exits_2(tmp_path, capsys, monkeypatch, epochs,
+                                                depth):
+    """A 20 x 20 cone2d window at spacing 0.04 run to T = 0.004 has no node at
+    its last epoch's monitor depth: a config error before the first step,
+    naming the depth and the grid, reported without a traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text(f"""
+[experiment]
+kind = flow-run
+
+[potential]
+name = cone2d
+
+[flow]
+mode = frozen-window
+nodes = 20
+origin_x = 1.0
+origin_y = -0.3
+spacing = 0.04
+time = 0.004
+epochs = {epochs}
+""")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: bad [flow] run: the last epoch's monitor depth, {depth} nodes, "
+            f"leaves no node of the 20 x 20 window") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     (b"[experiment]\nkind = flow-run\n[potential]\nname = cone2d\n"
      b"[flow]\nmode = periodic\nnodes = 8\n",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import grid_derivative, quadratic, ref_channel_values, ref_helmholtz
+from conftest import (grid_derivative, quadratic, ref_adaptive_dt, ref_channel_values,
+                      ref_extend_ring, ref_helmholtz, ref_window_step)
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
@@ -146,6 +147,128 @@ def test_nonconvex_bump_fails_at_its_node(which, node, message):
     assert err.value.time == 0.25
 
 
+@pytest.mark.parametrize("which", ["periodic-2d", "window-2d"])
+def test_interior_fields_match_grid_derivative(which):
+    """The fields at depth >= RING read no node of depth 0, so no wrapped one,
+    and equal the whole-grid roll stencils there bit for bit."""
+    state = _hessian_states()[which]
+    inner = (slice(flow.RING, -flow.RING),) * 2
+    a = state.quad
+    orders = [((2, 0), a[0, 0]), ((0, 2), a[1, 1]), ((1, 1), a[0, 1])]
+    u = np.full_like(state.u, np.nan)  # depth 0 is NaN
+    u[1:-1, 1:-1] = state.u[1:-1, 1:-1]
+    fields = flow._hessian(u, state.spacing, state.quad, flow.RING)
+    for got, (o, base) in zip(fields, orders):
+        want = (base + grid_derivative(state.u, o, state.spacing))[inner]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ring_fill_reads_the_interior_only():
+    """_extend_ring fills a ring of inf as the first-written fill fills a
+    zeroed one, bit for bit; reading an inf would raise a RuntimeWarning."""
+    interior = np.random.default_rng(5).normal(size=(8, 9))
+    got, want = np.full((12, 13), np.inf), np.zeros((12, 13))
+    got[2:-2, 2:-2] = want[2:-2, 2:-2] = interior
+    flow._extend_ring(got)
+    ref_extend_ring(want)
+    assert got.tobytes() == want.tobytes()
+
+
+# -- the window step against its first-written form ------------------------------
+
+OT_WINDOW = flow.GridSpec(shape=(36, 36), spacing=0.036, origin=np.array([0.55, -0.65]))
+
+
+def test_ot_window_loop_equals_the_first_written_step(radial):
+    """ot-window's loop, adaptive_dt and step up to each checkpoint time, gives
+    the checkpoints of the first-written step and bound bit for bit."""
+    state = ref = flow.init(radial, OT_WINDOW, "frozen-window")
+    for t in (0.004, 0.008):
+        while state.t < t - 1e-12:
+            state = flow.step(state, min(flow.adaptive_dt(state), t - state.t))
+        while ref.t < t - 1e-12:
+            ref = ref_window_step(ref, min(ref_adaptive_dt(ref), t - ref.t))
+        assert state.t == ref.t
+        assert state.u.tobytes() == ref.u.tobytes()
+
+
+@pytest.mark.parametrize("name, grid, T", [("calabi_ball", ball_window(), 0.006),
+                                           ("radial_sym", radial_window(), 0.0015)])
+def test_window_run_equals_the_first_written_step(monkeypatch, name, grid, T):
+    """flow.run on a window records the series and reaches the final u of a
+    run through the first-written step and bound, bit for bit."""
+    handle = catalog(name, n=2) if name == "calabi_ball" else catalog(name, C=1.0)
+    state = flow.init(handle, grid, "frozen-window")
+    out = []
+    for patch in ({}, {"step": ref_window_step, "adaptive_dt": ref_adaptive_dt}):
+        with monkeypatch.context() as m:
+            for attr, fn in patch.items():
+                m.setattr(flow, attr, fn)
+            final, series = flow.run(state, T, monitor_epochs=3, sample_per_axis=3)
+        out.append((final.t, final.u.tobytes(), np.asarray(series.times).tobytes(),
+                    {k: np.asarray(v).tobytes() for k, v in series.channels.items()}))
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("which, counts", [("window-2d", [6, 4, 4, 4]),
+                                           ("periodic-2d", [4, 2, 2, 2])])
+def test_hessian_evaluations_per_step(monkeypatch, which, counts):
+    """adaptive_dt then step: from a state that step returned, a window step
+    evaluates the Hessian four times (three stages and the new state) and a
+    torus step twice (predictor and new state); from an init state, adaptive_dt
+    and the step's first stage evaluate it too."""
+    state = _hessian_states()[which]
+    calls, real = [], flow._hessian
+    monkeypatch.setattr(flow, "_hessian", lambda *a: calls.append(1) or real(*a))
+    got = []
+    for _ in counts:
+        before = len(calls)
+        state = flow.step(state, flow.adaptive_dt(state))
+        got.append(len(calls) - before)
+    assert got == counts
+
+
+@pytest.mark.parametrize("which, per_step", [("window-2d", 4), ("periodic-2d", 2)])
+def test_run_checks_its_first_state_once(monkeypatch, which, per_step):
+    """run evaluates its first state's Hessian once, for adaptive_dt, every
+    epoch's monitor_offset and the first step alike, then per_step times a
+    step."""
+    state = _hessian_states()[which]
+    T = 8.5 * flow.adaptive_dt(state)  # 9 steps
+    calls, real = [], flow._hessian
+    monkeypatch.setattr(flow, "_hessian", lambda *a: calls.append(1) or real(*a))
+    flow.run(state, T, monitor_epochs=3, sample_per_axis=2)
+    assert len(calls) == 1 + 9 * per_step
+
+
+# -- stepped states are read-only ---------------------------------------------------
+
+def test_stepped_state_is_read_only_and_init_state_is_not(ball2):
+    state = flow.init(ball2, ball_window(), "frozen-window")
+    out = flow.step(state, 1e-6)
+    with pytest.raises(ValueError):
+        out.u[5, 5] += 1.0
+    state.u[5, 5] += 0.0
+    assert state.u.flags.writeable
+
+
+def test_replaced_u_of_a_stepped_state_is_checked_again():
+    """adaptive_dt and step read the Hessian of a stepped window state's
+    replaced u, and the non-convex bump on an edited copy of its u fails the
+    next step at its node, with the state's time."""
+    state = flow.step(_hessian_states()["window-2d"], 1e-9)
+    state.u = 2.0 * state.u
+    assert flow.adaptive_dt(state) == ref_adaptive_dt(state)
+    assert flow.step(state, 1e-6).u.tobytes() == ref_window_step(state, 1e-6).u.tobytes()
+    state.u = state.u / 2.0
+    state.t = 0.25
+    state.u[tuple(m // 3 for m in state.shape)] += 0.5 * state.spacing**2 * 8.0
+    with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
+        flow.step(state, 1e-6)
+    assert err.value.node == (13, 13)
+    assert err.value.time == 0.25
+
+
 # -- batched monitors against the node-by-node oracle --------------------------------
 
 TORUS_WAVES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0),
@@ -220,7 +343,7 @@ def test_checked_det_rejects_a_nan_entry():
     ones, hxy = np.ones((3, 3)), np.zeros((3, 3))
     hxy[1, 2] = np.nan
     with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
-        flow._checked_det([ones, ones, hxy], (slice(None), slice(None)), 0.0)
+        flow._checked_det([ones, ones, hxy], 0, 0.0)
     assert err.value.node == (1, 2)
 
 
@@ -365,8 +488,8 @@ def test_step_counts_time():
 
 @pytest.mark.parametrize("which", ["periodic-2d", "window-2d"])
 def test_run_matches_a_loop_of_steps(which):
-    """run carries each step's closing det to the next step's first stage; its
-    final state equals a loop of public step calls bit for bit."""
+    """Each step stores its closing det and lambda_min on the state it returns,
+    and run's final state equals a loop of public step calls bit for bit."""
     state = _hessian_states()[which]
     T = 8.5 * flow.adaptive_dt(state)
     out, _ = flow.run(state, T, monitor_epochs=2, sample_per_axis=2)
@@ -443,12 +566,19 @@ def test_window_run_reports_partial_series_on_failure(ball2, monkeypatch):
     assert hasattr(err.value, "partial_series")
 
 
-def test_monitor_window_shrinks_to_nothing_raises(radial):
+def test_monitor_window_shrinks_to_nothing_raises(radial, monkeypatch):
+    """A window whose last epoch would monitor no node is refused before the
+    first step, naming the depth and the grid; monitor_nodes itself raises
+    StabilityFailure at that depth."""
     grid = flow.GridSpec(shape=(16, 16), spacing=0.028,
                          origin=np.array([0.35, -0.2]))
     state = flow.init(radial, grid, "frozen-window")
-    with pytest.raises(StabilityFailure):
+    depth = flow.monitor_offset(state, 8, 0.01)
+    monkeypatch.setattr(flow, "step", None)  # any step would raise TypeError
+    with pytest.raises(BadParams, match=f"depth, {depth} nodes, .* 16 x 16 window"):
         flow.run(state, 0.01, monitor_epochs=8, sample_per_axis=3)
+    with pytest.raises(StabilityFailure, match="shrank to nothing"):
+        flow.monitor_nodes(state, 3, depth)
 
 
 def test_csv_round_trip(tmp_path):
