@@ -412,16 +412,17 @@ def monitor_offset(state0: FlowState, epoch: int, elapsed: float) -> int:
     return RING * (1 + epoch) + int(np.ceil(spread))
 
 
+def _monitorable(state: FlowState, offset: int) -> bool:
+    """Whether state has nodes at depth >= offset on every axis (all on the torus)."""
+    return state.mode == "periodic" or min(state.shape) > 2 * offset
+
+
 def monitor_nodes(state: FlowState, per_axis: int, offset: int) -> list[tuple[int, int]]:
     """Evenly spread sample nodes at depth >= offset from the window edge."""
+    if not _monitorable(state, offset):
+        raise StabilityFailure("monitored window shrank to nothing", time=state.t)
     lo = 0 if state.mode == "periodic" else offset
-    out = []
-    for m in state.shape:
-        hi = m if state.mode == "periodic" else m - offset
-        if hi - lo < 1:
-            raise StabilityFailure("monitored window shrank to nothing",
-                                   time=state.t)
-        out.append(np.unique(np.linspace(lo, hi - 1, per_axis).astype(int)))
+    out = [np.unique(np.linspace(lo, m - 1 - lo, per_axis).astype(int)) for m in state.shape]
     return [(int(i), int(j)) for i in out[0] for j in out[1]]
 
 
@@ -462,18 +463,18 @@ def run(state: FlowState, T: float, sample_per_axis: int,
     chen_residual is S_min + n/(t + n/K) with K = -(initial S_min) when that
     is positive, else the K -> infinity limit S_min + n/t.  On a stability
     failure the exception carries the partial series.  The first state is
-    checked once, on a copy, whose lambda_min every epoch's monitor_offset
-    reads; BadParams before the first step if the last epoch's depth leaves
-    no node to monitor.
+    checked once, on a copy, whose lambda_min adaptive_dt (SingularHessian
+    unless > 0) and then every epoch's monitor_offset read; BadParams before
+    the first step if the last epoch's depth leaves no node to monitor.
     """
     if T <= state.t:
         raise BadParams("run needs T > current time")
     state0 = state = _sealed(replace(state, u=state.u.copy()))
+    dt = adaptive_dt(state)  # SingularHessian before monitor_offset divides by lambda_min
     depth = monitor_offset(state0, monitor_epochs, T - state0.t)
-    if min(state.shape) <= 2 * depth:
+    if not _monitorable(state0, depth):
         raise BadParams(f"the last epoch's monitor depth, {depth} nodes, leaves no node "
                         f"of the {state.shape[0]} x {state.shape[1]} window")
-    dt = adaptive_dt(state)
     steps = max(monitor_epochs, int(np.ceil((T - state.t) / dt)))
     dt = (T - state.t) / steps
     series = MonitorSeries()

@@ -369,6 +369,20 @@ def test_adaptive_dt_singular():
         flow.adaptive_dt(degenerate)
 
 
+def test_run_on_a_near_degenerate_window_raises_singular_hessian():
+    """A window whose checked Hessian is diag(1, 1e-20) passes the det check
+    (det = 1e-20 > 0), but lambda_min rounds to 0; run raises SingularHessian
+    before monitor_offset divides by it."""
+    i, j = np.meshgrid(np.arange(5.0) - 2.0, np.arange(5.0) - 2.0, indexing="ij")
+    state = flow.FlowState(mode="frozen-window", u=0.5 * i**2 + 0.5e-20 * j**2,
+                           spacing=1.0, origin=np.zeros(2), quad=np.zeros((2, 2)))
+    fields = flow._hessian(state.u, 1.0, state.quad, flow.RING)
+    assert flow._checked_det(fields, flow.RING, 0.0).min() > 0.0
+    assert flow._lambda_min(fields) == 0.0
+    with pytest.raises(SingularHessian):
+        flow.run(state, 1.0, sample_per_axis=3, monitor_epochs=1)
+
+
 # -- stepping ------------------------------------------------------------------------
 
 def test_quadratic_exactly_stationary():

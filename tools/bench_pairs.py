@@ -9,18 +9,20 @@ The parent's ``src/``, ``perfbench/`` and ``BENCHMARK.json`` are exported
 with ``git archive`` into a scratch directory, and the working tree's into
 another beside it, so that both sides run from copies of the same shape.
 Each pair runs the benchmark's command (``BENCHMARK.json``) once on each
-side with the same workload, seed and run length; the parent goes first in
-even pairs and the change in odd ones.  Pair i uses seed ``seed0 + i``.
+side with the same workload, seed and run length (``run_seconds`` in
+``BENCHMARK.json``); the parent goes first in even pairs and the change in
+odd ones.  Pair i uses seed ``seed0 + i``.
 
 With ``--trace-runs K`` each workload also runs K times per side under
 ``--trace 1`` on one seed, alternated the same way; the file keeps each
 layer's call counts and the median of its self times.
 
-The output, ``BENCH_<pr>.json`` by default, holds every run's JSON and, per
-workload and end-to-end metric, each side's median and quartiles
-(``statistics.quantiles``, inclusive), the pairs the change wins (ties count
-for neither side), the ratio of the medians, the parent's quartile spread
-and whether the change's median stays within the metric's bound.
+The output, ``BENCH_<pr>.json`` at the repository root, holds every run's
+JSON and, per workload and end-to-end metric, each side's median and
+quartiles (``statistics.quantiles``, inclusive), the pairs the change wins
+(ties count for neither side), the ratio of the medians, the parent's
+quartile spread and whether the change's median stays within the metric's
+bound.
 Only the standard library is used.
 """
 
@@ -67,12 +69,11 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_once(command: list, cwd: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
-    """One benchmark run: its exit code, its JSON (the last line of stdout) and
-    the tail of its stderr."""
-    args = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", repr(seconds), "--trace", str(trace)]
+def run_once(bench: dict, cwd: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run of bench's command and run length: its exit code, its
+    JSON (the last line of stdout) and the tail of its stderr."""
+    args = bench["command"] + ["--workload", workload, "--seed", str(seed), "--seconds",
+                               repr(bench["run_seconds"]), "--trace", str(trace)]
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -127,12 +128,11 @@ def metric_values(runs: list, name: str) -> list:
             for r in runs]
 
 
-def run_pairs(bench: dict, dirs: dict, workload: str, pairs: int, seed0: int,
-              seconds: float) -> dict:
+def run_pairs(bench: dict, dirs: dict, workload: str, pairs: int, seed0: int) -> dict:
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            run = run_once(bench["command"], dirs[side], workload, seed0 + i, seconds, 0)
+            run = run_once(bench, dirs[side], workload, seed0 + i, 0)
             runs[side].append(run)
             print(f"  {workload} pair {i + 1}/{pairs} {side}: exit {run['exit_code']}, "
                   f"wall_s {metric_values([run], 'wall_s')[0]}", file=sys.stderr)
@@ -146,13 +146,11 @@ def run_pairs(bench: dict, dirs: dict, workload: str, pairs: int, seed0: int,
     return out
 
 
-def run_traces(bench: dict, dirs: dict, workload: str, count: int, seed: int,
-               seconds: float) -> dict:
+def run_traces(bench: dict, dirs: dict, workload: str, count: int, seed: int) -> dict:
     runs = {side: [] for side in SIDES}
     for i in range(count):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_once(bench["command"], dirs[side], workload, seed,
-                                       seconds, 1))
+            runs[side].append(run_once(bench, dirs[side], workload, seed, 1))
     layers = {}
     names = sorted({name for side in SIDES for r in runs[side] if r["result"]
                     for name in r["result"]["metrics"]})
@@ -190,12 +188,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N",
                         help="run N pairs of WORKLOAD (repeatable)")
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace-runs", type=int, default=0,
                         help="traced runs per side and workload (0: none)")
     parser.add_argument("--trace-seed", type=int, default=3)
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -206,8 +201,7 @@ def main(argv=None) -> int:
         if name not in known or not count.isdigit() or int(count) < 1:
             parser.error(f"--pairs {item!r}: want WORKLOAD=N with N >= 1, WORKLOAD in {known}")
         plan.append((name, int(count)))
-    seconds = args.seconds or bench["run_seconds"]
-    out_path = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out_path = ROOT / f"BENCH_{args.pr}.json"
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -215,20 +209,18 @@ def main(argv=None) -> int:
         sha = export_parent(args.parent, dirs["parent"])
         copy_working_tree(dirs["change"])
         report = {"parent_commit": sha,
-                  "command": " ".join(bench["command"]) + f" --workload W --seed N "
-                             f"--seconds {seconds:g} --trace 0, run from a copy of each "
-                             f"side's {', '.join(EXPORTED)}",
+                  "command": " ".join(bench["command"]) + " --workload W --seed N "
+                             f"--seconds {bench['run_seconds']:g} --trace 0, run from a "
+                             f"copy of each side's {', '.join(EXPORTED)}",
                   "host": host(),
                   "quartiles": "statistics.quantiles(runs, n=4, method='inclusive'); "
                                "change_wins counts pairs where the change reads better",
                   "workloads": {}}
         for name, count in plan:
-            report["workloads"][name] = run_pairs(bench, dirs, name, count, args.seed0,
-                                                  seconds)
+            report["workloads"][name] = run_pairs(bench, dirs, name, count, args.seed0)
         if args.trace_runs:
             report["trace"] = {name: run_traces(bench, dirs, name, args.trace_runs,
-                                                args.trace_seed, seconds)
-                               for name in known}
+                                                args.trace_seed) for name in known}
     out_path.write_text(json.dumps(report, indent=1) + "\n")
 
     for name, w in report["workloads"].items():
