@@ -20,11 +20,10 @@ explicit step is stable for
 
     dt <= 0.25 * h^2 / (2 * max_nodes lambda_max(Hess^-1)).
 
-A window takes the classical four-stage explicit step at that bound.  On
-the torus the step is a stabilized semi-implicit predictor-corrector, which
-takes PERIODIC_DT_FACTOR times the bound.  With R(u) = 2 log det Hess(u),
-Delta_h the 3-point stencil Laplacian and kappa = 2 / lambda_min, the
-largest diffusion coefficient of the step's first state, it solves
+Both modes take a stabilized semi-implicit predictor-corrector at
+DT_FACTOR times that bound.  With R(u) = 2 log det Hess(u), Delta_h the
+3-point stencil Laplacian and kappa = 2 / lambda_min, the largest diffusion
+coefficient of the step's first state, it solves
 
     (I - dt kappa Delta_h) d* = dt R(u),
     (I - dt kappa Delta_h / 2) d = dt (R(u) + R(u + d*)) / 2
@@ -32,14 +31,15 @@ largest diffusion coefficient of the step's first state, it solves
 
 and sets u+ = u + d.  The kappa terms cancel to O(dt^3), so the step is
 Heun's second-order method stabilized; on a linear mode whose rate is
-kappa times its stencil symbol it is Crank-Nicolson.  Each solve divides
-by the stencil's symbol 4/h^2 (sin^2 pi k_x h + sin^2 pi k_y h) in the
-real Hartley basis (_helmholtz): four m x m products, O(m^3); the basis
-and the symbol are built once per grid (m, h) and kept (_hartley).  On the
-lab's grids (m <= 64) that takes less time than an rfft2/irfft2 pair, and
-it leaves out the 0.3-0.8 MiB of resident memory that numpy's FFT takes on
-first use.  The window ring is extrapolated, not periodic, so the window
-keeps the explicit step.
+kappa times its stencil symbol it is Crank-Nicolson.  Each solve is four
+small products in an eigenbasis of Delta_h (_helmholtz), built once per grid
+and kept.  On the torus it is the real Hartley basis (_hartley): on the
+lab's grids (m <= 64) faster than an rfft2/irfft2 pair, and without the
+0.3-0.8 MiB that numpy's FFT takes on first use.  On a window d lives at
+depth >= RING and the ring extrapolates it, which makes the second
+difference 0 on each axis's first and last interior node; the linear
+interpolants of the end values and the Dirichlet sines of the nodes between
+are then its eigenbasis (_ramp_sines).
 
 Every Hessian evaluation is one 2-D kernel (_hessian) over the checked
 nodes: all of them on the torus, where u is copied once into a buffer
@@ -51,9 +51,9 @@ stencils, grid_derivative in conftest.py, as the oracle).  On the torus log
 det is taken without a mask, since every node has just passed the check.
 step checks the new state after it is built and keeps that check's det and
 lambda_min on it, its u read-only; adaptive_dt and the next step read them,
-so a torus step evaluates the Hessian twice (predictor, new state) and a
-window step four times (three stages, new state).  A state whose u is
-replaced is evaluated afresh.  run checks its first state once, on a copy.
+so a step evaluates the Hessian twice (predictor, new state) in both modes.
+A state whose u is replaced is evaluated afresh.  run checks its first
+state once, on a copy.
 
 The monitors evaluate the stencils at the monitored nodes only (grid_jets),
 on each node's 5 x 5 wrapped patch in the roll stencils' order, so the
@@ -85,7 +85,7 @@ from .potentials import GridPotential, PotentialHandle, QuadraticPlusPeriodic
 RING = 2  # boundary ring width == widest monitor stencil radius
 MONITOR_KAPPA = 1.25  # heat-kernel standard deviations of monitor_offset's margin
 MONITOR_ANGLES = 240  # scan angles of each monitor extremization
-PERIODIC_DT_FACTOR = 16  # torus dt over the explicit bound (sweep in CHANGES.md)
+DT_FACTOR = 16  # dt over the explicit bound (sweeps in CHANGES.md)
 
 CHANNELS = ("S_min", "S_max", "ABC_max", "ORTH_ABC_min", "H_pol_min",
             "O_max", "chen_residual", "hpol_bound_residual")
@@ -256,26 +256,29 @@ def init(handle: PotentialHandle, grid: GridSpec, mode: str) -> FlowState:
 
 
 def adaptive_dt(state: FlowState) -> float:
-    """The explicit bound 0.25 h^2 / (2 max lambda_max(Hess^-1)) over the
-    checked nodes on a window; PERIODIC_DT_FACTOR times it on the torus,
-    whose step is semi-implicit.  lambda_min is the one step stored on the
-    state, if any (see step)."""
+    """DT_FACTOR times the explicit bound 0.25 h^2 / (2 max lambda_max(Hess^-1))
+    over the checked nodes, on the torus and the window alike: both take the
+    semi-implicit step.  lambda_min is the one step stored on the state, if
+    any (see step)."""
     lam_min = _state_lambda_min(state)
     if lam_min <= 0.0 or not np.isfinite(lam_min):
         raise SingularHessian("degenerate Hessian: no stable step size")
-    dt = 0.25 * state.spacing**2 / (2.0 / lam_min)
-    return PERIODIC_DT_FACTOR * dt if state.mode == "periodic" else dt
+    return DT_FACTOR * (0.25 * state.spacing**2 / (2.0 / lam_min))
 
 
-def _extend_ring(du: np.ndarray) -> None:
-    """Fill the boundary ring of du in place by linear extrapolation of the
-    interior update, reading only the interior: rows within the interior
-    columns, then whole columns (both views, so writes land in du)."""
-    for v in (du[:, RING:-RING], du.T):
+def _with_ring(d: np.ndarray, ring: int) -> np.ndarray:
+    """The update d of the nodes at depth >= ring on the whole grid: d itself
+    on the torus; on a window, d inside a ring filled by linear extrapolation,
+    rows within d's columns, then whole columns (views of the padded copy)."""
+    if not ring:
+        return d
+    du = np.pad(d, ring)
+    for v in (du[:, ring:-ring], du.T):
         m = v.shape[0]
-        for r in range(RING - 1, -1, -1):
+        for r in range(ring - 1, -1, -1):
             v[r] = 2.0 * v[r + 1] - v[r + 2]
             v[m - 1 - r] = 2.0 * v[m - 2 - r] - v[m - 3 - r]
+    return du
 
 
 @functools.cache
@@ -292,60 +295,55 @@ def _hartley(m: int, h: float) -> tuple:
     return cas, symbol
 
 
-def _helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:
-    """x with (I - c Delta_h) x = rhs on an m x m torus, Delta_h the 3-point
-    stencil Laplacian of spacing h: four m x m products in _hartley's basis."""
-    cas, symbol = _hartley(rhs.shape[0], h)
-    return cas @ ((cas @ rhs @ cas) / (1.0 + c * symbol)) @ cas
+@functools.cache
+def _ramp_sines(n: int, h: float) -> tuple:
+    """An eigenbasis of the window's second difference on an axis of n
+    interior nodes, its inverse and its symbol for -Delta_h, all read-only:
+    the linear interpolants of the two end values (symbol 0; one if n is 1),
+    then sin(pi k j / (n - 1)) with symbol 4/h^2 sin^2(pi k / (2 (n - 1))),
+    k = 1 .. n - 2."""
+    s = 1.0 / max(n - 1, 1)
+    j, k = s * np.arange(n), np.arange(1, n - 1)
+    basis = np.column_stack([1.0 - j, j, np.sin(np.pi * np.outer(j, k))])[:, :n]
+    symbol = np.concatenate([[0.0, 0.0], (4.0 / h**2) * np.sin(0.5 * np.pi * s * k) ** 2])
+    out = basis, np.linalg.inv(basis), symbol[:n]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _periodic_update(u, dt, h, quad, det, lam_min, t) -> np.ndarray:
-    """The torus predictor-corrector of the module docstring, from u's
-    checked det and lambda_min.  Since the predictor gives
-    -dt kappa Delta_h d* = dt R(u) - d*, the corrector's right side is
-    dt R(u) + dt R(u + d*) / 2 - d* / 2, with no Laplacian to apply."""
-    kappa = 2.0 / lam_min
-    r0 = 2.0 * np.log(det)
-    pred = _helmholtz(dt * r0, dt * kappa, h)
-    r1 = 2.0 * np.log(_checked_det(_hessian(u + pred, h, quad), 0, t))
-    return u + _helmholtz(dt * r0 + 0.5 * dt * r1 - 0.5 * pred, 0.5 * dt * kappa, h)
-
-
-def _window_update(u, dt, h, quad, det, t) -> np.ndarray:
-    """The four-stage explicit step on a window, from u's checked det; the
-    ring follows the interior."""
-    inner = (slice(RING, -RING),) * 2
-
-    def rhs(u, det=None):
-        if det is None:
-            det = _checked_det(_hessian(u, h, quad, RING), RING, t)
-        du = np.empty_like(u)
-        du[inner] = 2.0 * np.log(det)
-        _extend_ring(du)
-        return du
-
-    k1 = rhs(u, det)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _helmholtz(rhs: np.ndarray, c: float, h: float, periodic: bool = True) -> np.ndarray:
+    """x with (I - c Delta_h) x = rhs, Delta_h the 3-point stencil Laplacian
+    of spacing h: on an m x m torus, four m x m products in _hartley's basis;
+    on a window's interior nodes, four products in _ramp_sines' bases."""
+    if periodic:
+        cas, symbol = _hartley(rhs.shape[0], h)
+        return cas @ ((cas @ rhs @ cas) / (1.0 + c * symbol)) @ cas
+    (vx, ix, sx), (vy, iy, sy) = (_ramp_sines(m, h) for m in rhs.shape)
+    return vx @ ((ix @ rhs @ iy.T) / (1.0 + c * (sx[:, None] + sy))) @ vy.T
 
 
 def step(state: FlowState, dt: float) -> FlowState:
-    """One step: the semi-implicit predictor-corrector on the torus, the
-    four-stage explicit step on a window (see the module docstring).
+    """One predictor-corrector step of the module docstring, on the torus and
+    the window alike.  Since the predictor gives -dt kappa Delta_h d* =
+    dt R(u) - d*, the corrector's right side is dt R(u) + dt R(u + d*) / 2
+    - d* / 2, with no Laplacian to apply.
 
     The new state is checked, its u is read-only and it keeps the det and
     lambda_min of that check, which adaptive_dt and the next step read for
     as long as its u is that array: an in-place edit raises ValueError, and
     a replaced u is evaluated and checked again.
     """
-    h, t, quad = state.spacing, state.t, state.quad
+    u, h, quad, t = state.u, state.spacing, state.quad, state.t
+    ring = 0 if state.mode == "periodic" else RING
     det, lam_min = _checks(state)
-    if state.mode == "periodic":
-        new_u = _periodic_update(state.u, dt, h, quad, det, lam_min, t)
-    else:
-        new_u = _window_update(state.u, dt, h, quad, det, t)
+    kappa = 2.0 / lam_min
+    r0 = 2.0 * np.log(det)
+    pred = _helmholtz(dt * r0, dt * kappa, h, not ring)
+    r1 = 2.0 * np.log(_checked_det(_hessian(u + _with_ring(pred, ring), h, quad, ring),
+                                   ring, t))
+    new_u = u + _with_ring(_helmholtz(dt * r0 + 0.5 * dt * r1 - 0.5 * pred,
+                                      0.5 * dt * kappa, h, not ring), ring)
     if not np.all(np.isfinite(new_u)):
         node = tuple(int(v) for v in np.argwhere(~np.isfinite(new_u))[0])
         raise StabilityFailure("non-finite values", node=node, time=t)

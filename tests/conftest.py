@@ -149,7 +149,8 @@ def ref_integrate_ode(A0, T, dt):
 
 # -- the flow monitors, n = 2 extremizer, transport moduli and box checks as first
 # -- written, node by node, tensor by tensor and pair by pair: oracles of the batched kernels;
-# -- and the window step as first written, stage by stage: oracle of the interior-only step
+# -- and the four-stage explicit window step, stage by stage: the reference that the
+# -- semi-implicit window step's error against the closed forms is held to
 
 def ref_grid_jets(state, nodes) -> list[dict]:
     """One {orders: value} per node, from the batched stencils' rows."""
@@ -277,9 +278,9 @@ def ref_extend_ring(du: np.ndarray) -> None:
 
 def ref_window_update(u: np.ndarray, dt: float, h: float, quad: np.ndarray,
                       t: float) -> np.ndarray:
-    """u after one four-stage explicit window step, as first written: each
-    stage is a ref_window_rhs of its own state, and nothing is kept between
-    stages or steps."""
+    """u after one four-stage explicit window step: each stage is a
+    ref_window_rhs of its own state, and nothing is kept between stages or
+    steps."""
     k1 = ref_window_rhs(u, h, quad, t)
     k2 = ref_window_rhs(u + 0.5 * dt * k1, h, quad, t)
     k3 = ref_window_rhs(u + 0.5 * dt * k2, h, quad, t)
@@ -303,6 +304,23 @@ def ref_adaptive_dt(state) -> float:
     tr, det = hxx + hyy, hxx * hyy - hxy * hxy
     lam_min = float(((tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))) / 2.0).min())
     return 0.25 * state.spacing**2 / (2.0 / lam_min)
+
+
+def bidisk_product_exact(x: np.ndarray, t: float) -> np.ndarray:
+    """The flow of bidisk_product at the points x (..., 2) and time t:
+    -a (log x1 + log x2) + b with a = 1 + 4t and b = a log a - 4t, since
+    2 log det Hess = 4 log a - 4 (log x1 + log x2) and b' = 4 log a."""
+    a = 1.0 + 4.0 * t
+    return -a * (np.log(x[..., 0]) + np.log(x[..., 1])) + a * np.log(a) - 4.0 * t
+
+
+def cone2d_exact(x: np.ndarray, t: float) -> np.ndarray:
+    """The flow of cone2d at the points x (..., 2) and time t: in the null
+    coordinates x1 + x2 and x1 - x2 it is bidisk_product's, so it is
+    -a log(x1^2 - x2^2) + b with a = 1 + 4t and b' = 2 log 4 + 4 log a."""
+    a = 1.0 + 4.0 * t
+    return (-a * np.log(x[..., 0] ** 2 - x[..., 1] ** 2) + a * np.log(a) - 4.0 * t
+            + 2.0 * np.log(4.0) * t)
 
 
 def ref_helmholtz(rhs: np.ndarray, c: float, h: float) -> np.ndarray:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import (grid_derivative, quadratic, ref_adaptive_dt, ref_channel_values,
-                      ref_extend_ring, ref_helmholtz, ref_window_step)
+from conftest import (bidisk_product_exact, cone2d_exact, grid_derivative, quadratic,
+                      ref_adaptive_dt, ref_channel_values, ref_extend_ring, ref_helmholtz,
+                      ref_window_step)
 from hesselab import flow
 from hesselab.cli import _write_series
 from hesselab.errors import (BadParams, IncompatibleMode, SingularHessian,
@@ -78,14 +81,15 @@ def test_init_window_rejects_a_grid_or_potential_that_is_not_2d(handle, shape):
 
 
 def test_adaptive_dt_formula():
-    """0.25 h^2 / (2 / lambda_min) on a window, 16 times that on the torus."""
+    """16 times 0.25 h^2 / (2 / lambda_min), on the torus and a window alike."""
+    assert flow.DT_FACTOR == 16
     state = flow.init(quadratic(2), torus(64), "periodic")
     assert flow.adaptive_dt(state) == pytest.approx(16 * 0.25 / (2 * 64**2), rel=1e-12)
     doubled = flow.init(quadratic(2, quad=2.0 * np.eye(2)), torus(64), "periodic")
     assert flow.adaptive_dt(doubled) == pytest.approx(16 * 0.25 / 64**2, rel=1e-12)
     window = flow.GridSpec(shape=(16, 16), spacing=1.0 / 16, origin=np.zeros(2))
     doubled = flow.init(quadratic(2, quad=2.0 * np.eye(2)), window, "frozen-window")
-    assert flow.adaptive_dt(doubled) == pytest.approx(0.25 / 16**2, rel=1e-12)
+    assert flow.adaptive_dt(doubled) == pytest.approx(16 * 0.25 / 16**2, rel=1e-12)
 
 
 def _hessian_states():
@@ -164,43 +168,67 @@ def test_interior_fields_match_grid_derivative(which):
 
 
 def test_ring_fill_reads_the_interior_only():
-    """_extend_ring fills a ring of inf as the first-written fill fills a
-    zeroed one, bit for bit; reading an inf would raise a RuntimeWarning."""
+    """_with_ring, given the interior alone, fills the ring around it as the
+    first-written fill fills a zeroed one, bit for bit; a torus update (ring
+    0) comes back as is."""
     interior = np.random.default_rng(5).normal(size=(8, 9))
-    got, want = np.full((12, 13), np.inf), np.zeros((12, 13))
-    got[2:-2, 2:-2] = want[2:-2, 2:-2] = interior
-    flow._extend_ring(got)
+    want = np.zeros((12, 13))
+    want[2:-2, 2:-2] = interior
     ref_extend_ring(want)
-    assert got.tobytes() == want.tobytes()
+    assert flow._with_ring(interior, flow.RING).tobytes() == want.tobytes()
+    assert flow._with_ring(interior, 0) is interior
 
 
-# -- the window step against its first-written form ------------------------------
+# -- the window step against fresh evaluations -------------------------------------
 
 OT_WINDOW = flow.GridSpec(shape=(36, 36), spacing=0.036, origin=np.array([0.55, -0.65]))
 
 
-def test_ot_window_loop_equals_the_first_written_step(radial):
+def fresh(state: flow.FlowState) -> flow.FlowState:
+    """state with a copy of its u, so that step and adaptive_dt read nothing
+    that an earlier step stored and evaluate its Hessian afresh."""
+    return replace(state, u=state.u.copy())
+
+
+def fresh_step(state: flow.FlowState, dt: float, step=flow.step) -> flow.FlowState:
+    """The public step (bound at import, so that a patched flow.step may call
+    this) on a fresh copy of state."""
+    return step(fresh(state), dt)
+
+
+def fresh_adaptive_dt(state: flow.FlowState) -> float:
+    """DT_FACTOR times the explicit bound from the padded whole-grid Hessian."""
+    return flow.DT_FACTOR * ref_adaptive_dt(state)
+
+
+def test_ot_window_loop_equals_fresh_steps(radial):
     """ot-window's loop, adaptive_dt and step up to each checkpoint time, gives
-    the checkpoints of the first-written step and bound bit for bit."""
+    the checkpoints of public step calls on fresh states, with the bound from
+    the whole-grid Hessian, bit for bit, in 26 steps (the explicit bound took
+    392)."""
     state = ref = flow.init(radial, OT_WINDOW, "frozen-window")
+    steps = 0
     for t in (0.004, 0.008):
         while state.t < t - 1e-12:
             state = flow.step(state, min(flow.adaptive_dt(state), t - state.t))
+            steps += 1
         while ref.t < t - 1e-12:
-            ref = ref_window_step(ref, min(ref_adaptive_dt(ref), t - ref.t))
+            ref = fresh_step(ref, min(fresh_adaptive_dt(ref), t - ref.t))
         assert state.t == ref.t
         assert state.u.tobytes() == ref.u.tobytes()
+    assert steps == 26
 
 
 @pytest.mark.parametrize("name, grid, T", [("calabi_ball", ball_window(), 0.006),
                                            ("radial_sym", radial_window(), 0.0015)])
-def test_window_run_equals_the_first_written_step(monkeypatch, name, grid, T):
+def test_window_run_equals_fresh_steps(monkeypatch, name, grid, T):
     """flow.run on a window records the series and reaches the final u of a
-    run through the first-written step and bound, bit for bit."""
+    run through public step calls on fresh states and the bound from the
+    whole-grid Hessian, bit for bit."""
     handle = catalog(name, n=2) if name == "calabi_ball" else catalog(name, C=1.0)
     state = flow.init(handle, grid, "frozen-window")
     out = []
-    for patch in ({}, {"step": ref_window_step, "adaptive_dt": ref_adaptive_dt}):
+    for patch in ({}, {"step": fresh_step, "adaptive_dt": fresh_adaptive_dt}):
         with monkeypatch.context() as m:
             for attr, fn in patch.items():
                 m.setattr(flow, attr, fn)
@@ -210,13 +238,12 @@ def test_window_run_equals_the_first_written_step(monkeypatch, name, grid, T):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("which, counts", [("window-2d", [6, 4, 4, 4]),
+@pytest.mark.parametrize("which, counts", [("window-2d", [4, 2, 2, 2]),
                                            ("periodic-2d", [4, 2, 2, 2])])
 def test_hessian_evaluations_per_step(monkeypatch, which, counts):
-    """adaptive_dt then step: from a state that step returned, a window step
-    evaluates the Hessian four times (three stages and the new state) and a
-    torus step twice (predictor and new state); from an init state, adaptive_dt
-    and the step's first stage evaluate it too."""
+    """adaptive_dt then step: from a state that step returned, a window or
+    torus step evaluates the Hessian twice (predictor and new state); from an
+    init state, adaptive_dt and the step's first state evaluate it too."""
     state = _hessian_states()[which]
     calls, real = [], flow._hessian
     monkeypatch.setattr(flow, "_hessian", lambda *a: calls.append(1) or real(*a))
@@ -228,7 +255,7 @@ def test_hessian_evaluations_per_step(monkeypatch, which, counts):
     assert got == counts
 
 
-@pytest.mark.parametrize("which, per_step", [("window-2d", 4), ("periodic-2d", 2)])
+@pytest.mark.parametrize("which, per_step", [("window-2d", 2), ("periodic-2d", 2)])
 def test_run_checks_its_first_state_once(monkeypatch, which, per_step):
     """run evaluates its first state's Hessian once, for adaptive_dt, every
     epoch's monitor_offset and the first step alike, then per_step times a
@@ -258,8 +285,8 @@ def test_replaced_u_of_a_stepped_state_is_checked_again():
     next step at its node, with the state's time."""
     state = flow.step(_hessian_states()["window-2d"], 1e-9)
     state.u = 2.0 * state.u
-    assert flow.adaptive_dt(state) == ref_adaptive_dt(state)
-    assert flow.step(state, 1e-6).u.tobytes() == ref_window_step(state, 1e-6).u.tobytes()
+    assert flow.adaptive_dt(state) == fresh_adaptive_dt(state)
+    assert flow.step(state, 1e-6).u.tobytes() == fresh_step(state, 1e-6).u.tobytes()
     state.u = state.u / 2.0
     state.t = 0.25
     state.u[tuple(m // 3 for m in state.shape)] += 0.5 * state.spacing**2 * 8.0
@@ -329,12 +356,19 @@ def test_nonconvex_monitored_node_fails_at_its_node():
         assert err.value.time == 0.125
 
 
+# a step that the semi-implicit window step does not survive on ball_window:
+# one of 2e4 DT_FACTOR = 3.2e5 explicit bounds (1e5 bounds still passes)
+OVERSIZED = 2e4
+
+
 def test_oversized_window_step_fails_after_the_step(ball2):
+    """The predictor passes; the new state's check fails at its first
+    non-convex node, at the new time."""
     state = flow.init(ball2, ball_window(), "frozen-window")
-    dt = 50 * flow.adaptive_dt(state)
+    dt = OVERSIZED * flow.adaptive_dt(state)
     with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
         flow.step(state, dt)
-    assert err.value.node == (2, 3)
+    assert err.value.node == (2, 2)
     assert err.value.time == dt
 
 
@@ -460,6 +494,45 @@ def test_cached_helmholtz_equals_the_uncached_solve(m):
             a[0, 0] = 0.0
 
 
+def dense_window_laplacian(shape: tuple, h: float) -> np.ndarray:
+    """The 5-point Laplacian of a window's interior, its ring filled by
+    _with_ring, as a dense matrix: one column per interior node."""
+    cols = []
+    for e in np.eye(shape[0] * shape[1]):
+        full = flow._with_ring(e.reshape(shape), flow.RING)
+        lap = grid_derivative(full, (2, 0), h) + grid_derivative(full, (0, 2), h)
+        cols.append(lap[flow.RING:-flow.RING, flow.RING:-flow.RING].ravel())
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("grid", [(9, 13), (5, 5), (6, 6), (5, 8)])
+def test_window_helmholtz_matches_a_dense_solve(grid):
+    """The solve on a window's interior equals a dense solve of (I - c Delta_h)
+    with the Laplacian of the ring-filled grid: on a rectangular window, and on
+    5 x 5 and 6 x 6 grids, whose 1 and 2 interior nodes per axis have no sine."""
+    h, c = 0.1, 0.37e-2
+    shape = tuple(m - 2 * flow.RING for m in grid)
+    laplacian = dense_window_laplacian(shape, h)
+    rhs = np.random.default_rng(sum(grid)).normal(size=shape)
+    dense = np.linalg.solve(np.eye(laplacian.shape[0]) - c * laplacian,
+                            rhs.ravel()).reshape(shape)
+    assert np.abs(flow._helmholtz(rhs, c, h, periodic=False) - dense).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_cached_window_basis_is_read_only_and_equals_a_fresh_build(n):
+    """_ramp_sines is built once per (n, h), read-only, and bit for bit the
+    basis, inverse and symbol built afresh."""
+    h = 0.036
+    cached = flow._ramp_sines(n, h)
+    assert flow._ramp_sines(n, h)[0] is cached[0]
+    for a, b in zip(cached, flow._ramp_sines.__wrapped__(n, h)):
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def rk4_oracle(state, T, steps):
     """u at time T of the torus flow by the classical four-stage explicit
     scheme, the step the semi-implicit one replaced."""
@@ -491,6 +564,60 @@ def test_periodic_step_is_second_order():
             out = flow.step(out, T / steps)
         errors.append(np.abs(out.u - exact).max())
     assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def test_window_step_is_second_order(ball2):
+    """Halving dt cuts the error of the window step against the four-stage
+    explicit step at a quarter of the explicit bound by about 4."""
+    state = flow.init(ball2, ball_window(), "frozen-window")
+    T = 2 * flow.adaptive_dt(state)
+    exact = state
+    for _ in range(128):
+        exact = ref_window_step(exact, T / 128)
+    errors = []
+    for steps in (16, 32):
+        out = state
+        for _ in range(steps):
+            out = flow.step(out, T / steps)
+        errors.append(np.abs(out.u - exact.u).max())
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def _march(state, T, step, bound):
+    """state at T after ceil((T - t) / bound) equal steps, as run takes them."""
+    steps = int(np.ceil((T - state.t) / bound(state)))
+    dt = (T - state.t) / steps
+    for _ in range(steps):
+        state = step(state, dt)
+    return state
+
+
+def _closed_form_errors(state, exact) -> tuple:
+    """|u - exact| at the centre node and its max over depth >= 8."""
+    idx = np.stack(np.meshgrid(*map(np.arange, state.shape), indexing="ij"), axis=-1)
+    err = np.abs(state.u - exact(state.origin + state.spacing * idx, state.t))
+    return err[tuple(m // 2 for m in state.shape)], err[8:-8, 8:-8].max()
+
+
+@pytest.mark.parametrize("name, exact, origin, grids", [
+    ("bidisk_product", bidisk_product_exact, (0.5, 0.5), [(48, 0.02), (96, 0.01)]),
+    ("cone2d", cone2d_exact, (1.0, -0.3), [(40, 0.02), (80, 0.01)])],
+    ids=["bidisk_product", "cone2d"])
+def test_window_flow_matches_the_closed_forms(name, exact, origin, grids):
+    """At two spacings the window step at DT_FACTOR errs against the closed
+    form no more than the four-stage explicit step at the explicit bound:
+    within 5% over depth >= 8, at most 1.1 times at the centre; and the
+    centre error falls by at least 3 when the spacing halves."""
+    centre = []
+    for m, h in grids:
+        state = flow.init(catalog(name), flow.GridSpec((m, m), h, np.array(origin)),
+                          "frozen-window")
+        new = _closed_form_errors(_march(state, 0.004, flow.step, flow.adaptive_dt), exact)
+        ref = _closed_form_errors(_march(state, 0.004, ref_window_step, ref_adaptive_dt), exact)
+        assert new[1] <= 1.05 * ref[1], (m, new, ref)
+        assert new[0] <= 1.1 * ref[0], (m, new, ref)
+        centre.append(new[0])
+    assert centre[0] >= 3.0 * centre[1]
 
 
 def test_step_counts_time():
@@ -572,12 +699,18 @@ def test_window_run_abc_stays_nonpositive(ball2):
 
 
 def test_window_run_reports_partial_series_on_failure(ball2, monkeypatch):
+    """A run whose first step fails raises with the series recorded so far.
+    Within the time that monitor_offset lets a run of ball_window reach, no
+    step fails, so the depth is pinned at RING and the step is oversized."""
     state = flow.init(ball2, ball_window(), "frozen-window")
-    # huge fixed step destroys positive-definiteness immediately
-    monkeypatch.setattr(flow, "adaptive_dt", lambda st: 5e-3)
-    with pytest.raises(StabilityFailure) as err:
-        flow.run(state, 0.01, monitor_epochs=2, sample_per_axis=5)
-    assert hasattr(err.value, "partial_series")
+    dt = OVERSIZED * flow.adaptive_dt(state)
+    monkeypatch.setattr(flow, "adaptive_dt", lambda st: dt)
+    monkeypatch.setattr(flow, "monitor_offset", lambda *a: flow.RING)
+    with pytest.raises(StabilityFailure, match="positive-definiteness") as err:
+        flow.run(state, 2 * dt, monitor_epochs=2, sample_per_axis=5)
+    assert err.value.partial_series.times == [0.0]
+    assert err.value.node == (2, 2)
+    assert err.value.time == dt
 
 
 def test_monitor_window_shrinks_to_nothing_raises(radial, monkeypatch):
